@@ -147,11 +147,16 @@ def zero_padded_kv(scores: np.ndarray, last_block_token_count: int, block_size: 
         scores[:, valid:] = NEG_INF
 
 
-def _plan_splits(n_blocks: int, kv_split_blocks: int | None) -> list[tuple[int, int]]:
-    if kv_split_blocks is None or kv_split_blocks >= n_blocks:
-        return [(0, n_blocks)] if n_blocks else []
-    if kv_split_blocks < 1:
+def plan_splits(n_blocks: int, kv_split_blocks: int | None) -> list[tuple[int, int]]:
+    """[b0, b1) block ranges of ``n_blocks`` K/V blocks cut every
+    ``kv_split_blocks`` blocks; one range when unsplit, none when there
+    are no blocks."""
+    if kv_split_blocks is not None and kv_split_blocks < 1:
         raise ValueError("kv_split_blocks must be >= 1")
+    if n_blocks <= 0:
+        return []
+    if kv_split_blocks is None or kv_split_blocks >= n_blocks:
+        return [(0, n_blocks)]
     return [
         (s, min(s + kv_split_blocks, n_blocks)) for s in range(0, n_blocks, kv_split_blocks)
     ]
@@ -183,7 +188,7 @@ def run_tile(job: AttentionTileJob, kv_split_blocks: int | None = None) -> np.nd
     valid_tokens = min(job.kv.total_tokens, n_blocks * bs)
     row_valid = _row_valid_lens(tile)
     state = SoftmaxState.fresh(tile.q_len, q.shape[1])
-    for b0, b1 in _plan_splits(n_blocks, kv_split_blocks):
+    for b0, b1 in plan_splits(n_blocks, kv_split_blocks):
         ids = list(job.kv.block_ids[b0:b1])
         k = job.kv.keys[ids][:, :, kv_head, :].reshape(-1, q.shape[1])
         v = job.kv.values[ids][:, :, kv_head, :].reshape(-1, q.shape[1])

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import AttentionTileJob, run_tile, skip_plan
-from .config import ServeConfig
+from .config import ModelConfig, ServeConfig
 from .gemm import TilePrimitive, gemm_virtual_pad, fused_sv_write, smooth_shape
 from .kv_cache import RadixKvCache
 from .oracle import ToyModel, dense_forward, rms_norm, silu
@@ -64,6 +64,21 @@ class _Runtime:
         return self.request.prompt
 
 
+def _linear_ops(mcfg: ModelConfig) -> dict[LinearOp, tuple[int, int, TilePrimitive]]:
+    """(N, K) of each linear op's weight and the GEMM tile it runs on:
+    16 rows, up to 128 columns, and K steps of 128 where K allows."""
+    dims = {
+        LinearOp.QKV: (mcfg.qkv_out, mcfg.hidden_size),
+        LinearOp.O_PROJ: (mcfg.hidden_size, mcfg.num_heads * mcfg.head_size),
+        LinearOp.GATE_UP: (2 * mcfg.intermediate_size, mcfg.hidden_size),
+        LinearOp.DOWN: (mcfg.hidden_size, mcfg.intermediate_size),
+    }
+    return {
+        op: (n, k, TilePrimitive(tile_m=16, tile_n=min(128, n), tile_k=128 if k % 128 == 0 else 64))
+        for op, (n, k) in dims.items()
+    }
+
+
 class Engine:
     def __init__(
         self,
@@ -89,6 +104,7 @@ class Engine:
         self.sched = TokenScheduler(cfg.budget, cfg.reserve)
         self.caches = [RadixKvCache.from_config(cfg) for _ in range(cfg.model.num_layers)]
         self.store = ProfileStore()
+        self._linear_ops = _linear_ops(cfg.model)
         self._weights32 = self._cast_weights(model)
         self.runtimes: dict[object, _Runtime] = {}
         self.pending: list[EngineRequest] = []
@@ -280,11 +296,8 @@ class Engine:
         return self._apply_logits(chunk, logits, spec_kv, tokens)
 
     def _linear(self, chunk: Chunk, a: np.ndarray, b: np.ndarray, op: LinearOp) -> np.ndarray:
-        m, k = a.shape
-        n = b.shape[1]
-        tile_k = 128 if k % 128 == 0 else 64
-        prim = TilePrimitive(tile_m=16, tile_n=min(128, n), tile_k=tile_k)
-        smoothed = self._smoothed_m(op, m, n, k)
+        n, k, prim = self._linear_ops[op]
+        smoothed = self._smoothed_m(op, a.shape[0], n, k)
         entry, grid = decompose_linear(chunk, op, n, prim.tile_m, prim.tile_n, self.cfg.quantum)
         table = lookup_linear_tasktable(
             self.store, op, (smoothed, n, k), self.cfg.hw.core_num, grid
@@ -444,17 +457,8 @@ class Engine:
             kv_split_blocks=split,
         )
         span = attn.makespan
-        mcfg = self.cfg.model
-        dims = {
-            LinearOp.QKV: (mcfg.qkv_out, mcfg.hidden_size),
-            LinearOp.O_PROJ: (mcfg.hidden_size, mcfg.num_heads * mcfg.head_size),
-            LinearOp.GATE_UP: (2 * mcfg.intermediate_size, mcfg.hidden_size),
-            LinearOp.DOWN: (mcfg.hidden_size, mcfg.intermediate_size),
-        }
         m = chunk.total_tokens
-        for op, (n, k) in dims.items():
-            tile_k = 128 if k % 128 == 0 else 64
-            prim = TilePrimitive(16, min(128, n), tile_k)
+        for op, (n, k, prim) in self._linear_ops.items():
             _, grid = decompose_linear(chunk, op, n, prim.tile_m, prim.tile_n, self.cfg.quantum)
             table = lookup_linear_tasktable(
                 self.store, op, (self._smoothed_m(op, m, n, k), n, k), hw.core_num, grid
@@ -463,22 +467,13 @@ class Engine:
         return span * self.cfg.model.num_layers
 
     def _profile_linears(self) -> None:
-        mcfg = self.cfg.model
-        dims = {
-            LinearOp.QKV: (mcfg.qkv_out, mcfg.hidden_size),
-            LinearOp.O_PROJ: (mcfg.hidden_size, mcfg.num_heads * mcfg.head_size),
-            LinearOp.GATE_UP: (2 * mcfg.intermediate_size, mcfg.hidden_size),
-            LinearOp.DOWN: (mcfg.hidden_size, mcfg.intermediate_size),
-        }
         sizes = []
         m = self.cfg.quantum
         while m < self.cfg.budget:
             sizes.append(m)
             m *= 2
         sizes.append(self.cfg.budget)
-        for op, (n, k) in dims.items():
-            tile_k = 128 if k % 128 == 0 else 64
-            prim = TilePrimitive(16, min(128, n), tile_k)
+        for op, (n, k, prim) in self._linear_ops.items():
             for sm in sizes:
                 profile_swizzle(op.value, (sm, n, k), self.cfg.hw, prim, store=self.store)
 

@@ -226,7 +226,11 @@ def lookup_linear_tasktable(
         desc = entry.order
     except MissingProfile:
         desc = ROW_MAJOR
-    order = grid_order(desc, *grid)
+    return deal_round_robin(grid_order(desc, *grid), core_num)
+
+
+def deal_round_robin(order: list[tuple[int, int]], core_num: int) -> TaskTable:
+    """Deal grid cells to cores in turn: cell i goes to core i mod k."""
     per_core: list[list] = [[] for _ in range(core_num)]
     for idx, cell in enumerate(order):
         per_core[idx % core_num].append(cell)

@@ -1,4 +1,4 @@
-"""Deterministic discrete-event model of a tile-based accelerator.
+"""Deterministic cost model of a tile-based accelerator.
 
 Each core owns a matrix (cube) unit and a vector unit; a memory mover
 (MTE) streams data in and out. Attention task tables execute through
@@ -6,11 +6,20 @@ one of four disciplines: strictly sequential, the three-stage
 QK/Softmax/SV pipeline, the four-stage pipeline with the split Update,
 or the decode pipeline that fuses QK+Softmax onto the vector unit
 while the cube runs the previous tile's SV. Pipelined disciplines are
-rigid alternating rounds: each unit follows its fixed slot pattern and
-a round lasts as long as its slowest op, which reproduces the textbook
-alternating timeline exactly. Linear grids run through a shared-L2
-reuse model where a panel's first touch pays the HBM rate and
-re-touches inside the working set pay the L2 rate.
+rigid alternating rounds: each unit follows its fixed slot pattern
+(``_rounds``) and a round lasts as long as its slowest op, which
+reproduces the textbook alternating timeline exactly.
+
+Because the rounds are rigid, a core's end time has a closed form: the
+running sum of its round durations, read off per-unit cost arrays (for
+the sequential discipline, the running sum of its op sequence).
+``simulate_attention`` prices a task table that way and builds no
+events. ``trace_attention`` is its reference: it lays out one
+``StageEvent`` per cube, vector and MTE op, and its makespan equals the
+closed form bit for bit, because both add the same costs in the same
+order. Linear grids run event by event through a shared-L2 reuse model
+where a panel's first touch pays the HBM rate and re-touches inside the
+working set pay the L2 rate.
 
 Costs are plain rate models (work divided by unit rate); time is
 abstract ticks. Identical inputs produce byte-identical traces.
@@ -18,16 +27,18 @@ abstract ticks. Identical inputs produce byte-identical traces.
 
 from __future__ import annotations
 
+import functools
 import heapq
-import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .attention import skip_plan
+import numpy as np
+
+from .attention import plan_splits, skip_plan
 from .config import HwConfig
 from .gemm import TilePrimitive
-from .planner import TaskTable, TileUnit
+from .planner import TaskTable, TileUnit, deal_round_robin
 from .profiles import (
     CANDIDATE_ORDERINGS,
     OrderingDescriptor,
@@ -35,7 +46,6 @@ from .profiles import (
     ProfileStore,
     grid_order,
 )
-from .scheduler import Stage
 
 BYTES = 4  # fp32 everywhere
 
@@ -77,19 +87,6 @@ class SimTrace:
             lines.append(f"core{e.core}.{e.unit},{e.kind},{e.tile},{e.start!r},{e.end!r}")
         return "\n".join(lines) + "\n"
 
-    def summary(self) -> dict:
-        return {
-            "makespan": self.makespan,
-            "busy": dict(sorted(self.busy.items())),
-            "per_core_load": list(self.per_core_load),
-            "utilization": dict(sorted(self.utilization.items())),
-            "hbm_load_bytes": self.hbm_load_bytes,
-            "l2_load_bytes": self.l2_load_bytes,
-        }
-
-    def summary_json(self) -> str:
-        return json.dumps(self.summary(), sort_keys=True)
-
 
 def l2_kv_split_blocks(
     tile_size: int, kv_tokens: int, kv_block_size: int, hw: HwConfig
@@ -110,56 +107,33 @@ def l2_kv_split_blocks(
 # Attention simulation
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class _Unit:
-    """One (tile, split) work item and its op costs in ticks."""
-
-    ref: str
-    qk: float
-    softmax: float
-    sv: float
-    update: float
-    fused: float
-    load_bytes: int
-    store_bytes: int
+# Op kinds in the row order of a core's cost matrix, and the unit each runs on.
+_KINDS = ("QK", "Softmax", "SV", "Update", "QKSoftmax")
+_KIND_ROW = {kind: row for row, kind in enumerate(_KINDS)}
+_KIND_UNIT = {"QK": "cube", "Softmax": "vector", "SV": "cube", "Update": "vector", "QKSoftmax": "vector"}
 
 
-def _tile_units(
-    tiles: list[TileUnit],
-    head_size: int,
-    kv_block_size: int,
-    kv_split_blocks: int | None,
-    hw: HwConfig,
-) -> list[_Unit]:
-    units = []
-    for t in tiles:
-        computed, _ = skip_plan(t, kv_block_size)
-        splits = _split_ranges(computed, kv_split_blocks)
-        for s, (b0, b1) in enumerate(splits):
-            tokens = (b1 - b0) * kv_block_size
-            units.append(
-                _Unit(
-                    ref=f"{t.stage_id}.{t.head}.{t.q_start}.{s}",
-                    qk=2.0 * t.q_len * head_size * tokens / hw.cube_flops_per_tick,
-                    softmax=t.q_len * tokens / hw.vector_elems_per_tick,
-                    sv=2.0 * t.q_len * tokens * head_size / hw.cube_flops_per_tick,
-                    update=t.q_len * (head_size + 2) / hw.vector_elems_per_tick,
-                    fused=(tokens * head_size + 2.0 * t.q_len * tokens)
-                    / hw.vector_elems_per_tick,
-                    load_bytes=2 * tokens * head_size * BYTES,
-                    store_bytes=t.q_len * head_size * BYTES if b1 == computed else 0,
-                )
-            )
-    return units
+def _op_costs(q_len, tokens, head_size: int, hw: HwConfig) -> tuple:
+    """Ticks of each op of a (tile, split) unit, in ``_KINDS`` order.
+
+    ``q_len`` and ``tokens`` are ints or equal-length int64 arrays; both
+    evaluate the same expressions in the same order, so a unit costs the
+    same to the last bit on either path.
+    """
+    return (
+        2.0 * q_len * head_size * tokens / hw.cube_flops_per_tick,
+        q_len * tokens / hw.vector_elems_per_tick,
+        2.0 * q_len * tokens * head_size / hw.cube_flops_per_tick,
+        q_len * (head_size + 2) / hw.vector_elems_per_tick,
+        (tokens * head_size + 2.0 * q_len * tokens) / hw.vector_elems_per_tick,
+    )
 
 
-def _split_ranges(n_blocks: int, split: int | None) -> list[tuple[int, int]]:
-    if n_blocks <= 0:
-        return []
-    if split is None or split >= n_blocks:
-        return [(0, n_blocks)]
-    return [(s, min(s + split, n_blocks)) for s in range(0, n_blocks, split)]
+def _seq_kinds(has_update: bool, fused: bool) -> tuple[str, ...]:
+    """Per-unit op sequence of the sequential discipline."""
+    if fused:
+        return ("QKSoftmax", "SV")
+    return ("QK", "Softmax", "SV", "Update") if has_update else ("QK", "Softmax", "SV")
 
 
 def _rounds(schedule: Schedule, n: int) -> list[tuple[tuple[str, int] | None, tuple[str, int] | None]]:
@@ -220,14 +194,54 @@ def _rounds(schedule: Schedule, n: int) -> list[tuple[tuple[str, int] | None, tu
     return rounds
 
 
-def _op_cost(unit: _Unit, kind: str) -> float:
-    return {
-        "QK": unit.qk,
-        "Softmax": unit.softmax,
-        "SV": unit.sv,
-        "Update": unit.update,
-        "QKSoftmax": unit.fused,
-    }[kind]
+@functools.lru_cache(maxsize=256)
+def _round_slots(schedule: Schedule, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_rounds`` as flat indices into a core's raveled cost matrix.
+
+    Slot (kind, i) of ``n`` units is ``row(kind) * n + i - 1``; an idle
+    slot is ``len(_KINDS) * n``, where the caller appends a zero cost.
+    The arrays are shared by every caller, so they are read-only.
+    """
+    idle = len(_KINDS) * n
+
+    def index(slot: tuple[str, int] | None) -> int:
+        return idle if slot is None else _KIND_ROW[slot[0]] * n + slot[1] - 1
+
+    rounds = _rounds(schedule, n)
+    cube = np.array([index(c) for c, _ in rounds], dtype=np.intp)
+    vec = np.array([index(v) for _, v in rounds], dtype=np.intp)
+    cube.flags.writeable = False
+    vec.flags.writeable = False
+    return cube, vec
+
+
+def _check_schedule(
+    tasktable: TaskTable, schedule: Schedule, kv_split_blocks: int | None, decode_fused: bool
+) -> None:
+    if schedule is Schedule.PIPE4 and kv_split_blocks is None:
+        raise ScheduleViolation("four-stage pipeline requires K/V splitting (L2 rule)")
+    if schedule in (Schedule.PIPE3, Schedule.DECODE_PIPE) and kv_split_blocks is not None:
+        raise ScheduleViolation(f"{schedule.value} runs unsplit K/V only")
+    if schedule is Schedule.DECODE_PIPE or (schedule is Schedule.SEQ and decode_fused):
+        for t in tasktable.all_items():
+            if t.q_len != 1:
+                raise ScheduleViolation("decode pipeline requires qTileLen == 1 everywhere")
+
+
+def _core_costs(
+    tiles, head_size: int, kv_block_size: int, kv_split_blocks: int | None, hw: HwConfig
+) -> np.ndarray:
+    """[len(_KINDS), units] op costs of one core's (tile, split) units, in tile order."""
+    q_lens = []
+    tokens = []
+    for t in tiles:
+        computed, _ = skip_plan(t, kv_block_size)
+        for b0, b1 in plan_splits(computed, kv_split_blocks):
+            q_lens.append(t.q_len)
+            tokens.append((b1 - b0) * kv_block_size)
+    q = np.array(q_lens, dtype=np.int64)
+    kv = np.array(tokens, dtype=np.int64)
+    return np.array(_op_costs(q, kv, head_size, hw))
 
 
 def simulate_attention(
@@ -240,22 +254,119 @@ def simulate_attention(
     kv_split_blocks: int | None = None,
     decode_fused: bool = False,
 ) -> SimTrace:
-    """Run an attention task table through one pipeline discipline.
+    """Price an attention task table under one pipeline discipline.
 
-    Cores are independent; within a core the chosen discipline orders
-    the cube and vector ops. MTE transfers are modeled as prefetch and
-    write-back overlapped with compute (intermediates stay in L2), so
-    they are recorded but never stretch the makespan.
+    Cores are independent. A core's end time comes in closed form from
+    its per-unit cost arrays: under a pipelined discipline it is the
+    running sum of the round durations, max(cube op, vector op) over the
+    slots of ``_rounds``; under SEQ, the running sum of its op sequence.
+    MTE transfers are prefetch and write-back overlapped with compute
+    (intermediates stay in L2), so they never stretch the makespan and
+    are not modelled here. The trace carries no events; ``busy``,
+    ``per_core_load`` and ``utilization`` cover the cube and vector
+    units. ``trace_attention`` is the event-by-event reference and gives
+    the same makespan to the last bit.
     """
-    if schedule is Schedule.PIPE4 and kv_split_blocks is None:
-        raise ScheduleViolation("four-stage pipeline requires K/V splitting (L2 rule)")
-    if schedule in (Schedule.PIPE3, Schedule.DECODE_PIPE) and kv_split_blocks is not None:
-        raise ScheduleViolation(f"{schedule.value} runs unsplit K/V only")
-    if schedule is Schedule.DECODE_PIPE or (schedule is Schedule.SEQ and decode_fused):
-        for t in tasktable.all_items():
-            if t.q_len != 1:
-                raise ScheduleViolation("decode pipeline requires qTileLen == 1 everywhere")
+    _check_schedule(tasktable, schedule, kv_split_blocks, decode_fused)
+    if schedule is Schedule.SEQ:
+        kinds = _seq_kinds(kv_split_blocks is not None, decode_fused)
+        seq_rows = [_KIND_ROW[k] for k in kinds]
+        cube_rows = [_KIND_ROW[k] for k in kinds if _KIND_UNIT[k] == "cube"]
+        vec_rows = [_KIND_ROW[k] for k in kinds if _KIND_UNIT[k] == "vector"]
+    busy = {"cube": 0.0, "vector": 0.0}
+    per_core = []
+    makespan = 0.0
+    for tiles in tasktable.per_core:
+        costs = _core_costs(tiles, head_size, kv_block_size, kv_split_blocks, hw)
+        n = costs.shape[1]
+        if n == 0:
+            cube = vector = end = 0.0
+        elif schedule is Schedule.SEQ:
+            cube = float(costs[cube_rows].sum())
+            vector = float(costs[vec_rows].sum())
+            # Unit-major op order, summed left to right like ``t += cost``.
+            end = float(np.cumsum(costs[seq_rows].T.ravel())[-1])
+        else:
+            flat = np.append(costs.ravel(), 0.0)
+            cube_ix, vec_ix = _round_slots(schedule, n)
+            cube_ops = flat[cube_ix]
+            vec_ops = flat[vec_ix]
+            cube = float(cube_ops.sum())
+            vector = float(vec_ops.sum())
+            # np.cumsum adds left to right like ``t += dur``; np.sum adds
+            # pairwise and could differ in the last bit.
+            end = float(np.cumsum(np.maximum(cube_ops, vec_ops))[-1])
+        busy["cube"] += cube
+        busy["vector"] += vector
+        per_core.append(cube + vector)
+        makespan = max(makespan, end)
+    denom = makespan * max(1, tasktable.core_num)
+    return SimTrace(
+        makespan=makespan,
+        busy=busy,
+        per_core_load=per_core,
+        utilization={u: (b / denom if denom > 0 else 0.0) for u, b in busy.items()},
+    )
 
+
+# -- event-by-event reference ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Unit:
+    """One (tile, split) work item and its op costs in ticks."""
+
+    ref: str
+    costs: tuple[float, ...]  # in ``_KINDS`` order
+    load_bytes: int
+    store_bytes: int
+
+    def cost(self, kind: str) -> float:
+        return self.costs[_KIND_ROW[kind]]
+
+
+def _tile_units(
+    tiles: list[TileUnit],
+    head_size: int,
+    kv_block_size: int,
+    kv_split_blocks: int | None,
+    hw: HwConfig,
+) -> list[_Unit]:
+    units = []
+    for t in tiles:
+        computed, _ = skip_plan(t, kv_block_size)
+        for s, (b0, b1) in enumerate(plan_splits(computed, kv_split_blocks)):
+            tokens = (b1 - b0) * kv_block_size
+            units.append(
+                _Unit(
+                    ref=f"{t.stage_id}.{t.head}.{t.q_start}.{s}",
+                    costs=_op_costs(t.q_len, tokens, head_size, hw),
+                    load_bytes=2 * tokens * head_size * BYTES,
+                    store_bytes=t.q_len * head_size * BYTES if b1 == computed else 0,
+                )
+            )
+    return units
+
+
+def trace_attention(
+    tasktable: TaskTable,
+    hw: HwConfig,
+    schedule: Schedule,
+    *,
+    head_size: int,
+    kv_block_size: int,
+    kv_split_blocks: int | None = None,
+    decode_fused: bool = False,
+) -> SimTrace:
+    """Lay out every op of ``simulate_attention`` as a ``StageEvent``.
+
+    The reference for the closed form: rounds and sequences advance a
+    clock op by op, and MTE prefetch and write-back events are clipped
+    inside the compute window, so they are recorded (``busy["mte"]``)
+    but never stretch the makespan. Same arguments and checks as
+    ``simulate_attention``.
+    """
+    _check_schedule(tasktable, schedule, kv_split_blocks, decode_fused)
     has_update = kv_split_blocks is not None
     trace = SimTrace()
     busy = {"cube": 0.0, "vector": 0.0, "mte": 0.0}
@@ -264,7 +375,7 @@ def simulate_attention(
     for core, tiles in enumerate(tasktable.per_core):
         units = _tile_units(list(tiles), head_size, kv_block_size, kv_split_blocks, hw)
         events = (
-            _run_seq(core, units, has_update, decode_fused)
+            _run_seq(core, units, _seq_kinds(has_update, decode_fused))
             if schedule is Schedule.SEQ
             else _run_rounds(core, units, schedule)
         )
@@ -289,18 +400,13 @@ def simulate_attention(
     return trace
 
 
-def _run_seq(core: int, units: list[_Unit], has_update: bool, fused: bool) -> list[StageEvent]:
+def _run_seq(core: int, units: list[_Unit], kinds: tuple[str, ...]) -> list[StageEvent]:
     events = []
     t = 0.0
     for u in units:
-        if fused:
-            ops = [("vector", "QKSoftmax", u.fused), ("cube", "SV", u.sv)]
-        else:
-            ops = [("cube", "QK", u.qk), ("vector", "Softmax", u.softmax), ("cube", "SV", u.sv)]
-            if has_update:
-                ops.append(("vector", "Update", u.update))
-        for unit_name, kind, cost in ops:
-            events.append(StageEvent(core, unit_name, kind, u.ref, t, t + cost))
+        for kind in kinds:
+            cost = u.cost(kind)
+            events.append(StageEvent(core, _KIND_UNIT[kind], kind, u.ref, t, t + cost))
             t += cost
     return events
 
@@ -314,19 +420,16 @@ def _run_rounds(core: int, units: list[_Unit], schedule: Schedule) -> list[Stage
     for cube_slot, vec_slot in _rounds(schedule, n):
         dur = 0.0
         if cube_slot is not None:
-            dur = max(dur, _op_cost(units[cube_slot[1] - 1], cube_slot[0]))
+            dur = max(dur, units[cube_slot[1] - 1].cost(cube_slot[0]))
         if vec_slot is not None:
-            dur = max(dur, _op_cost(units[vec_slot[1] - 1], vec_slot[0]))
+            dur = max(dur, units[vec_slot[1] - 1].cost(vec_slot[0]))
         if dur == 0.0:
             continue
-        if cube_slot is not None:
-            kind, idx = cube_slot
-            cost = _op_cost(units[idx - 1], kind)
-            events.append(StageEvent(core, "cube", kind, units[idx - 1].ref, t, t + cost))
-        if vec_slot is not None:
-            kind, idx = vec_slot
-            cost = _op_cost(units[idx - 1], kind)
-            events.append(StageEvent(core, "vector", kind, units[idx - 1].ref, t, t + cost))
+        for unit_name, slot in (("cube", cube_slot), ("vector", vec_slot)):
+            if slot is not None:
+                kind, idx = slot
+                u = units[idx - 1]
+                events.append(StageEvent(core, unit_name, kind, u.ref, t, t + u.cost(kind)))
         t += dur
     return events
 
@@ -464,7 +567,7 @@ def profile_swizzle(
     best_span = float("inf")
     for desc in candidates:
         order = grid_order(desc, rows, cols)
-        table = _deal_round_robin(order, hw.core_num)
+        table = deal_round_robin(order, hw.core_num)
         span = simulate_linear((rows, cols), table, hw, prim, m, n, k).makespan
         if span < best_span:
             best, best_span = desc, span
@@ -473,9 +576,3 @@ def profile_swizzle(
         store.put(op, m, n, k, ProfileEntry(prim.tile_m, prim.tile_n, prim.tile_k, best))
     return best
 
-
-def _deal_round_robin(order: list[tuple[int, int]], core_num: int) -> TaskTable:
-    per_core: list[list] = [[] for _ in range(core_num)]
-    for idx, cell in enumerate(order):
-        per_core[idx % core_num].append(cell)
-    return TaskTable(tuple(tuple(c) for c in per_core))
