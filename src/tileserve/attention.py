@@ -113,40 +113,6 @@ def skip_plan(tile: TileUnit, kv_block_size: int) -> tuple[int, int]:
     return computed, total_blocks - computed
 
 
-def apply_spec_mask(scores: np.ndarray, spec_mask: np.ndarray, kv_len: int) -> None:
-    """Mask the specLen x specLen region of verify scores, row by row.
-
-    ``scores`` covers specLen rows by (kvLen + specLen) columns; the
-    first kvLen history columns are untouched.
-    """
-    spec_len = spec_mask.shape[0]
-    if spec_mask.shape != (spec_len, spec_len):
-        raise DimensionMismatch(f"spec mask must be square, got {spec_mask.shape}")
-    if scores.shape != (spec_len, kv_len + spec_len):
-        raise DimensionMismatch(
-            f"scores shape {scores.shape} != ({spec_len}, {kv_len + spec_len})"
-        )
-    region = scores[:, kv_len : kv_len + spec_len]
-    region[~spec_mask] = NEG_INF
-
-
-def zero_padded_kv(scores: np.ndarray, last_block_token_count: int, block_size: int) -> None:
-    """Kill probability mass at the padded tail of the last K/V block.
-
-    ``scores`` covers whole blocks; positions at or beyond the last
-    block's valid count get the -inf sentinel so the padded V rows are
-    reduced away in the score x value product.
-    """
-    if not 1 <= last_block_token_count <= block_size:
-        raise ValueError("last_block_token_count must be in [1, block_size]")
-    cols = scores.shape[1]
-    if cols % block_size != 0:
-        raise DimensionMismatch(f"scores columns {cols} not a multiple of block {block_size}")
-    valid = cols - block_size + last_block_token_count
-    if valid < cols:
-        scores[:, valid:] = NEG_INF
-
-
 def plan_splits(n_blocks: int, kv_split_blocks: int | None) -> list[tuple[int, int]]:
     """[b0, b1) block ranges of ``n_blocks`` K/V blocks cut every
     ``kv_split_blocks`` blocks; one range when unsplit, none when there

@@ -1,13 +1,15 @@
 """Serving loop: chunks from the scheduler run through the planner,
-the tiled kernels, and the paged K/V caches.
+the tiled kernels, and the paged K/V cache.
 
-The engine drives one radix cache per transformer layer with an
-identical operation sequence, so the layer caches stay congruent
-(same block ids, same tables). Numeric mode executes the toy model
-for real and can verify every computed row against a dense recompute;
-simulate mode replays the same control flow with seeded stand-in
-tokens and only costs the work on the accelerator model. Both modes
-account time in simulator ticks.
+One radix cache serves every transformer layer: each sequence has one
+block table, and each chunk commits every entry's tokens once. Numeric
+and simulate mode share that flow and the prefill/decode/verify
+bookkeeping; only the token source differs. Numeric mode runs the toy
+model, writes each layer's K/V into the reserved rows, picks tokens by
+argmax of the logits and can verify every kept row against a dense
+recompute. Simulate mode writes no K/V and draws seeded stand-in
+tokens. Both modes cost the work on the accelerator model and account
+time in simulator ticks.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .attention import AttentionTileJob, run_tile, skip_plan
 from .config import ModelConfig, ServeConfig
 from .gemm import TilePrimitive, gemm_virtual_pad, fused_sv_write, smooth_shape
-from .kv_cache import RadixKvCache
+from .kv_cache import BlockTable, RadixKvCache
 from .oracle import ToyModel, dense_forward, rms_norm, silu
 from .planner import (
     LinearOp,
@@ -50,8 +52,7 @@ class EngineRequest:
 @dataclass
 class _Runtime:
     request: EngineRequest
-    matched: int
-    tables: list
+    table: BlockTable
     last_token: int | None = None
     outputs: list[int] = field(default_factory=list)
     logits_rows: dict[int, np.ndarray] = field(default_factory=dict)
@@ -102,7 +103,7 @@ class Engine:
         self.check_tol = check_tol
         self.rng = np.random.default_rng(seed)
         self.sched = TokenScheduler(cfg.budget, cfg.reserve)
-        self.caches = [RadixKvCache.from_config(cfg) for _ in range(cfg.model.num_layers)]
+        self.cache = RadixKvCache.from_config(cfg)
         self.store = ProfileStore()
         self._linear_ops = _linear_ops(cfg.model)
         self._weights32 = self._cast_weights(model)
@@ -152,15 +153,9 @@ class Engine:
     def _admit_arrived(self) -> None:
         while self.pending and self.pending[0].arrival <= self.ticks:
             req = self.pending.pop(0)
-            matched = None
-            tables = []
-            for cache in self.caches:
-                table = cache.start_sequence(req.req_id, req.prompt, max_match=len(req.prompt) - 1)
-                if matched is None:
-                    matched = table.total_tokens
-                assert table.total_tokens == matched, "layer caches diverged"
-                tables.append(table)
-            self.runtimes[req.req_id] = _Runtime(request=req, matched=matched, tables=tables)
+            table = self.cache.start_sequence(req.req_id, req.prompt, max_match=len(req.prompt) - 1)
+            matched = table.total_tokens
+            self.runtimes[req.req_id] = _Runtime(request=req, table=table)
             self.sched.add_request(
                 Request(
                     req_id=req.req_id,
@@ -179,10 +174,17 @@ class Engine:
             c, s = skip_plan(t, self.cfg.kv_block_size)
             self.skip_computed += c
             self.skip_skipped += s
+        tokens, positions = self._chunk_tokens_positions(chunk)
+        for entry in chunk.entries:
+            self.cache.commit_tokens(
+                self.runtimes[entry.req_id].table,
+                tokens[entry.start_pos : entry.start_pos + entry.token_num],
+                cacheable=entry.stage is not Stage.VERIFY,
+            )
+        logits, spec_kv = None, {}
         if self.numeric:
-            results = self._forward_chunk(chunk, tiles)
-        else:
-            results = self._fake_results(chunk)
+            logits, spec_kv = self._forward_chunk(chunk, tiles, tokens, positions)
+        results = self._apply_logits(chunk, logits, spec_kv)
         span = self._simulate_chunk(chunk, tasktable, tiles)
         self.ticks += span
         self._record_outputs(chunk, results)
@@ -195,11 +197,12 @@ class Engine:
                 "ticks": span,
             }
         )
-        for rt in self.runtimes.values():
-            if not rt.done and rt.request.req_id in self.sched.retired:
+        # Only a chunk's own entries can retire in it.
+        for entry in chunk.entries:
+            rt = self.runtimes[entry.req_id]
+            if not rt.done and entry.req_id in self.sched.retired:
                 rt.done = True
-                for table, cache in zip(rt.tables, self.caches):
-                    cache.release_sequence(table)
+                self.cache.release_sequence(rt.table)
 
     # ------------------------------------------------------------------
     # Numeric forward
@@ -234,10 +237,14 @@ class Engine:
                 positions.extend(entry.kv_len + tree.depth(i) for i in range(tree.spec_len))
         return tokens, positions
 
-    def _forward_chunk(self, chunk: Chunk, tiles) -> dict[object, StageResult]:
+    def _forward_chunk(
+        self, chunk: Chunk, tiles, tokens: list[int], positions: list[int]
+    ) -> tuple[np.ndarray, dict[int, list[tuple[np.ndarray, np.ndarray]]]]:
+        """Run the toy model over the chunk's committed tokens, writing
+        each layer's K/V. Returns the logits and, per verify entry, every
+        layer's K/V of its tree tokens."""
         cfg = self.cfg.model
         w = self._weights32
-        tokens, positions = self._chunk_tokens_positions(chunk)
         n = len(tokens)
         x = w["embed"][np.asarray(tokens)] + w["pos"][np.asarray(positions)]
         x = x.astype(np.float32)
@@ -249,19 +256,12 @@ class Engine:
             qkv2d = self._linear(chunk, hidden, layer["wqkv"], LinearOp.QKV)
             qkv = qkv2d.reshape(n, cfg.num_heads + 2 * cfg.num_kv_heads, cfg.head_size)
             for ei, entry in enumerate(chunk.entries):
-                rt = self.runtimes[entry.req_id]
                 rows = slice(entry.start_pos, entry.start_pos + entry.token_num)
-                new_k = np.ascontiguousarray(qkv[rows, cfg.num_heads : cfg.num_heads + cfg.num_kv_heads, :])
-                new_v = np.ascontiguousarray(qkv[rows, cfg.num_heads + cfg.num_kv_heads :, :])
+                new_k = qkv[rows, cfg.num_heads : cfg.num_heads + cfg.num_kv_heads, :]
+                new_v = qkv[rows, cfg.num_heads + cfg.num_kv_heads :, :]
                 if entry.stage is Stage.VERIFY:
                     spec_kv.setdefault(ei, []).append((new_k, new_v))
-                self.caches[li].commit_tokens(
-                    rt.tables[li],
-                    tokens[rows],
-                    new_k,
-                    new_v,
-                    cacheable=entry.stage is not Stage.VERIFY,
-                )
+                self.cache.write_kv(self.runtimes[entry.req_id].table, li, entry.kv_len, new_k, new_v)
             out = np.zeros((n, cfg.num_heads, cfg.head_size), dtype=np.float32)
             for tile in tiles:
                 entry = chunk.entries[tile.stage_id]
@@ -273,7 +273,7 @@ class Engine:
                         entry.start_pos + tile.q_start,
                         entry.start_pos + tile.q_start + tile.q_len,
                     ),
-                    kv=self.caches[li].kv_view(rt.tables[li]),
+                    kv=self.cache.kv_view(rt.table, li),
                     scale=scale,
                     kv_heads=cfg.num_kv_heads,
                     spec_mask=tree_mask(entry.spec_tree) if entry.stage is Stage.VERIFY else None,
@@ -293,7 +293,7 @@ class Engine:
             x = x + self._linear(chunk, act, layer["wdown"], LinearOp.DOWN)
 
         logits = rms_norm(x, w["final_norm"]).astype(np.float32) @ w["lm_head"]
-        return self._apply_logits(chunk, logits, spec_kv, tokens)
+        return logits, spec_kv
 
     def _linear(self, chunk: Chunk, a: np.ndarray, b: np.ndarray, op: LinearOp) -> np.ndarray:
         n, k, prim = self._linear_ops[op]
@@ -313,58 +313,59 @@ class Engine:
     def _apply_logits(
         self,
         chunk: Chunk,
-        logits: np.ndarray,
+        logits: np.ndarray | None,
         spec_kv: dict[int, list[tuple[np.ndarray, np.ndarray]]],
-        flat_tokens: list[int],
     ) -> dict[object, StageResult]:
+        """Each entry's stage result. ``logits`` is None in simulate mode,
+        where seeded draws stand in for the argmax and no rows are kept."""
         results: dict[object, StageResult] = {}
         for ei, entry in enumerate(chunk.entries):
             rt = self.runtimes[entry.req_id]
             req = rt.request
-            if entry.stage is Stage.PREFILL:
+            if entry.stage is Stage.VERIFY:
+                results[req.req_id] = self._accept_verify(entry, rt, logits, spec_kv.get(ei, []))
+                continue
+            if logits is not None:
                 for i in range(entry.token_num):
                     rt.logits_rows[entry.kv_len + i] = logits[entry.start_pos + i].copy()
-                final = entry.kv_len + entry.token_num == len(rt.full_prompt)
-                if not final:
-                    continue
-                next_token = int(np.argmax(logits[entry.start_pos + entry.token_num - 1]))
-                rt.last_token = next_token
-                results[req.req_id] = StageResult(
-                    next_token=next_token,
-                    next_tree=self._propose(rt, next_token) if req.spec else None,
-                )
-            elif entry.stage is Stage.DECODE:
-                rt.logits_rows[entry.kv_len] = logits[entry.start_pos].copy()
-                next_token = int(np.argmax(logits[entry.start_pos]))
-                rt.last_token = next_token
-                results[req.req_id] = StageResult(next_token=next_token)
-            else:
-                results[req.req_id] = self._accept_verify(
-                    entry, rt, logits, spec_kv.get(ei, []), flat_tokens
-                )
+            if entry.kv_len + entry.token_num < len(rt.full_prompt):
+                continue  # a prompt slice that is not the last one
+            next_token = self._next_token(logits, entry.start_pos + entry.token_num - 1)
+            rt.last_token = next_token
+            results[req.req_id] = StageResult(
+                next_token=next_token,
+                next_tree=self._propose(rt, next_token) if req.spec else None,
+            )
         return results
 
-    def _accept_verify(self, entry, rt: _Runtime, logits, layer_kv, flat_tokens) -> StageResult:
+    def _next_token(self, logits: np.ndarray | None, row: int) -> int:
+        """The target's pick after chunk row ``row``: the argmax in numeric
+        mode, a seeded draw in simulate mode."""
+        if logits is None:
+            return int(self.rng.integers(self.cfg.model.vocab_size))
+        return int(np.argmax(logits[row]))
+
+    def _accept_verify(self, entry, rt: _Runtime, logits, layer_kv) -> StageResult:
         tree: SpecTree = entry.spec_tree
-        rows = [entry.start_pos + j for j in range(tree.spec_len)]
-        target_next = [int(np.argmax(logits[r])) for r in rows]
-        path = verify_accept(tree, target_next, rt.last_token)
-        assert path, "engine roots trees at the previous target pick, so the root accepts"
-        for j, node in enumerate(path):
-            rt.logits_rows[entry.kv_len + j] = logits[rows[node]].copy()
-        bonus = target_next[path[-1]]
-        # Roll the speculative K/V back to the accepted path, per layer.
-        keep_tokens = [tree.tokens[j] for j in path]
+        if logits is None:
+            path = list(range(int(self.rng.integers(1, tree.spec_len + 1))))
+        else:
+            target_next = [int(np.argmax(logits[entry.start_pos + j])) for j in range(tree.spec_len)]
+            path = verify_accept(tree, target_next, rt.last_token)
+            assert path, "engine roots trees at the previous target pick, so the root accepts"
+        bonus = self._next_token(logits, entry.start_pos + path[-1])
+        # Roll the speculative tokens back to the accepted path.
+        self.cache.truncate_tokens(rt.table, entry.kv_len)
+        self.cache.commit_tokens(rt.table, [tree.tokens[j] for j in path], cacheable=True)
         for li, (new_k, new_v) in enumerate(layer_kv):
-            cache = self.caches[li]
-            table = rt.tables[li]
-            cache.truncate_tokens(table, entry.kv_len)
-            cache.commit_tokens(
-                table, keep_tokens, new_k[path], new_v[path], cacheable=True
-            )
+            self.cache.write_kv(rt.table, li, entry.kv_len, new_k[path], new_v[path])
         new_list = [tree.tokens[j] for j in path[1:]] + [bonus]
-        remaining = rt.request.output_len - (len(rt.outputs))
+        remaining = rt.request.output_len - len(rt.outputs)
         delivered = new_list[: max(0, remaining)]
+        if logits is not None:
+            # Keep only the rows that picked a delivered token.
+            for j, node in enumerate(path[: len(delivered)]):
+                rt.logits_rows[entry.kv_len + j] = logits[entry.start_pos + node].copy()
         rt.last_token = bonus
         continuing = len(rt.outputs) + len(delivered) < rt.request.output_len
         return StageResult(
@@ -379,57 +380,6 @@ class Engine:
         proposer = SeededProposer(width, depth, self.cfg.model.vocab_size, seed=17)
         context = rt.full_prompt + rt.outputs
         return proposer.propose(context, root_token)
-
-    # ------------------------------------------------------------------
-    # Simulate-only results
-    # ------------------------------------------------------------------
-
-    def _fake_results(self, chunk: Chunk) -> dict[object, StageResult]:
-        results: dict[object, StageResult] = {}
-        cfg = self.cfg.model
-        tokens, _ = self._chunk_tokens_positions(chunk)
-        for entry in chunk.entries:
-            rt = self.runtimes[entry.req_id]
-            req = rt.request
-            rows = slice(entry.start_pos, entry.start_pos + entry.token_num)
-            zeros = np.zeros((entry.token_num, cfg.num_kv_heads, cfg.head_size), dtype=np.float32)
-            for cache, table in zip(self.caches, rt.tables):
-                cache.commit_tokens(
-                    table, tokens[rows], zeros, zeros, cacheable=entry.stage is not Stage.VERIFY
-                )
-            if entry.stage is Stage.PREFILL:
-                final = entry.kv_len + entry.token_num == len(rt.full_prompt)
-                if not final:
-                    continue
-                next_token = int(self.rng.integers(cfg.vocab_size))
-                rt.last_token = next_token
-                results[req.req_id] = StageResult(
-                    next_token=next_token,
-                    next_tree=self._propose(rt, next_token) if req.spec else None,
-                )
-            elif entry.stage is Stage.DECODE:
-                next_token = int(self.rng.integers(cfg.vocab_size))
-                rt.last_token = next_token
-                results[req.req_id] = StageResult(next_token=next_token)
-            else:
-                tree = entry.spec_tree
-                accepted = int(self.rng.integers(1, tree.spec_len + 1))
-                for cache, table in zip(self.caches, rt.tables):
-                    cache.truncate_tokens(table, entry.kv_len)
-                    keep = np.zeros((accepted, cfg.num_kv_heads, cfg.head_size), dtype=np.float32)
-                    cache.commit_tokens(table, list(tree.tokens[:accepted]), keep, keep, cacheable=True)
-                bonus = int(self.rng.integers(cfg.vocab_size))
-                remaining = req.output_len - len(rt.outputs)
-                delivered = ([tree.tokens[j] for j in range(1, accepted)] + [bonus])[: max(0, remaining)]
-                rt.last_token = bonus
-                continuing = len(rt.outputs) + len(delivered) < req.output_len
-                results[req.req_id] = StageResult(
-                    committed=accepted,
-                    new_tokens=len(delivered),
-                    next_tree=self._propose(rt, bonus) if continuing else None,
-                    delivered=delivered,
-                )
-        return results
 
     # ------------------------------------------------------------------
     # Timing, metrics, checks

@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-QUANTUM = 16
 SUPPORTED_TILE_MN = (16, 32, 64, 128, 256)
 SUPPORTED_TILE_K = (64, 128)
 

@@ -1,6 +1,19 @@
 """Block-paged K/V storage with radix-tree prefix reuse.
 
 Keys and values live in fixed-size blocks drawn from a bounded pool.
+One block id names the same rows in every transformer layer: the pools
+are ``keys``/``values`` of shape ``[num_layers, pool_blocks, block_size,
+kv_heads, head_size]``, so one radix tree, one set of ref counts and one
+:class:`BlockTable` per sequence serve all layers, as the shared block
+tables of PagedAttention do.
+
+Appending is split in two. :meth:`RadixKvCache.commit_tokens` reserves:
+it records the tokens, allocates their blocks (all or nothing), copies
+every layer's rows on copy-on-write and caches full blocks in the tree,
+but writes no K/V. :meth:`RadixKvCache.write_kv` then fills one layer's
+rows of the reserved tokens. A caller that only models the work (the
+engine's simulate mode) commits and never writes.
+
 A radix tree over token-id sequences indexes completed blocks so that
 later requests can reuse matching prefixes token-wise; a mismatch
 inside a block still reuses the matching head of that block. Shared
@@ -22,17 +35,6 @@ from .config import ServeConfig
 
 class PoolExhausted(RuntimeError):
     """No free block is available even after eviction."""
-
-
-@dataclass
-class KvBlock:
-    """Read-only view of one pool block (for tests and debugging)."""
-
-    block_id: int
-    token_count: int
-    keys: np.ndarray
-    values: np.ndarray
-    ref_count: int
 
 
 @dataclass
@@ -86,7 +88,8 @@ class PrefixMatch:
 
 @dataclass
 class KvView:
-    """Snapshot handed to attention kernels: pool arrays plus the block list."""
+    """Snapshot handed to attention kernels: one layer's pool arrays plus
+    the block list."""
 
     keys: np.ndarray  # [pool_blocks, block_size, kv_heads, head_size]
     values: np.ndarray
@@ -106,7 +109,8 @@ class RadixKvCache:
     """Radix-tree managed, block-paged K/V cache.
 
     Single writer; prefix matches return immutable snapshots that are
-    safe to hand to workers.
+    safe to hand to workers. Block bookkeeping is shared by all
+    ``num_layers`` layers; only the K/V rows are per layer.
     """
 
     def __init__(
@@ -116,11 +120,14 @@ class RadixKvCache:
         cache_cap_blocks: int,
         kv_heads: int,
         head_size: int,
+        num_layers: int = 1,
     ):
         self.block_size = block_size
         self.pool_blocks = pool_blocks
         self.cache_cap_blocks = cache_cap_blocks
-        self.keys = np.zeros((pool_blocks, block_size, kv_heads, head_size), dtype=np.float32)
+        self.keys = np.zeros(
+            (num_layers, pool_blocks, block_size, kv_heads, head_size), dtype=np.float32
+        )
         self.values = np.zeros_like(self.keys)
         self.token_count = [0] * pool_blocks
         self.ref_count = [0] * pool_blocks
@@ -135,13 +142,14 @@ class RadixKvCache:
         self._lru: list[tuple[int, int, RadixNode]] = []
 
     @classmethod
-    def from_config(cls, cfg: ServeConfig, kv_heads: int | None = None) -> "RadixKvCache":
+    def from_config(cls, cfg: ServeConfig) -> "RadixKvCache":
         return cls(
             block_size=cfg.kv_block_size,
             pool_blocks=cfg.kv_pool_blocks,
             cache_cap_blocks=cfg.kv_cache_cap_blocks,
-            kv_heads=kv_heads if kv_heads is not None else cfg.model.num_kv_heads,
+            kv_heads=cfg.model.num_kv_heads,
             head_size=cfg.model.head_size,
+            num_layers=cfg.model.num_layers,
         )
 
     # ------------------------------------------------------------------
@@ -214,37 +222,30 @@ class RadixKvCache:
         return table
 
     # ------------------------------------------------------------------
-    # Committing new K/V
+    # Reserving and writing K/V
     # ------------------------------------------------------------------
 
-    def commit_tokens(
-        self,
-        table: BlockTable,
-        new_tokens: list[int],
-        new_k: np.ndarray,
-        new_v: np.ndarray,
-        cacheable: bool = True,
-    ) -> BlockTable:
-        """Append K/V for ``new_tokens`` to the sequence.
+    def commit_tokens(self, table: BlockTable, new_tokens: list[int], cacheable: bool = True) -> BlockTable:
+        """Reserve K/V rows for ``new_tokens`` at the end of the sequence.
 
-        Appends in place only into a block this sequence exclusively
-        owns; a block that is cached in the tree or referenced by
-        anyone else is duplicated first (copy-on-write), so other
-        referents never observe the write. Blocks that become full
-        are inserted into the radix tree unless ``cacheable`` is
-        False (used for speculative K/V that may be rolled back).
+        Records the tokens and gives them blocks, but writes no K/V:
+        fill the reserved rows with :meth:`write_kv`, per layer. Appends
+        in place only into a block this sequence exclusively owns; a
+        block that is cached in the tree or referenced by anyone else is
+        duplicated first, every layer's rows (copy-on-write), so other
+        referents never observe the later writes. Blocks that become
+        full are inserted into the radix tree unless ``cacheable`` is
+        False (used for speculative tokens that may be rolled back).
 
         Every block the commit needs, copy-on-write included, is taken
         from the pool (evicting LRU leaves for any shortfall) before
-        anything is written, so a commit is all or nothing.
+        anything changes, so a commit is all or nothing.
 
         Raises:
             PoolExhausted: too few free blocks even after LRU eviction;
                 the table and the sequence are left unchanged.
         """
         n = len(new_tokens)
-        if new_k.shape[0] != n or new_v.shape[0] != n:
-            raise ValueError("new_k/new_v first dimension must equal len(new_tokens)")
         if n == 0:
             return table
         st = self._seqs[table.seq_id]
@@ -270,12 +271,9 @@ class RadixKvCache:
             else:
                 bid = self._free.pop()
                 self.ref_count[bid] = 1
-                self.token_count[bid] = 0
                 table.blocks.append(bid)
                 view = 0
             take = min(bs - view, n - pos)
-            self.keys[bid, view : view + take] = new_k[pos : pos + take]
-            self.values[bid, view : view + take] = new_v[pos : pos + take]
             self.token_count[bid] = view + take
             table.total_tokens += take
             st.tokens.extend(new_tokens[pos : pos + take])
@@ -283,6 +281,36 @@ class RadixKvCache:
             if view + take == bs and cacheable:
                 self._try_cache_block(table, st, bid)
         return table
+
+    def write_kv(self, table: BlockTable, layer: int, start: int, k: np.ndarray, v: np.ndarray) -> None:
+        """Write layer ``layer``'s K/V rows for sequence positions
+        ``start .. start + len(k) - 1``.
+
+        Write only rows that the latest :meth:`commit_tokens` reserved:
+        no other sequence has read their blocks yet. Rewriting a shared
+        prefix would change it under its other readers.
+
+        Raises:
+            ValueError: ``k`` and ``v`` differ in length, or the rows reach
+                outside the sequence's committed tokens.
+        """
+        n = k.shape[0]
+        if v.shape[0] != n:
+            raise ValueError("k and v must have the same number of rows")
+        if start < 0 or start + n > table.total_tokens:
+            raise ValueError(
+                f"sequence {table.seq_id!r}: rows {start}..{start + n - 1} are outside "
+                f"its {table.total_tokens} committed tokens"
+            )
+        bs = self.block_size
+        pos = 0
+        while pos < n:
+            bid = table.blocks[(start + pos) // bs]
+            off = (start + pos) % bs
+            take = min(bs - off, n - pos)
+            self.keys[layer, bid, off : off + take] = k[pos : pos + take]
+            self.values[layer, bid, off : off + take] = v[pos : pos + take]
+            pos += take
 
     def truncate_tokens(self, table: BlockTable, keep_total: int) -> None:
         """Drop the sequence's trailing tokens (speculative rollback).
@@ -354,22 +382,14 @@ class RadixKvCache:
     # Views and accounting
     # ------------------------------------------------------------------
 
-    def kv_view(self, table: BlockTable) -> KvView:
+    def kv_view(self, table: BlockTable, layer: int) -> KvView:
+        """The sequence's K/V rows in layer ``layer``."""
         return KvView(
-            keys=self.keys,
-            values=self.values,
+            keys=self.keys[layer],
+            values=self.values[layer],
             block_ids=tuple(table.blocks),
             total_tokens=table.total_tokens,
             block_size=self.block_size,
-        )
-
-    def block(self, block_id: int) -> KvBlock:
-        return KvBlock(
-            block_id=block_id,
-            token_count=self.token_count[block_id],
-            keys=self.keys[block_id],
-            values=self.values[block_id],
-            ref_count=self.ref_count[block_id],
         )
 
     def cached_block_count(self) -> int:
@@ -438,8 +458,8 @@ class RadixKvCache:
 
     def _cow_last_block(self, table: BlockTable, old_bid: int, view: int) -> int:
         new_bid = self._free.pop()
-        self.keys[new_bid, :view] = self.keys[old_bid, :view]
-        self.values[new_bid, :view] = self.values[old_bid, :view]
+        self.keys[:, new_bid, :view] = self.keys[:, old_bid, :view]
+        self.values[:, new_bid, :view] = self.values[:, old_bid, :view]
         self.token_count[new_bid] = view
         self.ref_count[new_bid] = 1
         table.blocks[-1] = new_bid

@@ -9,7 +9,6 @@ order comes from the offline profile store.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -66,28 +65,6 @@ class TaskTable:
     def all_items(self) -> list:
         return [item for core in self.per_core for item in core]
 
-    def to_json(self) -> str:
-        payload = {}
-        for cid, items in enumerate(self.per_core):
-            rows = []
-            for t in items:
-                if isinstance(t, TileUnit):
-                    rows.append(
-                        {
-                            "stage": t.stage_id,
-                            "head": t.head,
-                            "qStart": t.q_start,
-                            "qLen": t.q_len,
-                            "kvLen": t.kv_len,
-                            "area": t.area,
-                        }
-                    )
-                else:
-                    rows.append({"row": t[0], "col": t[1]})
-            payload[str(cid)] = rows
-        return json.dumps(payload, sort_keys=True)
-
-
 class LinearOp(Enum):
     QKV = "qkv"
     O_PROJ = "o_proj"
@@ -105,19 +82,6 @@ def attention_tile_size(stage: Stage, token_num: int, cfg: ServeConfig) -> int:
     if stage is Stage.PREFILL:
         return cfg.prefill_tile_size
     return min(token_num, cfg.prefill_tile_size)
-
-
-def attention_tiling(chunk: Chunk, cfg: ServeConfig) -> list[TilingEntry]:
-    return [
-        TilingEntry(
-            stage_id=i,
-            start_pos=e.start_pos,
-            token_num=e.token_num,
-            kv_len=e.kv_len,
-            tile_size=attention_tile_size(e.stage, e.token_num, cfg),
-        )
-        for i, e in enumerate(chunk.entries)
-    ]
 
 
 def tile_area(stage: Stage, q_start: int, q_len: int, kv_len: int, stage_tokens: int) -> int:

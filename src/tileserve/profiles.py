@@ -9,11 +9,7 @@ by the offline simulator sweep.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-
-STORE_VERSION = 1
 
 
 class MissingProfile(KeyError):
@@ -92,40 +88,3 @@ class ProfileStore:
 
     def profiled_ms(self, op: str, n: int, k: int) -> list[int]:
         return sorted(m for (o, m, nn, kk) in self._entries if (o, nn, kk) == (op, n, k))
-
-    def save(self, path: str | Path) -> None:
-        data = {
-            "version": STORE_VERSION,
-            "entries": {
-                f"{op}:{m}:{n}:{k}": {
-                    "tile_m": e.tile_m,
-                    "tile_n": e.tile_n,
-                    "tile_k": e.tile_k,
-                    "order": {"kind": e.order.kind, "width": e.order.width},
-                }
-                for (op, m, n, k), e in sorted(self._entries.items())
-            },
-        }
-        Path(path).write_text(json.dumps(data, indent=2, sort_keys=True))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ProfileStore":
-        data = json.loads(Path(path).read_text())
-        if data.get("version") != STORE_VERSION:
-            raise ValueError(f"unsupported profile store version {data.get('version')!r}")
-        store = cls()
-        for key, e in data["entries"].items():
-            op, m, n, k = key.rsplit(":", 3)
-            store.put(
-                op,
-                int(m),
-                int(n),
-                int(k),
-                ProfileEntry(
-                    tile_m=e["tile_m"],
-                    tile_n=e["tile_n"],
-                    tile_k=e["tile_k"],
-                    order=OrderingDescriptor(e["order"]["kind"], e["order"]["width"]),
-                ),
-            )
-        return store

@@ -111,17 +111,6 @@ class TokenScheduler:
             raise ValueError("request needs at least one uncached prompt token")
         self._prefill.append(req)
 
-    def queued_dv_tokens(self) -> int:
-        return len(self._decode) + sum(r.spec_tree.spec_len for r in self._verify)
-
-    def is_idle(self) -> bool:
-        return (
-            not self._prefill
-            and not self._decode
-            and not self._verify
-            and not self._in_flight
-        )
-
     @property
     def retired(self) -> dict[object, Request]:
         return self._retired

@@ -52,10 +52,6 @@ class SpecTree:
             return [0]
         return [j for j, p in enumerate(self.parents) if p == i]
 
-    def is_chain(self) -> bool:
-        return all(p == i - 1 for i, p in enumerate(self.parents[1:], start=1))
-
-
 def chain_tree(tokens: list[int]) -> SpecTree:
     """Sequence-based speculation: a linear chain."""
     parents: list[int | None] = [None] + list(range(len(tokens) - 1))

@@ -15,7 +15,9 @@ HEAD = 4
 
 def commit(cache: RadixKvCache, table, tokens: list[int], start_pos: int, **kw):
     k, v = kv_rows(tokens, start_pos, KV_HEADS, HEAD)
-    return cache.commit_tokens(table, tokens, k, v, **kw)
+    cache.commit_tokens(table, tokens, **kw)
+    cache.write_kv(table, 0, start_pos, k, v)
+    return table
 
 
 def build_seq(cache: RadixKvCache, seq_id, tokens: list[int]):
@@ -117,13 +119,13 @@ class TestCommit:
         # appends one token: the old block must stay unchanged.
         t0, _ = build_seq(small_cache, "s0", [10, 11, 12, 13])
         shared = t0.blocks[1]
-        before_k = small_cache.keys[shared].copy()
+        before_k = small_cache.keys[0, shared].copy()
         t1 = small_cache.start_sequence("s1", [10, 11, 12, 99])
         assert t1.total_tokens == 3
         commit(small_cache, t1, [99], 3)
         assert t1.blocks[1] != shared
         assert small_cache.token_count[t1.blocks[1]] == 2
-        np.testing.assert_array_equal(small_cache.keys[shared], before_k)
+        np.testing.assert_array_equal(small_cache.keys[0, shared], before_k)
 
     def test_exclusive_block_appends_in_place(self, small_cache):
         table = small_cache.start_sequence("s0", [1, 2, 3])
@@ -170,6 +172,73 @@ class TestCommit:
         free_before = small_cache.free_block_count()
         commit(small_cache, table, [4, 5], 3)
         assert small_cache.free_block_count() <= free_before
+
+
+# ---------------------------------------------------------------------------
+# write_kv: one pool slice per layer
+# ---------------------------------------------------------------------------
+
+
+def two_layer_cache() -> RadixKvCache:
+    return RadixKvCache(
+        block_size=2, pool_blocks=16, cache_cap_blocks=8, kv_heads=KV_HEADS, head_size=HEAD, num_layers=2
+    )
+
+
+def write_layers(cache: RadixKvCache, table, tokens: list[int], start_pos: int) -> None:
+    """Layer ``l`` gets the rows of ``kv_rows`` plus ``l``."""
+    k, v = kv_rows(tokens, start_pos, KV_HEADS, HEAD)
+    for layer in range(2):
+        cache.write_kv(table, layer, start_pos, k + layer, v + layer)
+
+
+class TestWriteKv:
+    def test_layer_one_leaves_layer_zero_unchanged(self):
+        cache = two_layer_cache()
+        table = cache.start_sequence("s0", [1, 2, 3])
+        cache.commit_tokens(table, [1, 2, 3])
+        k, v = kv_rows([1, 2, 3], 0, KV_HEADS, HEAD)
+        cache.write_kv(table, 0, 0, k, v)
+        before = cache.keys[0].copy(), cache.values[0].copy()
+        cache.write_kv(table, 1, 0, k + 1, v + 1)
+        np.testing.assert_array_equal(cache.keys[0], before[0])
+        np.testing.assert_array_equal(cache.values[0], before[1])
+        pos = np.arange(3)
+        blocks = np.asarray(table.blocks)[pos // 2]
+        np.testing.assert_array_equal(cache.keys[1, blocks, pos % 2], k + 1)
+        np.testing.assert_array_equal(cache.values[1, blocks, pos % 2], v + 1)
+
+    def test_cow_copies_every_layer(self):
+        cache = two_layer_cache()
+        t0 = cache.start_sequence("s0", [10, 11, 12, 13])
+        cache.commit_tokens(t0, [10, 11, 12, 13])
+        write_layers(cache, t0, [10, 11, 12, 13], 0)
+        shared = t0.blocks[1]
+        before = cache.keys[:, shared].copy(), cache.values[:, shared].copy()
+        t1 = cache.start_sequence("s1", [10, 11, 12, 99])
+        cache.commit_tokens(t1, [99])
+        write_layers(cache, t1, [99], 3)
+        own = t1.blocks[1]
+        assert own != shared
+        np.testing.assert_array_equal(cache.keys[:, shared], before[0])
+        np.testing.assert_array_equal(cache.values[:, shared], before[1])
+        # Row 0 of the copy is the shared token 12, in both layers.
+        np.testing.assert_array_equal(cache.keys[:, own, 0], before[0][:, 0])
+        np.testing.assert_array_equal(cache.values[:, own, 0], before[1][:, 0])
+        k, v = kv_rows([99], 3, KV_HEADS, HEAD)
+        for layer in range(2):
+            np.testing.assert_array_equal(cache.keys[layer, own, 1], k[0] + layer)
+            np.testing.assert_array_equal(cache.values[layer, own, 1], v[0] + layer)
+
+    def test_rows_outside_the_committed_tokens_raise(self, small_cache):
+        table = small_cache.start_sequence("s0", [1, 2, 3])
+        small_cache.commit_tokens(table, [1, 2, 3])
+        k, v = kv_rows([3, 4], 2, KV_HEADS, HEAD)
+        with pytest.raises(ValueError, match="outside"):
+            small_cache.write_kv(table, 0, 2, k, v)
+        with pytest.raises(ValueError, match="outside"):
+            small_cache.write_kv(table, 0, -1, k, v)
+        assert not small_cache.keys.any()
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +380,8 @@ def test_cow_isolation_shadow_map():
             pos = np.arange(len(tokens))
             blocks = np.asarray(table.blocks)[pos // 4]
             want_k, want_v = kv_rows(tokens, 0, KV_HEADS, HEAD)
-            np.testing.assert_array_equal(cache.keys[blocks, pos % 4], want_k)
-            np.testing.assert_array_equal(cache.values[blocks, pos % 4], want_v)
+            np.testing.assert_array_equal(cache.keys[0, blocks, pos % 4], want_k)
+            np.testing.assert_array_equal(cache.values[0, blocks, pos % 4], want_v)
 
 
 def test_shared_prefix_reuse_is_real():
