@@ -10,7 +10,7 @@ deterministic discrete-event model of a cube/vector/MTE accelerator.
 from .config import ConfigError, HwConfig, ModelConfig, ServeConfig, load_config
 from .kv_cache import BlockTable, PoolExhausted, RadixKvCache
 from .scheduler import Chunk, Request, Stage, StageResult, TokenScheduler, UnknownRequest
-from .spec_decode import SpecTree, chain_tree, full_tree, tree_mask, verify_accept
+from .spec_decode import SpecTree, full_tree, tree_mask, verify_accept
 
 __all__ = [
     "BlockTable",
@@ -27,7 +27,6 @@ __all__ = [
     "StageResult",
     "TokenScheduler",
     "UnknownRequest",
-    "chain_tree",
     "full_tree",
     "load_config",
     "tree_mask",

@@ -4,8 +4,8 @@
 serving loop, either numerically on the toy model (optionally
 cross-checked row by row against a dense recompute) or cost-only on
 the accelerator model. ``tileserve gen-trace`` writes synthetic
-traces. Exit codes: 0 success, 2 parse/config error, 3 failed oracle
-check.
+traces. Exit codes: 0 success, 2 parse/config error or a request no
+chunk can serve, 3 failed oracle check.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config
-from .engine import Engine, EngineRequest, OracleCheckFailure
+from .engine import Engine, EngineRequest, OracleCheckFailure, RejectedRequest
 from .oracle import ToyModel
 from .trace import PROFILES, ParseError, gen_trace, parse_trace, write_trace
 
@@ -112,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed,
             profile_linear=args.profile_linear,
         )
-    except (ParseError, ConfigError, FileNotFoundError) as exc:
+    except (ParseError, ConfigError, RejectedRequest, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OracleCheckFailure as exc:

@@ -1,6 +1,14 @@
 """Serving loop: chunks from the scheduler run through the planner,
 the tiled kernels, and the paged K/V cache.
 
+Each chunk is planned once. ``_plan_chunk`` builds a ``_ChunkPlan``:
+the attention tiles dealt to cores in snake order, the pipeline
+schedule and K/V split the L2 rule picks for the chunk, each verify
+entry's tree mask, and each linear op's tile grid and profiled task
+table at the smoothed M. The numeric kernels run that plan in every
+layer, and the cost model prices the same plan, so what runs is what
+is priced.
+
 One radix cache serves every transformer layer: each sequence has one
 block table, and each chunk commits every entry's tokens once. Numeric
 and simulate mode share that flow and the prefill/decode/verify
@@ -25,6 +33,7 @@ from .kv_cache import BlockTable, RadixKvCache
 from .oracle import ToyModel, dense_forward, rms_norm, silu
 from .planner import (
     LinearOp,
+    TaskTable,
     decompose_attention,
     decompose_linear,
     lookup_linear_tasktable,
@@ -35,9 +44,15 @@ from .scheduler import Chunk, Request, Stage, StageResult, TokenScheduler
 from .simulator import Schedule, l2_kv_split_blocks, profile_swizzle, simulate_attention, simulate_linear
 from .spec_decode import SeededProposer, SpecTree, tree_mask, verify_accept
 
+CHECK_TOL = 1e-3  # max abs error of a logits row against the dense fp64 forward
+
 
 class OracleCheckFailure(AssertionError):
     """A computed logits row diverged from the dense recompute."""
+
+
+class RejectedRequest(ValueError):
+    """A submitted request that no chunk could ever serve."""
 
 
 @dataclass
@@ -65,6 +80,24 @@ class _Runtime:
         return self.request.prompt
 
 
+@dataclass(frozen=True)
+class _ChunkPlan:
+    """One chunk's tiling, built once and read by the kernels of every
+    layer and by the cost model.
+
+    ``split`` is the K/V split in blocks (None when unsplit) that
+    ``schedule`` runs with. ``masks`` holds the tree mask of each verify
+    entry, by entry index. ``linears`` holds each op's tile grid and
+    task table.
+    """
+
+    tasktable: TaskTable
+    schedule: Schedule
+    split: int | None
+    masks: dict[int, np.ndarray]
+    linears: dict[LinearOp, tuple[tuple[int, int], TaskTable]]
+
+
 def _linear_ops(mcfg: ModelConfig) -> dict[LinearOp, tuple[int, int, TilePrimitive]]:
     """(N, K) of each linear op's weight and the GEMM tile it runs on:
     16 rows, up to 128 columns, and K steps of 128 where K allows."""
@@ -90,7 +123,6 @@ class Engine:
         check: bool = False,
         seed: int = 0,
         profile_linear: bool = False,
-        check_tol: float = 1e-3,
     ):
         if cfg is None:
             cfg = ServeConfig(budget=32, kv_block_size=8, kv_pool_blocks=512, kv_cache_cap_blocks=256)
@@ -100,7 +132,6 @@ class Engine:
         self.model = model
         self.numeric = numeric
         self.check = check
-        self.check_tol = check_tol
         self.rng = np.random.default_rng(seed)
         self.sched = TokenScheduler(cfg.budget, cfg.reserve)
         self.cache = RadixKvCache.from_config(cfg)
@@ -120,7 +151,20 @@ class Engine:
 
     def submit(self, req: EngineRequest) -> None:
         if len(req.prompt) < 1:
-            raise ValueError("prompt must be nonempty")
+            raise RejectedRequest(f"request {req.req_id!r}: prompt must be nonempty")
+        if req.spec is not None:
+            width, depth = req.spec
+            budget = self.sched.budget
+            # A verify tree runs whole in one chunk. full_tree has width**level
+            # nodes on each of its depth levels, so a tree deeper than the
+            # budget cannot fit, whatever its width.
+            size = depth if depth > budget else sum(width**level for level in range(depth))
+            if size > budget:
+                at_least = "at least " if depth > budget else ""
+                raise RejectedRequest(
+                    f"request {req.req_id!r}: its speculative tree (width {width}, depth {depth}) "
+                    f"has {at_least}{size} tokens, more than the chunk budget of {budget}"
+                )
         self.pending.append(req)
         self.pending.sort(key=lambda r: (r.arrival, str(r.req_id)))
 
@@ -167,10 +211,38 @@ class Engine:
                 )
             )
 
-    def _execute_chunk(self, chunk: Chunk) -> None:
+    def _plan_chunk(self, chunk: Chunk) -> _ChunkPlan:
+        hw = self.cfg.hw
         tiles = decompose_attention(chunk, self.cfg.model.num_heads, self.cfg)
-        tasktable = reorder_attention(tiles, self.cfg.hw.core_num)
-        for t in tiles:
+        if all(t.q_len == 1 for t in tiles):
+            schedule, split = Schedule.DECODE_PIPE, None
+        else:
+            max_q = max(t.q_len for t in tiles)
+            max_kv = max(t.kv_len + t.stage_tokens for t in tiles)
+            split = l2_kv_split_blocks(max_q, max_kv, self.cfg.kv_block_size, hw)
+            schedule = Schedule.PIPE3 if split is None else Schedule.PIPE4
+        m = chunk.total_tokens
+        linears = {}
+        for op, (n, k, prim) in self._linear_ops.items():
+            grid = decompose_linear(chunk, n, prim.tile_m, prim.tile_n, self.cfg.quantum)
+            sizes = self.store.profiled_ms(op.value, n, k) or self.cfg.quantum
+            smoothed = smooth_shape(m, self.cfg.budget, sizes)
+            linears[op] = grid, lookup_linear_tasktable(self.store, op, (smoothed, n, k), hw.core_num, grid)
+        return _ChunkPlan(
+            tasktable=reorder_attention(tiles, hw.core_num),
+            schedule=schedule,
+            split=split,
+            masks={
+                ei: tree_mask(e.spec_tree)
+                for ei, e in enumerate(chunk.entries)
+                if e.stage is Stage.VERIFY
+            },
+            linears=linears,
+        )
+
+    def _execute_chunk(self, chunk: Chunk) -> None:
+        plan = self._plan_chunk(chunk)
+        for t in plan.tasktable.all_items():
             c, s = skip_plan(t, self.cfg.kv_block_size)
             self.skip_computed += c
             self.skip_skipped += s
@@ -183,9 +255,9 @@ class Engine:
             )
         logits, spec_kv = None, {}
         if self.numeric:
-            logits, spec_kv = self._forward_chunk(chunk, tiles, tokens, positions)
+            logits, spec_kv = self._forward_chunk(chunk, plan, tokens, positions)
         results = self._apply_logits(chunk, logits, spec_kv)
-        span = self._simulate_chunk(chunk, tasktable, tiles)
+        span = self._simulate_chunk(chunk, plan)
         self.ticks += span
         self._record_outputs(chunk, results)
         self.sched.complete_chunk(chunk, results)
@@ -238,7 +310,7 @@ class Engine:
         return tokens, positions
 
     def _forward_chunk(
-        self, chunk: Chunk, tiles, tokens: list[int], positions: list[int]
+        self, chunk: Chunk, plan: _ChunkPlan, tokens: list[int], positions: list[int]
     ) -> tuple[np.ndarray, dict[int, list[tuple[np.ndarray, np.ndarray]]]]:
         """Run the toy model over the chunk's committed tokens, writing
         each layer's K/V. Returns the logits and, per verify entry, every
@@ -253,7 +325,7 @@ class Engine:
 
         for li, layer in enumerate(w["layers"]):
             hidden = rms_norm(x, layer["norm1"]).astype(np.float32)
-            qkv2d = self._linear(chunk, hidden, layer["wqkv"], LinearOp.QKV)
+            qkv2d = self._linear(plan, hidden, layer["wqkv"], LinearOp.QKV)
             qkv = qkv2d.reshape(n, cfg.num_heads + 2 * cfg.num_kv_heads, cfg.head_size)
             for ei, entry in enumerate(chunk.entries):
                 rows = slice(entry.start_pos, entry.start_pos + entry.token_num)
@@ -263,7 +335,8 @@ class Engine:
                     spec_kv.setdefault(ei, []).append((new_k, new_v))
                 self.cache.write_kv(self.runtimes[entry.req_id].table, li, entry.kv_len, new_k, new_v)
             out = np.zeros((n, cfg.num_heads, cfg.head_size), dtype=np.float32)
-            for tile in tiles:
+            # Tiles write disjoint rows of ``out``, so their order changes no bits.
+            for tile in plan.tasktable.all_items():
                 entry = chunk.entries[tile.stage_id]
                 rt = self.runtimes[entry.req_id]
                 job = AttentionTileJob(
@@ -276,39 +349,24 @@ class Engine:
                     kv=self.cache.kv_view(rt.table, li),
                     scale=scale,
                     kv_heads=cfg.num_kv_heads,
-                    spec_mask=tree_mask(entry.spec_tree) if entry.stage is Stage.VERIFY else None,
-                )
-                split = l2_kv_split_blocks(
-                    tile.q_len, tile.kv_len + tile.stage_tokens, self.cfg.kv_block_size, self.cfg.hw
+                    spec_mask=plan.masks.get(tile.stage_id),
                 )
                 fused_sv_write(
-                    out, tile.head, entry.start_pos + tile.q_start, run_tile(job, split)
+                    out, tile.head, entry.start_pos + tile.q_start, run_tile(job, plan.split)
                 )
             attn = out.reshape(n, cfg.num_heads * cfg.head_size)
-            x = x + self._linear(chunk, attn, layer["wo"], LinearOp.O_PROJ)
+            x = x + self._linear(plan, attn, layer["wo"], LinearOp.O_PROJ)
             hidden = rms_norm(x, layer["norm2"]).astype(np.float32)
-            gu = self._linear(chunk, hidden, layer["wgu"], LinearOp.GATE_UP)
+            gu = self._linear(plan, hidden, layer["wgu"], LinearOp.GATE_UP)
             gate, up = np.split(gu, 2, axis=1)
             act = (silu(gate) * up).astype(np.float32)
-            x = x + self._linear(chunk, act, layer["wdown"], LinearOp.DOWN)
+            x = x + self._linear(plan, act, layer["wdown"], LinearOp.DOWN)
 
         logits = rms_norm(x, w["final_norm"]).astype(np.float32) @ w["lm_head"]
         return logits, spec_kv
 
-    def _linear(self, chunk: Chunk, a: np.ndarray, b: np.ndarray, op: LinearOp) -> np.ndarray:
-        n, k, prim = self._linear_ops[op]
-        smoothed = self._smoothed_m(op, a.shape[0], n, k)
-        entry, grid = decompose_linear(chunk, op, n, prim.tile_m, prim.tile_n, self.cfg.quantum)
-        table = lookup_linear_tasktable(
-            self.store, op, (smoothed, n, k), self.cfg.hw.core_num, grid
-        )
-        return gemm_virtual_pad(a, b, prim, order=table)
-
-    def _smoothed_m(self, op: LinearOp, m: int, n: int, k: int) -> int:
-        profiled = self.store.profiled_ms(op.value, n, k)
-        if profiled:
-            return smooth_shape(m, self.cfg.budget, profiled)
-        return smooth_shape(m, self.cfg.budget, self.cfg.quantum)
+    def _linear(self, plan: _ChunkPlan, a: np.ndarray, b: np.ndarray, op: LinearOp) -> np.ndarray:
+        return gemm_virtual_pad(a, b, self._linear_ops[op][2], plan.linears[op][1])
 
     def _apply_logits(
         self,
@@ -385,34 +443,19 @@ class Engine:
     # Timing, metrics, checks
     # ------------------------------------------------------------------
 
-    def _simulate_chunk(self, chunk: Chunk, tasktable, tiles) -> float:
+    def _simulate_chunk(self, chunk: Chunk, plan: _ChunkPlan) -> float:
         hw = self.cfg.hw
-        bs = self.cfg.kv_block_size
-        all_decode = all(t.q_len == 1 for t in tiles)
-        max_q = max(t.q_len for t in tiles)
-        max_kv = max(t.kv_len + t.stage_tokens for t in tiles)
-        split = l2_kv_split_blocks(max_q, max_kv, bs, hw)
-        if all_decode:
-            schedule, split = Schedule.DECODE_PIPE, None
-        elif split is not None:
-            schedule = Schedule.PIPE4
-        else:
-            schedule = Schedule.PIPE3
-        attn = simulate_attention(
-            tasktable,
+        span = simulate_attention(
+            plan.tasktable,
             hw,
-            schedule,
+            plan.schedule,
             head_size=self.cfg.model.head_size,
-            kv_block_size=bs,
-            kv_split_blocks=split,
-        )
-        span = attn.makespan
+            kv_block_size=self.cfg.kv_block_size,
+            kv_split_blocks=plan.split,
+        ).makespan
         m = chunk.total_tokens
-        for op, (n, k, prim) in self._linear_ops.items():
-            _, grid = decompose_linear(chunk, op, n, prim.tile_m, prim.tile_n, self.cfg.quantum)
-            table = lookup_linear_tasktable(
-                self.store, op, (self._smoothed_m(op, m, n, k), n, k), hw.core_num, grid
-            )
+        for op, (grid, table) in plan.linears.items():
+            n, k, prim = self._linear_ops[op]
             span += simulate_linear(grid, table, hw, prim, m, n, k).makespan
         return span * self.cfg.model.num_layers
 
@@ -452,7 +495,7 @@ class Engine:
             ref = dense_forward(self.model, seq[:-1])
             for pos, row in sorted(rt.logits_rows.items()):
                 err = float(np.max(np.abs(row - ref[pos])))
-                if err > self.check_tol:
+                if err > CHECK_TOL:
                     raise OracleCheckFailure(
                         f"request {rt.request.req_id!r} position {pos}: max abs err {err:.2e}"
                     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,27 +47,15 @@ class TilePrimitive:
                 raise ShapeMismatch(f"{name}={value} not in supported set {allowed}")
 
 
-def _flatten_order(order, rows: int, cols: int) -> Iterable[tuple[int, int]]:
-    if order is None:
-        return ((i, j) for i in range(rows) for j in range(cols))
-    if hasattr(order, "per_core"):
-        return (cell for core in order.per_core for cell in core)
-    return iter(order)
-
-
-def gemm_virtual_pad(
-    a: np.ndarray,
-    b: np.ndarray,
-    prim: TilePrimitive,
-    order=None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def gemm_virtual_pad(a: np.ndarray, b: np.ndarray, prim: TilePrimitive, order) -> np.ndarray:
     """C = A @ B with virtual padding on M.
 
     A is (M x K) fp32 with arbitrary M; K must be a multiple of the
-    primitive's tileK. Accumulation is fp32 with tiles visited in
+    primitive's tileK. ``order`` is the linear op's task table: its
+    ``all_items()`` are the (row, col) grid tiles, core by core, and
+    must cover the grid. Accumulation is fp32 with tiles visited in
     ascending K, so the result is deterministic and independent of the
-    (row, col) visit order, which may come from a task table.
+    visit order.
     """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatch(f"incompatible operands {a.shape} @ {b.shape}")
@@ -75,16 +63,13 @@ def gemm_virtual_pad(
     n = b.shape[1]
     if k % prim.tile_k != 0:
         raise ShapeMismatch(f"K={k} must be a multiple of tileK={prim.tile_k}")
-    if out is None:
-        out = np.empty((m, n), dtype=np.float32)
-    elif out.shape != (m, n):
-        raise ShapeMismatch(f"out has shape {out.shape}, expected {(m, n)}")
+    out = np.empty((m, n), dtype=np.float32)
     a = np.ascontiguousarray(a, dtype=np.float32)
     b = np.ascontiguousarray(b, dtype=np.float32)
     rows = -(-m // prim.tile_m)
     cols = -(-n // prim.tile_n)
     a_buf = np.zeros((prim.tile_m, prim.tile_k), dtype=np.float32)
-    for i, j in _flatten_order(order, rows, cols):
+    for i, j in order.all_items():
         if not (0 <= i < rows and 0 <= j < cols):
             raise ShapeMismatch(f"tile ({i}, {j}) outside grid {(rows, cols)}")
         r0 = i * prim.tile_m

@@ -148,14 +148,24 @@ def silu(x: np.ndarray) -> np.ndarray:
     return x / (1.0 + np.exp(-x))
 
 
-def dense_forward(model: ToyModel, tokens: list[int], positions: list[int] | None = None) -> np.ndarray:
-    """Full-sequence fp64 forward pass; returns [len, vocab] logits."""
+def dense_forward(
+    model: ToyModel,
+    tokens: list[int],
+    positions: list[int] | None = None,
+    mask: np.ndarray | None = None,
+) -> np.ndarray:
+    """Full-sequence fp64 forward pass; returns [len, vocab] logits.
+
+    ``positions`` default to 0..len-1 and ``mask`` (boolean [len, len],
+    True where attention is allowed) to causal.
+    """
     cfg = model.cfg
-    if positions is None:
-        positions = list(range(len(tokens)))
-    x = model.embed[np.asarray(tokens)] + model.pos[np.asarray(positions)]
     n = len(tokens)
-    mask = causal_mask(n, 0)
+    if positions is None:
+        positions = list(range(n))
+    if mask is None:
+        mask = causal_mask(n, 0)
+    x = model.embed[np.asarray(tokens)] + model.pos[np.asarray(positions)]
     scale = 1.0 / np.sqrt(cfg.head_size)
     group = cfg.num_heads // cfg.num_kv_heads
     for layer in model.layers:
@@ -203,35 +213,7 @@ def dense_tree_forward(
             anc[i] |= anc[p]
     mask[n_ctx:, :n_ctx] = True
     mask[n_ctx:, n_ctx:] = anc
-    logits = _dense_forward_masked(model, tokens, positions, mask)
-    return logits[n_ctx:]
-
-
-def _dense_forward_masked(
-    model: ToyModel, tokens: list[int], positions: list[int], mask: np.ndarray
-) -> np.ndarray:
-    cfg = model.cfg
-    n = len(tokens)
-    x = model.embed[np.asarray(tokens)] + model.pos[np.asarray(positions)]
-    scale = 1.0 / np.sqrt(cfg.head_size)
-    group = cfg.num_heads // cfg.num_kv_heads
-    for layer in model.layers:
-        hidden = rms_norm(x, layer["norm1"])
-        qkv = (hidden @ layer["wqkv"]).reshape(n, cfg.num_heads + 2 * cfg.num_kv_heads, cfg.head_size)
-        q, k, v = split_permute_qkv(qkv, cfg.num_heads, cfg.num_kv_heads)
-        per_head = np.empty((cfg.num_heads, n, cfg.head_size))
-        for head in range(cfg.num_heads):
-            kv_head = head // group
-            per_head[head] = dense_attention(
-                q[head], k[kv_head], v[kv_head], mask, scale
-            ).astype(np.float64)
-        attn = permute_heads_to_tokens(per_head).reshape(n, -1)
-        x = x + attn @ layer["wo"]
-        hidden = rms_norm(x, layer["norm2"])
-        gu = hidden @ layer["wgu"]
-        gate, up = np.split(gu, 2, axis=1)
-        x = x + (silu(gate) * up) @ layer["wdown"]
-    return (rms_norm(x, model.final_norm) @ model.lm_head).astype(np.float32)
+    return dense_forward(model, tokens, positions, mask)[n_ctx:]
 
 
 def tiny_forward(model: ToyModel, tokens: list[int], cache_mode: str = "none", **engine_kwargs) -> np.ndarray:

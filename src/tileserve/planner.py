@@ -22,18 +22,6 @@ class UnsupportedShape(ValueError):
 
 
 @dataclass(frozen=True)
-class TilingEntry:
-    """Per-stage tiling metadata row (one per chunk entry, or one per
-    linear op with start 0 and the whole chunk's tokens)."""
-
-    stage_id: int
-    start_pos: int
-    token_num: int
-    kv_len: int
-    tile_size: int
-
-
-@dataclass(frozen=True)
 class TileUnit:
     """One (query tile x head) attention work item.
 
@@ -145,32 +133,23 @@ def reorder_attention(tiles: list[TileUnit], core_num: int) -> TaskTable:
 
 def decompose_linear(
     chunk: Chunk,
-    op: LinearOp,
     n_len: int,
     tile_m: int,
     tile_n: int,
     quantum: int = 16,
-) -> tuple[TilingEntry, tuple[int, int]]:
-    """Tile the (tokenNum x nLen) result matrix of a linear op.
+) -> tuple[int, int]:
+    """(row, col) tile counts of the (tokenNum x nLen) result matrix of
+    a linear op.
 
-    The M dimension is rounded up to the quantum (virtual padding
-    covers the remainder); returns the tiling entry plus the grid of
-    (row, col) tile counts.
+    The M dimension is rounded up to the quantum; virtual padding
+    covers the remainder.
     """
     if not chunk.entries or chunk.total_tokens < 1:
         raise ValueError("chunk must be nonempty")
     if n_len % quantum != 0:
         raise UnsupportedShape(f"nLen={n_len} is not a multiple of the quantum {quantum}")
     padded_m = _ceil_div(chunk.total_tokens, quantum) * quantum
-    entry = TilingEntry(
-        stage_id=0,
-        start_pos=0,
-        token_num=chunk.total_tokens,
-        kv_len=0,
-        tile_size=tile_m,
-    )
-    grid = (_ceil_div(padded_m, tile_m), _ceil_div(n_len, tile_n))
-    return entry, grid
+    return _ceil_div(padded_m, tile_m), _ceil_div(n_len, tile_n)
 
 
 def lookup_linear_tasktable(

@@ -66,7 +66,7 @@ class ProfileEntry:
 
 
 class ProfileStore:
-    """Versioned key-value store: (op, M, N, K) -> ProfileEntry."""
+    """Key-value store: (op, M, N, K) -> ProfileEntry."""
 
     def __init__(self):
         self._entries: dict[tuple[str, int, int, int], ProfileEntry] = {}
@@ -79,12 +79,6 @@ class ProfileStore:
             return self._entries[(op, m, n, k)]
         except KeyError:
             raise MissingProfile((op, m, n, k)) from None
-
-    def __contains__(self, key: tuple[str, int, int, int]) -> bool:
-        return key in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def profiled_ms(self, op: str, n: int, k: int) -> list[int]:
         return sorted(m for (o, m, nn, kk) in self._entries if (o, nn, kk) == (op, n, k))

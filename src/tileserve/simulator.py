@@ -17,9 +17,10 @@ the sequential discipline, the running sum of its op sequence).
 events. ``trace_attention`` is its reference: it lays out one
 ``StageEvent`` per cube, vector and MTE op, and its makespan equals the
 closed form bit for bit, because both add the same costs in the same
-order. Linear grids run event by event through a shared-L2 reuse model
-where a panel's first touch pays the HBM rate and re-touches inside the
-working set pay the L2 rate.
+order. ``simulate_linear`` prices a linear grid tile by tile through a
+shared-L2 reuse model, where a panel's first touch pays the HBM rate
+and re-touches inside the working set pay the L2 rate; it builds no
+events either.
 
 Costs are plain rate models (work divided by unit rate); time is
 abstract ticks. Identical inputs produce byte-identical traces.
@@ -65,7 +66,7 @@ class Schedule(Enum):
 class StageEvent:
     core: int
     unit: str  # "cube" | "vector" | "mte"
-    kind: str  # QK | Softmax | SV | Update | QKSoftmax | Gemm | Load | Store
+    kind: str  # QK | Softmax | SV | Update | QKSoftmax | Load | Store
     tile: str
     start: float
     end: float
@@ -78,8 +79,6 @@ class SimTrace:
     busy: dict[str, float] = field(default_factory=dict)
     per_core_load: list[float] = field(default_factory=list)
     utilization: dict[str, float] = field(default_factory=dict)
-    hbm_load_bytes: int = 0
-    l2_load_bytes: int = 0
 
     def to_csv(self) -> str:
         lines = ["unit,kind,tile,start,end"]
@@ -477,13 +476,14 @@ def simulate_linear(
     n: int,
     k: int,
 ) -> SimTrace:
-    """Execute a linear tile grid under the shared-L2 reuse model.
+    """Price a linear tile grid under the shared-L2 reuse model.
 
     Every output tile loads one A row-panel and one B column-panel;
     the first touch of a panel inside the sliding working set costs
-    the HBM rate, a re-touch the L2 rate. Cores run concurrently and
-    share the working set; ties resolve by core id, so runs are
-    deterministic.
+    the HBM rate, a re-touch the L2 rate. A tile's load, GEMM and store
+    run back to back on its core. Cores run concurrently and share the
+    working set; ties resolve by core id, so runs are deterministic.
+    The trace carries no events.
     """
     rows, cols = grid
     if rows < 1 or cols < 1:
@@ -493,7 +493,6 @@ def simulate_linear(
     heapq.heapify(heap)
     lru: OrderedDict[tuple[str, int], int] = OrderedDict()
     lru_bytes = 0
-    trace = SimTrace()
     busy = {"cube": 0.0, "vector": 0.0, "mte": 0.0}
     per_core = [0.0] * len(queues)
     makespan = 0.0
@@ -519,32 +518,23 @@ def simulate_linear(
         cols_valid = min(prim.tile_n, n - j * prim.tile_n)
         hbm_a, l2_a = touch(("A", i), rows_valid * k * BYTES)
         hbm_b, l2_b = touch(("B", j), k * cols_valid * BYTES)
-        hbm = hbm_a + hbm_b
-        l2 = l2_a + l2_b
-        load = hbm / hw.hbm_bytes_per_tick + l2 / hw.l2_hit_bytes_per_tick
+        load = (hbm_a + hbm_b) / hw.hbm_bytes_per_tick + (l2_a + l2_b) / hw.l2_hit_bytes_per_tick
         compute = 2.0 * prim.tile_m * prim.tile_n * k / hw.cube_flops_per_tick
-        store_bytes = rows_valid * cols_valid * BYTES
-        store = store_bytes / hw.hbm_bytes_per_tick
-        ref = f"{i}.{j}"
-        trace.events.append(StageEvent(core, "mte", "Load", ref, t, t + load))
-        trace.events.append(StageEvent(core, "cube", "Gemm", ref, t + load, t + load + compute))
+        store = rows_valid * cols_valid * BYTES / hw.hbm_bytes_per_tick
         end = t + load + compute + store
-        trace.events.append(StageEvent(core, "mte", "Store", ref, t + load + compute, end))
         busy["mte"] += load + store
         busy["cube"] += compute
         per_core[core] += compute
-        trace.hbm_load_bytes += hbm
-        trace.l2_load_bytes += l2
         makespan = max(makespan, end)
         if queues[core]:
             heapq.heappush(heap, (end, core))
-    trace.makespan = makespan
-    trace.busy = busy
-    trace.per_core_load = per_core
     denom = makespan * max(1, len(queues))
-    trace.utilization = {"cube": busy["cube"] / denom if denom > 0 else 0.0}
-    trace.events.sort(key=lambda e: (e.start, e.core, e.unit, e.kind))
-    return trace
+    return SimTrace(
+        makespan=makespan,
+        busy=busy,
+        per_core_load=per_core,
+        utilization={"cube": busy["cube"] / denom if denom > 0 else 0.0},
+    )
 
 
 def profile_swizzle(

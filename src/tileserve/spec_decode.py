@@ -52,12 +52,6 @@ class SpecTree:
             return [0]
         return [j for j, p in enumerate(self.parents) if p == i]
 
-def chain_tree(tokens: list[int]) -> SpecTree:
-    """Sequence-based speculation: a linear chain."""
-    parents: list[int | None] = [None] + list(range(len(tokens) - 1))
-    return SpecTree(tuple(tokens), tuple(parents))
-
-
 def full_tree(root_token: int, width: int, depth: int, child_token) -> SpecTree:
     """Full width-ary tree with ``depth`` levels (level 0 is the root).
 

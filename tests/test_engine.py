@@ -1,22 +1,35 @@
-"""Engine: numeric outputs against the dense oracle, and cache hygiene
-after a run in either mode."""
+"""Engine: numeric outputs against the dense oracle, cache hygiene after
+a run in either mode, one plan for the kernels and the cost model, and
+requests no chunk can serve."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from tileserve.config import ServeConfig
-from tileserve.engine import Engine, EngineRequest
+from tileserve import cli
+from tileserve import engine as engine_mod
+from tileserve.config import HwConfig, ServeConfig
+from tileserve.engine import Engine, EngineRequest, RejectedRequest
 from tileserve.oracle import ToyModel, dense_forward
-from tileserve.trace import gen_trace
+from tileserve.trace import gen_trace, write_trace
 
 # Speculative requests whose output_len often cuts an accepted path short.
 TRACE = gen_trace("sharegpt_like", 4, 12, spec=(2, 3), mean_prompt=24, mean_output=8)
 
+CONFIGS = {
+    "default": ServeConfig,
+    # An 8 KB L2 makes most of TRACE's chunks split K/V and run PIPE4.
+    "small_l2": lambda: ServeConfig(hw=HwConfig(l2_bytes=8192)),
+}
 
-def run_engine(numeric: bool, check: bool = False) -> Engine:
-    cfg = ServeConfig()
+
+@pytest.fixture(params=list(CONFIGS))
+def cfg(request) -> ServeConfig:
+    return CONFIGS[request.param]()
+
+
+def run_engine(cfg: ServeConfig, numeric: bool, check: bool = False) -> Engine:
     engine = Engine(ToyModel.seeded(cfg.model, seed=0), cfg, numeric=numeric, check=check)
     for row in TRACE:
         spec = row["spec"]
@@ -33,8 +46,8 @@ def run_engine(numeric: bool, check: bool = False) -> Engine:
     return engine
 
 
-def test_numeric_check_passes_and_outputs_are_dense_argmax():
-    engine = run_engine(numeric=True, check=True)
+def test_numeric_check_passes_and_outputs_are_dense_argmax(cfg):
+    engine = run_engine(cfg, numeric=True, check=True)
     assert len(engine.runtimes) == len(TRACE)
     for rid, rt in engine.runtimes.items():
         prompt = rt.request.prompt
@@ -47,11 +60,59 @@ def test_numeric_check_passes_and_outputs_are_dense_argmax():
 
 
 @pytest.mark.parametrize("numeric", [True, False], ids=["numeric", "simulate"])
-def test_every_sequence_is_released(numeric):
-    engine = run_engine(numeric=numeric)
+def test_every_sequence_is_released(cfg, numeric):
+    engine = run_engine(cfg, numeric=numeric)
     assert all(rt.done and not rt.table.blocks for rt in engine.runtimes.values())
     assert engine.cache.pool_partition()["referenced"] == set()
     assert not engine.cache._seqs
     if not numeric:
         # Simulate mode reserves rows but never writes K/V.
         assert not engine.cache.keys.any() and not engine.cache.values.any()
+
+
+def test_kernels_run_the_split_the_cost_model_prices(monkeypatch):
+    """Every attention tile of a chunk runs the K/V split that the chunk's
+    pricing charges, so what runs is what is priced."""
+    ran: list[int | None] = []
+    priced: list[tuple[int, int | None]] = []
+
+    def run_tile(job, kv_split_blocks=None):
+        ran.append(kv_split_blocks)
+        return real_run_tile(job, kv_split_blocks)
+
+    def simulate_attention(*args, **kwargs):
+        priced.append((len(ran), kwargs["kv_split_blocks"]))
+        return real_simulate_attention(*args, **kwargs)
+
+    real_run_tile = engine_mod.run_tile
+    real_simulate_attention = engine_mod.simulate_attention
+    monkeypatch.setattr(engine_mod, "run_tile", run_tile)
+    monkeypatch.setattr(engine_mod, "simulate_attention", simulate_attention)
+    run_engine(CONFIGS["small_l2"](), numeric=True)
+    start = 0
+    for end, split in priced:
+        assert ran[start:end] and set(ran[start:end]) == {split}
+        start = end
+    assert any(split is not None for _, split in priced)
+
+
+def test_submit_rejects_a_tree_larger_than_the_budget():
+    cfg = ServeConfig(budget=16)
+    engine = Engine(ToyModel.seeded(cfg.model, seed=0), cfg, numeric=False)
+    engine.submit(EngineRequest(req_id="fits", prompt=[1, 2], output_len=4, spec=(2, 4)))
+    with pytest.raises(RejectedRequest, match=r"'deep'.* 31 tokens.* budget of 16"):
+        engine.submit(EngineRequest(req_id="deep", prompt=[1, 2], output_len=4, spec=(2, 5)))
+    with pytest.raises(RejectedRequest, match=r"'chain'.* at least 17 tokens.* budget of 16"):
+        engine.submit(EngineRequest(req_id="chain", prompt=[1, 2], output_len=4, spec=(1, 17)))
+    assert [r.req_id for r in engine.pending] == ["fits"]
+
+
+def test_cli_exits_2_on_a_tree_larger_than_the_budget(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    write_trace(gen_trace("sharegpt_like", 1, 4, spec=(2, 5)), trace)
+    config = tmp_path / "t.cfg"
+    config.write_text("sched.budget = 16\n")
+    code = cli.main(["run", "--trace", str(trace), "--config", str(config), "--mode", "simulate"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: request ") and "31 tokens" in err and "budget of 16" in err
