@@ -1,12 +1,15 @@
 """Tiled attention meta-kernel: matmul-softmax-matmul per tile unit.
 
-One kernel body serves prefill, decode, and verify tiles. K/V is read
-whole blocks at a time from the paged cache; positions past a row's
-valid length (causal rule), past the sequence's last valid token
-(block padding), or rejected by the speculative mask are forced to a
-large negative sentinel before the exponentials, so they carry zero
-probability mass. Long K/V ranges are folded in block-aligned splits
-through the running-max online-softmax update.
+One kernel body serves prefill, decode, and verify tiles. How far a
+tile attends is decided once, by ``TileUnit.reach`` in the planner:
+the kernel reads the whole K/V blocks up to the reach from the paged
+cache, and masks each row at its own limit (the reach for a verify
+row, one column less per earlier row for a causal tile). Positions
+past a row's limit, or rejected by the speculative tree mask, are
+forced to a large negative sentinel before the exponentials, so they
+carry zero probability mass; block padding lies past every row's
+limit. Long K/V ranges are folded in block-aligned splits through the
+running-max online-softmax update.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gemm import QkvSel, fused_qkv_read
 from .kv_cache import KvView
 from .planner import TileUnit
 from .scheduler import Stage
@@ -31,27 +33,6 @@ class InconsistentBlockTable(ValueError):
 
 class DimensionMismatch(ValueError):
     pass
-
-
-@dataclass
-class AttentionTileJob:
-    """Everything one tile needs: query source, paged K/V, masks, scale.
-
-    ``q_rows`` addresses the tile's rows inside the chunk's fused QKV
-    tensor. ``spec_mask`` must be present exactly for verify tiles.
-    """
-
-    tile: TileUnit
-    qkv: np.ndarray  # [chunk_tokens, heads + 2*kvHeads, headSize]
-    q_rows: tuple[int, int]
-    kv: KvView
-    scale: float
-    kv_heads: int
-    spec_mask: np.ndarray | None = None
-
-    def __post_init__(self):
-        if (self.tile.stage is Stage.VERIFY) != (self.spec_mask is not None):
-            raise DimensionMismatch("spec_mask must be present iff the tile is a verify stage")
 
 
 @dataclass
@@ -82,35 +63,11 @@ class SoftmaxState:
         return self.accum / self.row_sum[:, None]
 
 
-def causal_valid_len(q_global_row: int, kv_len: int) -> int:
-    """Valid K/V length for a causal query row (self-inclusive)."""
-    if q_global_row < 0:
-        raise ValueError("q_global_row must be >= 0")
-    return kv_len + q_global_row + 1
-
-
-def attend_limit(tile: TileUnit) -> int:
-    """Last K/V position (exclusive) any row of this tile may read."""
-    if tile.stage is Stage.VERIFY:
-        return tile.kv_len + tile.stage_tokens
-    return causal_valid_len(tile.q_start + tile.q_len - 1, tile.kv_len)
-
-
 def skip_plan(tile: TileUnit, kv_block_size: int) -> tuple[int, int]:
-    """(computed, skipped) whole K/V blocks for a causal tile.
-
-    A block is computed iff its first position is visible to the
-    tile's last row; everything after is dead by the causal rule.
-    Verify tiles have no causal skipping (their history span is fully
-    valid), so all blocks are computed.
-    """
-    total_kv = tile.kv_len + tile.stage_tokens
-    total_blocks = -(-total_kv // kv_block_size)
-    if tile.stage is Stage.VERIFY:
-        return total_blocks, 0
-    limit = attend_limit(tile)
-    computed = min(total_blocks, -(-limit // kv_block_size))
-    return computed, total_blocks - computed
+    """(computed, skipped) whole K/V blocks of a tile: the blocks up to
+    its reach are computed, the rest of the stage's blocks skipped."""
+    computed = tile.computed_blocks(kv_block_size)
+    return computed, -(-(tile.kv_len + tile.stage_tokens) // kv_block_size) - computed
 
 
 def plan_splits(n_blocks: int, kv_split_blocks: int | None) -> list[tuple[int, int]]:
@@ -128,51 +85,54 @@ def plan_splits(n_blocks: int, kv_split_blocks: int | None) -> list[tuple[int, i
     ]
 
 
-def run_tile(job: AttentionTileJob, kv_split_blocks: int | None = None) -> np.ndarray:
+def run_tile(
+    tile: TileUnit,
+    q: np.ndarray,
+    kv: KvView,
+    scale: float,
+    kv_split_blocks: int | None = None,
+    spec_mask: np.ndarray | None = None,
+) -> np.ndarray:
     """Execute one tile: scaled QK over whole blocks, masking, online
     softmax across K/V splits, and the attention-weighted value sum.
+
+    ``q`` holds the tile's query rows of every head, [qTileLen, heads,
+    headSize]; the tile reads its own head and the K/V head of its
+    group in ``kv``, the entry's K/V in one layer. ``spec_mask`` is the
+    verify stage's tree mask and must be given exactly for verify tiles.
 
     Returns the tile's [qTileLen, headSize] output. Results agree with
     the dense reference for any split choice; only the floating-point
     reassociation differs.
     """
-    tile = job.tile
-    bs = job.kv.block_size
-    limit = attend_limit(tile)
-    if job.kv.total_tokens < limit:
+    if (tile.stage is Stage.VERIFY) != (spec_mask is not None):
+        raise DimensionMismatch("spec_mask must be present iff the tile is a verify stage")
+    if kv.total_tokens < tile.reach:
         raise InconsistentBlockTable(
-            f"block table covers {job.kv.total_tokens} tokens, tile needs {limit}"
+            f"block table covers {kv.total_tokens} tokens, tile needs {tile.reach}"
         )
-    n_heads = job.qkv.shape[1] - 2 * job.kv_heads
-    kv_head = tile.head // (n_heads // job.kv_heads)
-    q = fused_qkv_read(job.qkv, QkvSel.Q, tile.head, job.q_rows, job.kv_heads)
-    q = np.asarray(q, dtype=np.float32)
     if q.shape[0] != tile.q_len:
         raise DimensionMismatch(f"q rows {q.shape[0]} != tile q_len {tile.q_len}")
-
-    n_blocks = -(-limit // bs)
-    valid_tokens = min(job.kv.total_tokens, n_blocks * bs)
-    row_valid = _row_valid_lens(tile)
+    kv_head = tile.head // (q.shape[1] // kv.keys.shape[2])
+    q = np.asarray(q[:, tile.head], dtype=np.float32)
+    bs = kv.block_size
+    # Each causal row sees one column less than the row after it; every
+    # verify row sees the whole span, which the tree mask then narrows.
+    row_limit = np.full(tile.q_len, tile.reach)
+    if tile.stage is not Stage.VERIFY:
+        row_limit -= np.arange(tile.q_len)[::-1]
     state = SoftmaxState.fresh(tile.q_len, q.shape[1])
-    for b0, b1 in plan_splits(n_blocks, kv_split_blocks):
-        ids = list(job.kv.block_ids[b0:b1])
-        k = job.kv.keys[ids][:, :, kv_head, :].reshape(-1, q.shape[1])
-        v = job.kv.values[ids][:, :, kv_head, :].reshape(-1, q.shape[1])
-        scores = np.float32(job.scale) * (q @ k.T)
+    for b0, b1 in plan_splits(tile.computed_blocks(bs), kv_split_blocks):
+        ids = list(kv.block_ids[b0:b1])
+        k = kv.keys[ids][:, :, kv_head, :].reshape(-1, q.shape[1])
+        v = kv.values[ids][:, :, kv_head, :].reshape(-1, q.shape[1])
+        scores = np.float32(scale) * (q @ k.T)
         cols = b0 * bs + np.arange(scores.shape[1])
-        scores[cols[None, :] >= row_valid[:, None]] = NEG_INF  # causal / span limit
-        scores[:, cols >= valid_tokens] = NEG_INF  # padded tail of the last block
-        if tile.stage is Stage.VERIFY:
-            _mask_verify_split(scores, job.spec_mask, tile, cols)
+        scores[cols[None, :] >= row_limit[:, None]] = NEG_INF
+        if spec_mask is not None:
+            _mask_verify_split(scores, spec_mask, tile, cols)
         state.update(scores, v)
     return state.finalize()
-
-
-def _row_valid_lens(tile: TileUnit) -> np.ndarray:
-    if tile.stage is Stage.VERIFY:
-        return np.full(tile.q_len, tile.kv_len + tile.stage_tokens)
-    rows = tile.q_start + np.arange(tile.q_len)
-    return tile.kv_len + rows + 1
 
 
 def _mask_verify_split(

@@ -85,7 +85,7 @@ class ServeConfig:
 
     # scheduler
     budget: int = 4096
-    reserve: int = -1  # -1 means budget // 4
+    reserve: int | None = None  # None leaves the default to TokenScheduler
     # kv cache
     kv_block_size: int = 128
     kv_pool_blocks: int = 1024
@@ -97,14 +97,10 @@ class ServeConfig:
     hw: HwConfig = field(default_factory=HwConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
 
-    def __post_init__(self) -> None:
-        if self.reserve < 0:
-            self.reserve = self.budget // 4
-
     def validate(self) -> None:
         if self.budget < 1:
             raise ConfigError("sched.budget", "must be >= 1")
-        if not 0 <= self.reserve < self.budget:
+        if self.reserve is not None and not 0 <= self.reserve < self.budget:
             raise ConfigError("sched.reserve", "must satisfy 0 <= reserve < budget")
         if self.kv_block_size < 1:
             raise ConfigError("kv.block_size", "must be >= 1")
@@ -184,7 +180,5 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         for name in parents:
             target = getattr(target, name)
         setattr(target, leaf, value)
-    if "sched.reserve" not in flat:
-        cfg.reserve = cfg.budget // 4
     cfg.validate()
     return cfg

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import AttentionTileJob, run_tile, skip_plan
+from .attention import run_tile, skip_plan
 from .config import ModelConfig, ServeConfig
 from .gemm import TilePrimitive, gemm_virtual_pad, fused_sv_write, smooth_shape
 from .kv_cache import BlockTable, RadixKvCache
@@ -117,16 +117,13 @@ class Engine:
     def __init__(
         self,
         model: ToyModel,
-        cfg: ServeConfig | None = None,
+        cfg: ServeConfig,
         *,
         numeric: bool = True,
         check: bool = False,
         seed: int = 0,
         profile_linear: bool = False,
     ):
-        if cfg is None:
-            cfg = ServeConfig(budget=32, kv_block_size=8, kv_pool_blocks=512, kv_cache_cap_blocks=256)
-            cfg.model = model.cfg
         cfg.validate()
         self.cfg = cfg
         self.model = model
@@ -181,16 +178,6 @@ class Engine:
         if self.check:
             self._run_checks()
         return self.report()
-
-    def prompt_logits(self, req_id) -> np.ndarray | None:
-        rt = self.runtimes.get(req_id)
-        if rt is None or not self.numeric:
-            return None
-        n = len(rt.full_prompt)
-        rows = [rt.logits_rows.get(p) for p in range(n)]
-        if any(r is None for r in rows):
-            return None
-        return np.stack(rows)
 
     # ------------------------------------------------------------------
 
@@ -327,33 +314,30 @@ class Engine:
             hidden = rms_norm(x, layer["norm1"]).astype(np.float32)
             qkv2d = self._linear(plan, hidden, layer["wqkv"], LinearOp.QKV)
             qkv = qkv2d.reshape(n, cfg.num_heads + 2 * cfg.num_kv_heads, cfg.head_size)
+            q = qkv[:, : cfg.num_heads, :]
+            views = []
             for ei, entry in enumerate(chunk.entries):
                 rows = slice(entry.start_pos, entry.start_pos + entry.token_num)
                 new_k = qkv[rows, cfg.num_heads : cfg.num_heads + cfg.num_kv_heads, :]
                 new_v = qkv[rows, cfg.num_heads + cfg.num_kv_heads :, :]
                 if entry.stage is Stage.VERIFY:
                     spec_kv.setdefault(ei, []).append((new_k, new_v))
-                self.cache.write_kv(self.runtimes[entry.req_id].table, li, entry.kv_len, new_k, new_v)
+                table = self.runtimes[entry.req_id].table
+                self.cache.write_kv(table, li, entry.kv_len, new_k, new_v)
+                views.append(self.cache.kv_view(table, li))
             out = np.zeros((n, cfg.num_heads, cfg.head_size), dtype=np.float32)
             # Tiles write disjoint rows of ``out``, so their order changes no bits.
             for tile in plan.tasktable.all_items():
-                entry = chunk.entries[tile.stage_id]
-                rt = self.runtimes[entry.req_id]
-                job = AttentionTileJob(
-                    tile=tile,
-                    qkv=qkv,
-                    q_rows=(
-                        entry.start_pos + tile.q_start,
-                        entry.start_pos + tile.q_start + tile.q_len,
-                    ),
-                    kv=self.cache.kv_view(rt.table, li),
-                    scale=scale,
-                    kv_heads=cfg.num_kv_heads,
-                    spec_mask=plan.masks.get(tile.stage_id),
+                row = chunk.entries[tile.stage_id].start_pos + tile.q_start
+                o = run_tile(
+                    tile,
+                    q[row : row + tile.q_len],
+                    views[tile.stage_id],
+                    scale,
+                    plan.split,
+                    plan.masks.get(tile.stage_id),
                 )
-                fused_sv_write(
-                    out, tile.head, entry.start_pos + tile.q_start, run_tile(job, plan.split)
-                )
+                fused_sv_write(out, tile.head, row, o)
             attn = out.reshape(n, cfg.num_heads * cfg.head_size)
             x = x + self._linear(plan, attn, layer["wo"], LinearOp.O_PROJ)
             hidden = rms_norm(x, layer["norm2"]).astype(np.float32)

@@ -5,14 +5,13 @@ The primitive only ever multiplies full (tileM x tileK) by
 allocating the on-chip buffer at full tile height, copying in only
 the valid rows (selective read, zeros elsewhere), and writing back
 only the valid rows (selective write); no padded data ever reaches
-the output. Split/permute of the fused QKV tensor and of the
-attention output are strided views instead of materialized copies.
+the output. Each head's attention-output tile is written straight into
+the tensor the output projection reads, with no permuted copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -104,44 +103,6 @@ def smooth_shape(m: int, budget: int, grid: int | Sequence[int]) -> int:
         if s >= m:
             return s
     return budget
-
-
-class QkvSel(Enum):
-    Q = "q"
-    K = "k"
-    V = "v"
-
-
-def _section(qkv: np.ndarray, sel: QkvSel, kv_heads: int) -> tuple[int, int]:
-    total = qkv.shape[1]
-    heads = total - 2 * kv_heads
-    if heads < 1:
-        raise ShapeMismatch(f"QKV head axis {total} too small for kv_heads={kv_heads}")
-    if sel is QkvSel.Q:
-        return 0, heads
-    if sel is QkvSel.K:
-        return heads, kv_heads
-    return heads + kv_heads, kv_heads
-
-
-def fused_qkv_read(
-    qkv: np.ndarray,
-    sel: QkvSel,
-    head: int,
-    row_span: tuple[int, int],
-    kv_heads: int,
-) -> np.ndarray:
-    """Strided view of one head's Q, K, or V slice of the fused
-    [tokens, heads + 2*kvHeads, headSize] tensor; nothing is copied."""
-    if qkv.ndim != 3:
-        raise ShapeMismatch(f"QKV tensor must be 3-D, got {qkv.shape}")
-    offset, count = _section(qkv, sel, kv_heads)
-    if not 0 <= head < count:
-        raise IndexOutOfRange(f"head {head} out of range for {sel.value} section of {count}")
-    r0, r1 = row_span
-    if not 0 <= r0 <= r1 <= qkv.shape[0]:
-        raise IndexOutOfRange(f"row span {row_span} outside [0, {qkv.shape[0]}]")
-    return qkv[r0:r1, offset + head, :]
 
 
 def fused_sv_write(o: np.ndarray, head: int, row_start: int, tile: np.ndarray) -> None:

@@ -214,25 +214,3 @@ def dense_tree_forward(
     mask[n_ctx:, :n_ctx] = True
     mask[n_ctx:, n_ctx:] = anc
     return dense_forward(model, tokens, positions, mask)[n_ctx:]
-
-
-def tiny_forward(model: ToyModel, tokens: list[int], cache_mode: str = "none", **engine_kwargs) -> np.ndarray:
-    """Forward a prompt either densely or through the full serving path.
-
-    ``cache_mode="none"`` recomputes everything densely in fp64;
-    ``"paged"`` pushes the prompt through the scheduler, planner,
-    tiled kernels, and the radix K/V cache, and returns the logits
-    for each prompt position.
-    """
-    if cache_mode == "none":
-        return dense_forward(model, tokens)
-    if cache_mode != "paged":
-        raise ValueError(f"unknown cache mode {cache_mode!r}")
-    from .engine import Engine, EngineRequest  # local import: engine sits on top
-
-    engine = Engine(model=model, **engine_kwargs)
-    engine.submit(EngineRequest(req_id="oracle", prompt=list(tokens), output_len=1))
-    engine.run()
-    rows = engine.prompt_logits("oracle")
-    assert rows is not None
-    return rows

@@ -5,6 +5,11 @@ blocks, crossed with heads, weighted by the attended K/V area, sorted
 heaviest-first, and dealt to cores in snake order (1..k, k..1, ...).
 Linear work is a 2-D grid over the padded result matrix whose visit
 order comes from the offline profile store.
+
+``TileUnit.reach`` is the one place that decides how far a tile
+attends. Its sort area, its computed K/V blocks, the attention
+kernel's block loop and row masks, and the cost model's unit costs
+all derive from it.
 """
 
 from __future__ import annotations
@@ -23,12 +28,7 @@ class UnsupportedShape(ValueError):
 
 @dataclass(frozen=True)
 class TileUnit:
-    """One (query tile x head) attention work item.
-
-    ``area`` is the tile's attended score-matrix area: causal tiles
-    count the per-tile valid K/V width (history + rows seen so far),
-    verify tiles count history plus the whole speculative span.
-    """
+    """One (query tile x head) attention work item."""
 
     stage_id: int
     stage: Stage
@@ -37,7 +37,26 @@ class TileUnit:
     q_len: int
     kv_len: int
     stage_tokens: int
-    area: int
+
+    @property
+    def reach(self) -> int:
+        """K/V length (exclusive) the tile's last row may attend: the
+        history plus the stage rows up to and including that row for a
+        causal tile, the history plus the whole speculative span for a
+        verify tile (its tree mask narrows the span per row)."""
+        if self.stage is Stage.VERIFY:
+            return self.kv_len + self.stage_tokens
+        return self.kv_len + self.q_start + self.q_len
+
+    @property
+    def area(self) -> int:
+        """Attended score-matrix area, the sort weight."""
+        return self.q_len * self.reach
+
+    def computed_blocks(self, kv_block_size: int) -> int:
+        """Whole K/V blocks up to the reach; the stage's later blocks are
+        dead under the causal rule and skipped."""
+        return -(-self.reach // kv_block_size)
 
 
 @dataclass(frozen=True)
@@ -72,12 +91,6 @@ def attention_tile_size(stage: Stage, token_num: int, cfg: ServeConfig) -> int:
     return min(token_num, cfg.prefill_tile_size)
 
 
-def tile_area(stage: Stage, q_start: int, q_len: int, kv_len: int, stage_tokens: int) -> int:
-    if stage is Stage.VERIFY:
-        return q_len * (kv_len + stage_tokens)
-    return q_len * (kv_len + q_start + q_len)
-
-
 def decompose_attention(chunk: Chunk, head_num: int, cfg: ServeConfig) -> list[TileUnit]:
     """Split every stage entry along the query dimension and cross with heads."""
     if not chunk.entries:
@@ -99,9 +112,6 @@ def decompose_attention(chunk: Chunk, head_num: int, cfg: ServeConfig) -> list[T
                         q_len=q_len,
                         kv_len=entry.kv_len,
                         stage_tokens=entry.token_num,
-                        area=tile_area(
-                            entry.stage, q_start, q_len, entry.kv_len, entry.token_num
-                        ),
                     )
                 )
     return tiles

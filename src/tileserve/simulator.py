@@ -36,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .attention import plan_splits, skip_plan
+from .attention import plan_splits
 from .config import HwConfig
 from .gemm import TilePrimitive
 from .planner import TaskTable, TileUnit, deal_round_robin
@@ -234,8 +234,7 @@ def _core_costs(
     q_lens = []
     tokens = []
     for t in tiles:
-        computed, _ = skip_plan(t, kv_block_size)
-        for b0, b1 in plan_splits(computed, kv_split_blocks):
+        for b0, b1 in plan_splits(t.computed_blocks(kv_block_size), kv_split_blocks):
             q_lens.append(t.q_len)
             tokens.append((b1 - b0) * kv_block_size)
     q = np.array(q_lens, dtype=np.int64)
@@ -333,7 +332,7 @@ def _tile_units(
 ) -> list[_Unit]:
     units = []
     for t in tiles:
-        computed, _ = skip_plan(t, kv_block_size)
+        computed = t.computed_blocks(kv_block_size)
         for s, (b0, b1) in enumerate(plan_splits(computed, kv_split_blocks)):
             tokens = (b1 - b0) * kv_block_size
             units.append(

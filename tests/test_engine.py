@@ -76,9 +76,9 @@ def test_kernels_run_the_split_the_cost_model_prices(monkeypatch):
     ran: list[int | None] = []
     priced: list[tuple[int, int | None]] = []
 
-    def run_tile(job, kv_split_blocks=None):
+    def run_tile(tile, q, kv, scale, kv_split_blocks=None, spec_mask=None):
         ran.append(kv_split_blocks)
-        return real_run_tile(job, kv_split_blocks)
+        return real_run_tile(tile, q, kv, scale, kv_split_blocks, spec_mask)
 
     def simulate_attention(*args, **kwargs):
         priced.append((len(ran), kwargs["kv_split_blocks"]))

@@ -21,10 +21,27 @@ def commit(cache: RadixKvCache, table, tokens: list[int], start_pos: int, **kw):
 
 
 def build_seq(cache: RadixKvCache, seq_id, tokens: list[int]):
+    """Start a sequence and commit the tokens its match left; a failed
+    commit releases the sequence, so its matched prefix is not pinned."""
     table = cache.start_sequence(seq_id, tokens)
     matched = table.total_tokens
-    commit(cache, table, tokens[matched:], matched)
+    try:
+        commit(cache, table, tokens[matched:], matched)
+    except PoolExhausted:
+        cache.release_sequence(table)
+        raise
     return table, matched
+
+
+def release_all(cache: RadixKvCache, live: dict) -> None:
+    """Release every live sequence; then nothing may stay referenced,
+    and every block is free or cached."""
+    for table, _ in live.values():
+        cache.release_sequence(table)
+    part = cache.pool_partition()
+    assert part["referenced"] == set()
+    assert len(part["free"]) + len(part["cached"]) == cache.pool_blocks
+    assert not any(cache.ref_count)
 
 
 def lcp_oracle(query: list[int], cached: list[list[int]]) -> int:
@@ -323,8 +340,7 @@ def test_pool_conservation_random_ops():
             sid = f"s{next_id}"
             next_id += 1
             try:
-                table = cache.start_sequence(sid, tokens)
-                commit(cache, table, tokens[table.total_tokens :], table.total_tokens)
+                table, _ = build_seq(cache, sid, tokens)
                 live[sid] = (table, tokens)
             except PoolExhausted:
                 pass
@@ -338,6 +354,7 @@ def test_pool_conservation_random_ops():
         total = len(part["free"]) + len(part["cached"]) + len(part["referenced"])
         assert total == cache.pool_blocks, f"leak at step {step}"
         assert not (part["free"] & part["cached"] & part["referenced"])
+    release_all(cache, live)
 
 
 def test_cow_isolation_shadow_map():
@@ -354,8 +371,7 @@ def test_cow_isolation_shadow_map():
             sid = f"s{next_id}"
             next_id += 1
             try:
-                table = cache.start_sequence(sid, tokens)
-                commit(cache, table, tokens[table.total_tokens :], table.total_tokens)
+                table, _ = build_seq(cache, sid, tokens)
                 live[sid] = (table, list(tokens))
             except PoolExhausted:
                 continue
@@ -382,6 +398,7 @@ def test_cow_isolation_shadow_map():
             want_k, want_v = kv_rows(tokens, 0, KV_HEADS, HEAD)
             np.testing.assert_array_equal(cache.keys[0, blocks, pos % 4], want_k)
             np.testing.assert_array_equal(cache.values[0, blocks, pos % 4], want_v)
+    release_all(cache, live)
 
 
 def test_shared_prefix_reuse_is_real():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from tileserve.attention import plan_splits
 from tileserve.config import HwConfig
-from tileserve.planner import TaskTable, TileUnit, deal_round_robin, tile_area
+from tileserve.planner import TaskTable, TileUnit, deal_round_robin
 from tileserve.scheduler import Stage
 from tileserve.simulator import (
     Schedule,
@@ -46,7 +46,6 @@ def tiles(draw, decode_only: bool) -> TileUnit:
         q_len=q_len,
         kv_len=kv_len,
         stage_tokens=stage_tokens,
-        area=tile_area(stage, q_start, q_len, kv_len, stage_tokens),
     )
 
 
@@ -131,7 +130,7 @@ def test_closed_form_matches_event_reference(table, split, head_size, kv_block_s
 
 
 def test_pipelining_beats_sequential_on_a_busy_core():
-    tile = TileUnit(0, Stage.DECODE, 0, 0, 1, 64, 1, tile_area(Stage.DECODE, 0, 1, 64, 1))
+    tile = TileUnit(0, Stage.DECODE, 0, 0, 1, 64, 1)
     table = TaskTable(((tile,) * 8,))
     kw = dict(head_size=64, kv_block_size=8)
     piped = simulate_attention(table, HwConfig(), Schedule.DECODE_PIPE, **kw).makespan
@@ -140,7 +139,7 @@ def test_pipelining_beats_sequential_on_a_busy_core():
 
 
 def _prefill_tile(q_len: int) -> TileUnit:
-    return TileUnit(0, Stage.PREFILL, 0, 0, q_len, 0, q_len, tile_area(Stage.PREFILL, 0, q_len, 0, q_len))
+    return TileUnit(0, Stage.PREFILL, 0, 0, q_len, 0, q_len)
 
 
 @pytest.mark.parametrize("simulate", [simulate_attention, trace_attention])
