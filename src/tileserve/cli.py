@@ -5,7 +5,8 @@ serving loop, either numerically on the toy model (optionally
 cross-checked row by row against a dense recompute) or cost-only on
 the accelerator model. ``tileserve gen-trace`` writes synthetic
 traces. Exit codes: 0 success, 2 parse/config error or a request no
-chunk can serve, 3 failed oracle check.
+chunk can serve, 3 failed oracle check, 4 K/V pool exhausted (a chunk
+needed more blocks than eviction could free).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 
 from .config import ConfigError, load_config
 from .engine import Engine, EngineRequest, OracleCheckFailure, RejectedRequest
+from .kv_cache import PoolExhausted
 from .oracle import ToyModel
 from .trace import PROFILES, ParseError, gen_trace, parse_trace, write_trace
 
@@ -56,14 +58,20 @@ def run_trace(
     return engine.run()
 
 
-def _plot_rows(report: dict) -> list[tuple[float, str, float]]:
+def _plot_rows(report: dict, arrivals: dict[str, int]) -> list[tuple[float, str, float]]:
+    """(tick, metric, value) rows: each request's TTFT and TBT at its
+    first-token tick (at the makespan when no token came), qps and the
+    skip ratio at the makespan. ``arrivals`` maps request ids to their
+    arrival ticks."""
+    end = report["makespan_ticks"]
     rows: list[tuple[float, str, float]] = []
-    ts = 0.0
     for rid, stats in report["requests"].items():
-        rows.append((stats["ttft"], f"ttft.{rid}", stats["ttft"]))
-        rows.append((stats["ttft"], f"tbt.{rid}", stats["tbt"]))
-    rows.append((report["makespan_ticks"], "qps", report["qps"]))
-    rows.append((ts, "skip_ratio", report["skip"]["skip_ratio"]))
+        ttft = stats["ttft"]
+        ts = arrivals[rid] + ttft if ttft >= 0 else end
+        rows.append((ts, f"ttft.{rid}", ttft))
+        rows.append((ts, f"tbt.{rid}", stats["tbt"]))
+    rows.append((end, "qps", report["qps"]))
+    rows.append((end, "skip_ratio", report["skip"]["skip_ratio"]))
     return rows
 
 
@@ -118,6 +126,9 @@ def main(argv: list[str] | None = None) -> int:
     except OracleCheckFailure as exc:
         print(f"oracle check failed: {exc}", file=sys.stderr)
         return 3
+    except PoolExhausted as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.report:
@@ -126,7 +137,8 @@ def main(argv: list[str] | None = None) -> int:
         print(text)
     if args.plot_csv:
         lines = ["ts,metric,value"]
-        for ts, metric, value in _plot_rows(report):
+        arrivals = {req.req_id: req.arrival for req in parse_trace(args.trace)}
+        for ts, metric, value in _plot_rows(report, arrivals):
             lines.append(f"{ts!r},{metric},{value!r}")
         Path(args.plot_csv).write_text("\n".join(lines) + "\n")
     return 0

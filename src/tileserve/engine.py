@@ -2,11 +2,13 @@
 the tiled kernels, and the paged K/V cache.
 
 Each chunk is planned once. ``_plan_chunk`` builds a ``_ChunkPlan``:
-the attention tiles dealt to cores in snake order, the pipeline
-schedule and K/V split the L2 rule picks for the chunk, each verify
-entry's tree mask, and each linear op's tile grid and profiled task
-table at the smoothed M. The numeric kernels run that plan in every
-layer, and the cost model prices the same plan, so what runs is what
+the chunk's query tiles, the (query tile x head) units dealt to cores
+in snake order, the pipeline schedule and K/V split the L2 rule picks
+for the chunk, each verify entry's tree mask, and each linear op's
+tile grid and profiled task table at the smoothed M. The numeric
+kernels run that plan in every layer, one attention call per query
+tile covering all its heads; the cost model prices the (query tile x
+head) units of the same plan with the same split, so what runs is what
 is priced.
 
 One radix cache serves every transformer layer: each sequence has one
@@ -22,6 +24,7 @@ time in simulator ticks.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,11 +32,12 @@ import numpy as np
 from .attention import run_tile, skip_plan
 from .config import ModelConfig, ServeConfig
 from .gemm import TilePrimitive, gemm_virtual_pad, fused_sv_write, smooth_shape
-from .kv_cache import BlockTable, RadixKvCache
+from .kv_cache import BlockTable, PoolExhausted, RadixKvCache
 from .oracle import ToyModel, dense_forward, rms_norm, silu
 from .planner import (
     LinearOp,
     TaskTable,
+    TileUnit,
     decompose_attention,
     decompose_linear,
     lookup_linear_tasktable,
@@ -85,12 +89,16 @@ class _ChunkPlan:
     """One chunk's tiling, built once and read by the kernels of every
     layer and by the cost model.
 
-    ``split`` is the K/V split in blocks (None when unsplit) that
+    ``qtiles`` holds one unit per (entry, query tile), in decomposition
+    order; the attention kernel runs each once for every head.
+    ``tasktable`` deals the (query tile x head) units the cost model
+    prices. ``split`` is the K/V split in blocks (None when unsplit) that
     ``schedule`` runs with. ``masks`` holds the tree mask of each verify
     entry, by entry index. ``linears`` holds each op's tile grid and
     task table.
     """
 
+    qtiles: tuple[TileUnit, ...]
     tasktable: TaskTable
     schedule: Schedule
     split: int | None
@@ -216,6 +224,7 @@ class Engine:
             smoothed = smooth_shape(m, self.cfg.budget, sizes)
             linears[op] = grid, lookup_linear_tasktable(self.store, op, (smoothed, n, k), hw.core_num, grid)
         return _ChunkPlan(
+            qtiles=tuple(t for t in tiles if t.head == 0),
             tasktable=reorder_attention(tiles, hw.core_num),
             schedule=schedule,
             split=split,
@@ -234,16 +243,19 @@ class Engine:
             self.skip_computed += c
             self.skip_skipped += s
         tokens, positions = self._chunk_tokens_positions(chunk)
-        for entry in chunk.entries:
-            self.cache.commit_tokens(
-                self.runtimes[entry.req_id].table,
-                tokens[entry.start_pos : entry.start_pos + entry.token_num],
-                cacheable=entry.stage is not Stage.VERIFY,
-            )
-        logits, spec_kv = None, {}
-        if self.numeric:
-            logits, spec_kv = self._forward_chunk(chunk, plan, tokens, positions)
-        results = self._apply_logits(chunk, logits, spec_kv)
+        try:
+            for entry in chunk.entries:
+                self.cache.commit_tokens(
+                    self.runtimes[entry.req_id].table,
+                    tokens[entry.start_pos : entry.start_pos + entry.token_num],
+                    cacheable=entry.stage is not Stage.VERIFY,
+                )
+            logits, spec_kv = None, {}
+            if self.numeric:
+                logits, spec_kv = self._forward_chunk(chunk, plan, tokens, positions)
+            results = self._apply_logits(chunk, logits, spec_kv)
+        except PoolExhausted as exc:
+            raise PoolExhausted(f"chunk {chunk.chunk_id}: {exc}") from exc
         span = self._simulate_chunk(chunk, plan)
         self.ticks += span
         self._record_outputs(chunk, results)
@@ -326,8 +338,8 @@ class Engine:
                 self.cache.write_kv(table, li, entry.kv_len, new_k, new_v)
                 views.append(self.cache.kv_view(table, li))
             out = np.zeros((n, cfg.num_heads, cfg.head_size), dtype=np.float32)
-            # Tiles write disjoint rows of ``out``, so their order changes no bits.
-            for tile in plan.tasktable.all_items():
+            # Query tiles write disjoint rows of ``out``, so their order changes no bits.
+            for tile in plan.qtiles:
                 row = chunk.entries[tile.stage_id].start_pos + tile.q_start
                 o = run_tile(
                     tile,
@@ -337,7 +349,7 @@ class Engine:
                     plan.split,
                     plan.masks.get(tile.stage_id),
                 )
-                fused_sv_write(out, tile.head, row, o)
+                fused_sv_write(out, row, o)
             attn = out.reshape(n, cfg.num_heads * cfg.head_size)
             x = x + self._linear(plan, attn, layer["wo"], LinearOp.O_PROJ)
             hidden = rms_norm(x, layer["norm2"]).astype(np.float32)
@@ -485,6 +497,10 @@ class Engine:
                     )
 
     def report(self) -> dict:
+        """Per-request TTFT (from arrival; -1.0 when no token came) and
+        mean TBT, completions per million ticks from the first arrival,
+        chunk counts by stage mix (e.g. ``D27P5``: 27 decode and 5
+        prefill entries) and the K/V blocks computed and skipped."""
         requests = {}
         for rid, rt in sorted(self.runtimes.items(), key=lambda kv: str(kv[0])):
             ticks = rt.token_ticks
@@ -493,25 +509,26 @@ class Engine:
                 if len(ticks) > 1
                 else 0.0
             )
+            first = rt.first_token_tick
             requests[str(rid)] = {
-                "ttft": rt.first_token_tick if rt.first_token_tick is not None else -1.0,
+                "ttft": first - rt.request.arrival if first is not None else -1.0,
                 "tbt": tbt,
                 "generated": len(rt.outputs),
                 "done": rt.done,
             }
-        composition: dict[str, int] = {}
-        for c in self.chunk_log:
-            composition[c["stages"]] = composition.get(c["stages"], 0) + 1
+        composition = Counter(
+            "".join(f"{stage}{n}" for stage, n in sorted(Counter(c["stages"]).items()))
+            for c in self.chunk_log
+        )
+        completed = sum(1 for r in requests.values() if r["done"])
+        first_arrival = min((rt.request.arrival for rt in self.runtimes.values()), default=0)
+        span = self.ticks - first_arrival
         total_blocks = self.skip_computed + self.skip_skipped
         return {
             "requests": requests,
-            "completed": sum(1 for r in requests.values() if r["done"]),
+            "completed": completed,
             "makespan_ticks": self.ticks,
-            "qps": (
-                sum(1 for r in requests.values() if r["done"]) / (self.ticks / 1e6)
-                if self.ticks > 0
-                else 0.0
-            ),
+            "qps": completed / (span / 1e6) if span > 0 else 0.0,
             "chunks": {"count": len(self.chunk_log), "composition": dict(sorted(composition.items()))},
             "skip": {
                 "computed_blocks": self.skip_computed,

@@ -5,8 +5,9 @@ The primitive only ever multiplies full (tileM x tileK) by
 allocating the on-chip buffer at full tile height, copying in only
 the valid rows (selective read, zeros elsewhere), and writing back
 only the valid rows (selective write); no padded data ever reaches
-the output. Each head's attention-output tile is written straight into
-the tensor the output projection reads, with no permuted copy.
+the output. Each query tile's attention output, every head at once, is
+written straight into the tensor the output projection reads, with no
+permuted copy.
 """
 
 from __future__ import annotations
@@ -105,14 +106,13 @@ def smooth_shape(m: int, budget: int, grid: int | Sequence[int]) -> int:
     return budget
 
 
-def fused_sv_write(o: np.ndarray, head: int, row_start: int, tile: np.ndarray) -> None:
-    """Write one head's attention-output tile straight into the
-    [tokens, heads, headSize] tensor feeding the output projection."""
-    if o.ndim != 3:
-        raise ShapeMismatch(f"output tensor must be 3-D, got {o.shape}")
-    if not 0 <= head < o.shape[1]:
-        raise IndexOutOfRange(f"head {head} out of range for {o.shape[1]}")
+def fused_sv_write(o: np.ndarray, row_start: int, tile: np.ndarray) -> None:
+    """Write one query tile's attention output, [rows, heads, headSize]
+    with every head, straight into the [tokens, heads, headSize] tensor
+    feeding the output projection."""
+    if o.ndim != 3 or tile.shape[1:] != o.shape[1:]:
+        raise ShapeMismatch(f"tile {tile.shape} does not match output tensor {o.shape}")
     rows = tile.shape[0]
     if row_start < 0 or row_start + rows > o.shape[0]:
         raise IndexOutOfRange(f"rows [{row_start}, {row_start + rows}) outside [0, {o.shape[0]})")
-    o[row_start : row_start + rows, head, :] = tile
+    o[row_start : row_start + rows] = tile

@@ -1,8 +1,12 @@
 """Engine: numeric outputs against the dense oracle, cache hygiene after
-a run in either mode, one plan for the kernels and the cost model, and
-requests no chunk can serve."""
+a run in either mode, one plan for the kernels and the cost model,
+requests no chunk can serve, a K/V pool that runs out, and the report's
+times and chunk composition."""
 
 from __future__ import annotations
+
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -96,6 +100,62 @@ def test_kernels_run_the_split_the_cost_model_prices(monkeypatch):
     assert any(split is not None for _, split in priced)
 
 
+def test_one_kernel_call_per_query_tile_and_layer(monkeypatch):
+    """Numeric mode runs the attention kernel once per (entry, query
+    tile) of a chunk in every layer; one call covers every head."""
+    per_chunk: list[list[int]] = []  # [query tiles, kernel calls] per chunk
+
+    def decompose_attention(*args, **kwargs):
+        tiles = real_decompose_attention(*args, **kwargs)
+        per_chunk.append([len({(t.stage_id, t.q_start) for t in tiles}), 0])
+        return tiles
+
+    def run_tile(*args, **kwargs):
+        per_chunk[-1][1] += 1
+        return real_run_tile(*args, **kwargs)
+
+    real_decompose_attention = engine_mod.decompose_attention
+    real_run_tile = engine_mod.run_tile
+    monkeypatch.setattr(engine_mod, "decompose_attention", decompose_attention)
+    monkeypatch.setattr(engine_mod, "run_tile", run_tile)
+    engine = run_engine(ServeConfig(), numeric=True)
+    layers = engine.cfg.model.num_layers
+    assert len(per_chunk) == len(engine.chunk_log)
+    assert all(calls == layers * query_tiles for query_tiles, calls in per_chunk)
+
+
+def test_report_times_from_arrival_and_plot_rows_at_the_first_token():
+    """TTFT runs from each request's arrival and qps from the first
+    arrival, so neither counts the idle ticks before a late first arrival."""
+    cfg = ServeConfig()
+    engine = Engine(ToyModel.seeded(cfg.model, seed=0), cfg, numeric=False)
+    arrivals = {"early": 5000, "late": 90000}
+    for rid, arrival in arrivals.items():
+        engine.submit(EngineRequest(req_id=rid, prompt=[1, 2, 3], output_len=3, arrival=arrival))
+    report = engine.run()
+    for rid, arrival in arrivals.items():
+        first = engine.runtimes[rid].token_ticks[0]
+        assert first > arrival
+        assert report["requests"][rid]["ttft"] == first - arrival
+    end = report["makespan_ticks"]
+    assert report["qps"] == 2 / ((end - arrivals["early"]) / 1e6)
+    stamps = {metric: ts for ts, metric, _ in cli._plot_rows(report, arrivals)}
+    for rid in arrivals:
+        first = engine.runtimes[rid].token_ticks[0]
+        assert stamps[f"ttft.{rid}"] == stamps[f"tbt.{rid}"] == first
+    assert stamps["qps"] == stamps["skip_ratio"] == end
+
+
+def test_composition_counts_the_stages_of_each_chunk():
+    engine = run_engine(ServeConfig(), numeric=False)
+    expanded: Counter = Counter()
+    for key, count in engine.report()["chunks"]["composition"].items():
+        parts = re.findall(r"([DPV])([1-9][0-9]*)", key)
+        assert parts == sorted(parts) and "".join(s + n for s, n in parts) == key
+        expanded["".join(s * int(n) for s, n in parts)] += count
+    assert expanded == Counter(c["stages"] for c in engine.chunk_log)
+
+
 def test_submit_rejects_a_tree_larger_than_the_budget():
     cfg = ServeConfig(budget=16)
     engine = Engine(ToyModel.seeded(cfg.model, seed=0), cfg, numeric=False)
@@ -116,3 +176,14 @@ def test_cli_exits_2_on_a_tree_larger_than_the_budget(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: request ") and "31 tokens" in err and "budget of 16" in err
+
+
+def test_cli_exits_4_when_the_pool_runs_out(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    write_trace([{"id": "big", "arrival": 0, "prompt": list(range(20)), "output_len": 2}], trace)
+    config = tmp_path / "t.cfg"
+    config.write_text("kv.block_size = 4\nkv.pool_blocks = 2\nkv.cache_cap_blocks = 2\n")
+    code = cli.main(["run", "--trace", str(trace), "--config", str(config), "--mode", "simulate"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err == "error: chunk 0: sequence 'big' needs 5 K/V blocks for 20 tokens, 2 free of 2 after eviction\n"
