@@ -1,12 +1,13 @@
 """Trace-driven runner.
 
 ``tileserve run`` ingests a JSONL request trace and executes the
-serving loop, either numerically on the toy model (optionally
-cross-checked row by row against a dense recompute) or cost-only on
-the accelerator model. ``tileserve gen-trace`` writes synthetic
-traces. Exit codes: 0 success, 2 parse/config error or a request no
-chunk can serve, 3 failed oracle check, 4 K/V pool exhausted (a chunk
-needed more blocks than eviction could free).
+serving loop, either numerically on the toy model (``--check`` checks
+it row by row against a dense recompute) or cost-only on the
+accelerator model, with no model weights or K/V pools to check.
+``tileserve gen-trace`` writes synthetic traces. Exit codes: 0 success,
+2 usage, parse or config error or a request no chunk can serve, 3 failed
+oracle check, 4 K/V pool exhausted (a chunk needed more blocks than
+eviction could free).
 """
 
 from __future__ import annotations
@@ -34,11 +35,10 @@ def run_trace(
 ) -> dict:
     cfg = load_config(config_path)
     requests = parse_trace(trace_path)
-    model = ToyModel.seeded(cfg.model, seed=seed)
+    model = ToyModel.seeded(cfg.model, seed=seed) if mode == "numeric" else None
     engine = Engine(
-        model,
         cfg,
-        numeric=(mode == "numeric"),
+        model,
         check=check,
         seed=seed,
         profile_linear=profile_linear,
@@ -83,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument("--trace", required=True)
     run_p.add_argument("--config", default=None)
     run_p.add_argument("--mode", choices=("numeric", "simulate"), default="simulate")
-    run_p.add_argument("--check", action="store_true", help="verify rows against dense recompute")
+    run_p.add_argument("--check", action="store_true", help="numeric mode: verify rows against a dense recompute")
     run_p.add_argument("--report", default=None, help="write the JSON report here")
     run_p.add_argument("--plot-csv", default=None, help="write ts,metric,value rows here")
     run_p.add_argument("--seed", type=int, default=0)
@@ -111,6 +111,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {len(rows)} requests to {args.out}")
         return 0
 
+    if args.check and args.mode != "numeric":
+        print("error: --check needs --mode numeric", file=sys.stderr)
+        return 2
     try:
         report = run_trace(
             args.trace,

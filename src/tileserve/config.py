@@ -54,7 +54,7 @@ class HwConfig:
 
 @dataclass
 class ModelConfig:
-    """Dimensions of the toy transformer used for numeric runs."""
+    """Transformer dimensions: the toy model's in numeric runs, the priced shapes in both modes."""
 
     vocab_size: int = 128
     hidden_size: int = 64

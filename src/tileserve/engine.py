@@ -14,16 +14,17 @@ is priced.
 One radix cache serves every transformer layer: each sequence has one
 block table, and each chunk commits every entry's tokens once. Numeric
 and simulate mode share that flow and the prefill/decode/verify
-bookkeeping; only the token source differs. Numeric mode runs the toy
-model, writes each layer's K/V into the reserved rows, picks tokens by
-argmax of the logits and can verify every kept row against a dense
-recompute. Simulate mode writes no K/V and draws seeded stand-in
-tokens. Both modes cost the work on the accelerator model and account
-time in simulator ticks.
+bookkeeping; only the token source differs. Given a model (numeric
+mode), the engine runs it in fp32, writes each layer's K/V into the
+reserved rows, picks tokens by argmax and, with ``check``, verifies kept
+rows against a dense recompute. Without one (simulate mode) it reads
+only the ``ModelConfig``, holds no weights or pool rows, draws seeded
+tokens and cannot ``check``. Both modes price the work in model ticks.
 """
 
 from __future__ import annotations
 
+import bisect
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -79,10 +80,6 @@ class _Runtime:
     token_ticks: list[float] = field(default_factory=list)
     done: bool = False
 
-    @property
-    def full_prompt(self) -> list[int]:
-        return self.request.prompt
-
 
 @dataclass(frozen=True)
 class _ChunkPlan:
@@ -124,25 +121,25 @@ def _linear_ops(mcfg: ModelConfig) -> dict[LinearOp, tuple[int, int, TilePrimiti
 class Engine:
     def __init__(
         self,
-        model: ToyModel,
         cfg: ServeConfig,
+        model: ToyModel | None = None,
         *,
-        numeric: bool = True,
         check: bool = False,
         seed: int = 0,
         profile_linear: bool = False,
     ):
         cfg.validate()
+        if check and model is None:
+            raise ValueError("check needs a model: it compares the model's rows with a dense recompute")
         self.cfg = cfg
         self.model = model
-        self.numeric = numeric
         self.check = check
         self.rng = np.random.default_rng(seed)
         self.sched = TokenScheduler(cfg.budget, cfg.reserve)
-        self.cache = RadixKvCache.from_config(cfg)
+        self.cache = RadixKvCache.from_config(cfg, cfg.model.num_layers if model is not None else 0)
         self.store = ProfileStore()
         self._linear_ops = _linear_ops(cfg.model)
-        self._weights32 = self._cast_weights(model)
+        self._weights32 = self._cast_weights(model) if model is not None else None
         self.runtimes: dict[object, _Runtime] = {}
         self.pending: list[EngineRequest] = []
         self.ticks = 0.0
@@ -170,8 +167,7 @@ class Engine:
                     f"request {req.req_id!r}: its speculative tree (width {width}, depth {depth}) "
                     f"has {at_least}{size} tokens, more than the chunk budget of {budget}"
                 )
-        self.pending.append(req)
-        self.pending.sort(key=lambda r: (r.arrival, str(r.req_id)))
+        bisect.insort(self.pending, req, key=lambda r: (r.arrival, str(r.req_id)))
 
     def run(self) -> dict:
         while True:
@@ -251,7 +247,7 @@ class Engine:
                     cacheable=entry.stage is not Stage.VERIFY,
                 )
             logits, spec_kv = None, {}
-            if self.numeric:
+            if self.model is not None:
                 logits, spec_kv = self._forward_chunk(chunk, plan, tokens, positions)
             results = self._apply_logits(chunk, logits, spec_kv)
         except PoolExhausted as exc:
@@ -297,7 +293,7 @@ class Engine:
         for entry in chunk.entries:
             rt = self.runtimes[entry.req_id]
             if entry.stage is Stage.PREFILL:
-                tokens.extend(rt.full_prompt[entry.kv_len : entry.kv_len + entry.token_num])
+                tokens.extend(rt.request.prompt[entry.kv_len : entry.kv_len + entry.token_num])
                 positions.extend(range(entry.kv_len, entry.kv_len + entry.token_num))
             elif entry.stage is Stage.DECODE:
                 tokens.append(rt.last_token)
@@ -382,7 +378,7 @@ class Engine:
             if logits is not None:
                 for i in range(entry.token_num):
                     rt.logits_rows[entry.kv_len + i] = logits[entry.start_pos + i].copy()
-            if entry.kv_len + entry.token_num < len(rt.full_prompt):
+            if entry.kv_len + entry.token_num < len(rt.request.prompt):
                 continue  # a prompt slice that is not the last one
             next_token = self._next_token(logits, entry.start_pos + entry.token_num - 1)
             rt.last_token = next_token
@@ -432,7 +428,7 @@ class Engine:
     def _propose(self, rt: _Runtime, root_token: int) -> SpecTree:
         width, depth = rt.request.spec
         proposer = SeededProposer(width, depth, self.cfg.model.vocab_size, seed=17)
-        context = rt.full_prompt + rt.outputs
+        context = rt.request.prompt + rt.outputs
         return proposer.propose(context, root_token)
 
     # ------------------------------------------------------------------
@@ -485,7 +481,7 @@ class Engine:
 
     def _run_checks(self) -> None:
         for rt in self.runtimes.values():
-            seq = rt.full_prompt + rt.outputs
+            seq = rt.request.prompt + rt.outputs
             if len(seq) < 2:
                 continue
             ref = dense_forward(self.model, seq[:-1])

@@ -11,8 +11,8 @@ Appending is split in two. :meth:`RadixKvCache.commit_tokens` reserves:
 it records the tokens, allocates their blocks (all or nothing), copies
 every layer's rows on copy-on-write and caches full blocks in the tree,
 but writes no K/V. :meth:`RadixKvCache.write_kv` then fills one layer's
-rows of the reserved tokens. A caller that only models the work (the
-engine's simulate mode) commits and never writes.
+rows of the reserved tokens. The pools hold only the layers a caller
+writes; the engine's simulate mode asks for none and never writes.
 
 A radix tree over token-id sequences indexes completed blocks so that
 later requests can reuse matching prefixes token-wise; a mismatch
@@ -125,10 +125,10 @@ class RadixKvCache:
         self.block_size = block_size
         self.pool_blocks = pool_blocks
         self.cache_cap_blocks = cache_cap_blocks
-        self.keys = np.zeros(
-            (num_layers, pool_blocks, block_size, kv_heads, head_size), dtype=np.float32
-        )
-        self.values = np.zeros_like(self.keys)
+        # np.zeros, not zeros_like: pages stay unmapped until a block is written.
+        shape = (num_layers, pool_blocks, block_size, kv_heads, head_size)
+        self.keys = np.zeros(shape, dtype=np.float32)
+        self.values = np.zeros(shape, dtype=np.float32)
         self.token_count = [0] * pool_blocks
         self.ref_count = [0] * pool_blocks
         self._free: list[int] = list(range(pool_blocks - 1, -1, -1))
@@ -142,14 +142,14 @@ class RadixKvCache:
         self._lru: list[tuple[int, int, RadixNode]] = []
 
     @classmethod
-    def from_config(cls, cfg: ServeConfig) -> "RadixKvCache":
+    def from_config(cls, cfg: ServeConfig, num_layers: int) -> "RadixKvCache":
         return cls(
             block_size=cfg.kv_block_size,
             pool_blocks=cfg.kv_pool_blocks,
             cache_cap_blocks=cfg.kv_cache_cap_blocks,
             kv_heads=cfg.model.num_kv_heads,
             head_size=cfg.model.head_size,
-            num_layers=cfg.model.num_layers,
+            num_layers=num_layers,
         )
 
     # ------------------------------------------------------------------

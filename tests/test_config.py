@@ -6,11 +6,10 @@ import pytest
 
 from tileserve.config import ConfigError, ServeConfig, load_config
 from tileserve.engine import Engine
-from tileserve.oracle import ToyModel
 
 
 def scheduler_reserve(cfg: ServeConfig) -> int:
-    return Engine(ToyModel.seeded(cfg.model, seed=0), cfg, numeric=False).sched.reserve
+    return Engine(cfg).sched.reserve
 
 
 def test_default_reserve_is_a_quarter_of_the_budget():

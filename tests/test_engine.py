@@ -1,7 +1,8 @@
-"""Engine: numeric outputs against the dense oracle, cache hygiene after
-a run in either mode, one plan for the kernels and the cost model,
-requests no chunk can serve, a K/V pool that runs out, and the report's
-times and chunk composition."""
+"""Engine: numeric outputs and verify rows against the dense oracle,
+cache hygiene after a run in either mode, simulate mode at a 7B shape
+without weights or pools, one plan for the kernels and the cost model,
+requests no chunk can serve, a K/V pool that runs out, ``check`` without
+a model, and the report's times and chunk composition."""
 
 from __future__ import annotations
 
@@ -13,9 +14,10 @@ import pytest
 
 from tileserve import cli
 from tileserve import engine as engine_mod
-from tileserve.config import HwConfig, ServeConfig
-from tileserve.engine import Engine, EngineRequest, RejectedRequest
-from tileserve.oracle import ToyModel, dense_forward
+from tileserve.config import HwConfig, ModelConfig, ServeConfig
+from tileserve.engine import CHECK_TOL, Engine, EngineRequest, RejectedRequest
+from tileserve.oracle import ToyModel, dense_forward, dense_tree_forward
+from tileserve.scheduler import Stage
 from tileserve.trace import gen_trace, write_trace
 
 # Speculative requests whose output_len often cuts an accepted path short.
@@ -33,9 +35,10 @@ def cfg(request) -> ServeConfig:
     return CONFIGS[request.param]()
 
 
-def run_engine(cfg: ServeConfig, numeric: bool, check: bool = False) -> Engine:
-    engine = Engine(ToyModel.seeded(cfg.model, seed=0), cfg, numeric=numeric, check=check)
-    for row in TRACE:
+def run_engine(cfg: ServeConfig, numeric: bool, check: bool = False, trace: list[dict] = TRACE) -> Engine:
+    """Serve ``trace`` with the seeded toy model (numeric) or without a model (simulate)."""
+    engine = Engine(cfg, ToyModel.seeded(cfg.model, seed=0) if numeric else None, check=check)
+    for row in trace:
         spec = row["spec"]
         engine.submit(
             EngineRequest(
@@ -63,6 +66,31 @@ def test_numeric_check_passes_and_outputs_are_dense_argmax(cfg):
         assert max(rt.logits_rows) < len(prompt) + len(rt.outputs) - 1, rid
 
 
+def test_verify_rows_match_dense_tree_forward(cfg, monkeypatch):
+    """Every row of every verify entry, rejected branches included, matches
+    the dense forward over the sequence's committed context and the tree."""
+    verified = []  # (req_id, kv_len, tree, logits rows) per verify entry
+
+    def forward_chunk(engine, chunk, *args):
+        logits, spec_kv = real_forward_chunk(engine, chunk, *args)
+        for e in chunk.entries:
+            if e.stage is Stage.VERIFY:
+                verified.append((e.req_id, e.kv_len, e.spec_tree, logits[e.start_pos : e.start_pos + e.token_num]))
+        return logits, spec_kv
+
+    real_forward_chunk = Engine._forward_chunk
+    monkeypatch.setattr(Engine, "_forward_chunk", forward_chunk)
+    engine = run_engine(cfg, numeric=True)
+    assert any(tree.spec_len > 1 for _, _, tree, _ in verified)
+    for rid, kv_len, tree, rows in verified:
+        rt = engine.runtimes[rid]
+        done = kv_len - len(rt.request.prompt)  # outputs whose K/V is committed
+        assert tree.tokens[0] == rt.outputs[done], rid  # the root is the last pick
+        ref = dense_tree_forward(engine.model, rt.request.prompt + rt.outputs[:done], tree.tokens, tree.parents)
+        err = float(np.max(np.abs(rows - ref)))
+        assert err <= CHECK_TOL, (rid, kv_len, err)
+
+
 @pytest.mark.parametrize("numeric", [True, False], ids=["numeric", "simulate"])
 def test_every_sequence_is_released(cfg, numeric):
     engine = run_engine(cfg, numeric=numeric)
@@ -70,8 +98,38 @@ def test_every_sequence_is_released(cfg, numeric):
     assert engine.cache.pool_partition()["referenced"] == set()
     assert not engine.cache._seqs
     if not numeric:
-        # Simulate mode reserves rows but never writes K/V.
-        assert not engine.cache.keys.any() and not engine.cache.values.any()
+        # Simulate mode holds no model and its pools no rows.
+        assert engine.model is None
+        assert engine.cache.keys.nbytes == engine.cache.values.nbytes == 0
+
+
+def test_simulate_mode_serves_a_7b_shape_without_weights_or_pools():
+    """Simulate mode reads only the ModelConfig, so a 7B-shaped model with
+    the default ServeConfig builds no weights and no pool bytes."""
+    shape = ModelConfig(
+        vocab_size=32000,
+        hidden_size=4096,
+        num_layers=32,
+        num_heads=32,
+        num_kv_heads=8,
+        head_size=128,
+        intermediate_size=11008,
+    )
+    trace = gen_trace("sharegpt_like", 5, 4, vocab_size=shape.vocab_size, spec=(2, 3), mean_prompt=24, mean_output=8)
+    engine = run_engine(ServeConfig(model=shape), numeric=False, trace=trace)
+    assert all(len(rt.outputs) == rt.request.output_len for rt in engine.runtimes.values())
+    assert all(rt.done and not rt.table.blocks for rt in engine.runtimes.values())
+    assert engine.model is None
+    assert engine.cache.keys.nbytes == engine.cache.values.nbytes == 0
+
+
+def test_check_needs_a_model(tmp_path, capsys):
+    with pytest.raises(ValueError, match="check needs a model"):
+        Engine(ServeConfig(), check=True)
+    trace = tmp_path / "t.jsonl"
+    write_trace(gen_trace("sharegpt_like", 1, 2), trace)
+    assert cli.main(["run", "--trace", str(trace), "--mode", "simulate", "--check"]) == 2
+    assert capsys.readouterr().err == "error: --check needs --mode numeric\n"
 
 
 def test_kernels_run_the_split_the_cost_model_prices(monkeypatch):
@@ -128,7 +186,7 @@ def test_report_times_from_arrival_and_plot_rows_at_the_first_token():
     """TTFT runs from each request's arrival and qps from the first
     arrival, so neither counts the idle ticks before a late first arrival."""
     cfg = ServeConfig()
-    engine = Engine(ToyModel.seeded(cfg.model, seed=0), cfg, numeric=False)
+    engine = Engine(cfg)
     arrivals = {"early": 5000, "late": 90000}
     for rid, arrival in arrivals.items():
         engine.submit(EngineRequest(req_id=rid, prompt=[1, 2, 3], output_len=3, arrival=arrival))
@@ -158,7 +216,7 @@ def test_composition_counts_the_stages_of_each_chunk():
 
 def test_submit_rejects_a_tree_larger_than_the_budget():
     cfg = ServeConfig(budget=16)
-    engine = Engine(ToyModel.seeded(cfg.model, seed=0), cfg, numeric=False)
+    engine = Engine(cfg)
     engine.submit(EngineRequest(req_id="fits", prompt=[1, 2], output_len=4, spec=(2, 4)))
     with pytest.raises(RejectedRequest, match=r"'deep'.* 31 tokens.* budget of 16"):
         engine.submit(EngineRequest(req_id="deep", prompt=[1, 2], output_len=4, spec=(2, 5)))

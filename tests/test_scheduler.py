@@ -1,0 +1,96 @@
+"""TokenScheduler, driven directly: chunks stay within the budget and pack
+their entries back to back, every prompt token is scheduled exactly once,
+and every request retires, with random lengths, budgets, reserves, late
+arrivals and speculative trees."""
+
+from __future__ import annotations
+
+from hypothesis import given, settings, strategies as st
+
+from tileserve.scheduler import Request, Stage, StageResult, TokenScheduler
+from tileserve.spec_decode import full_tree
+
+
+def tree_size(width: int, depth: int) -> int:
+    return sum(width**level for level in range(depth))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_chunks_cover_every_prompt_token_once_and_every_request_retires(data):
+    budget = data.draw(st.integers(1, 24), label="budget")
+    reserve = data.draw(st.integers(0, budget - 1), label="reserve")
+    sched = TokenScheduler(budget, reserve)
+    spec = st.tuples(st.integers(1, 3), st.integers(1, 4)).filter(lambda wd: tree_size(*wd) <= budget)
+    n = data.draw(st.integers(1, 8), label="requests")
+    # Per request: matched prefix, prompt length, output length, spec, and
+    # the step before which it is added.
+    reqs = [
+        (
+            data.draw(st.integers(0, 20)),
+            data.draw(st.integers(1, 40)),
+            data.draw(st.integers(1, 10)),
+            data.draw(st.none() | spec),
+            data.draw(st.integers(0, 6)),
+        )
+        for _ in range(n)
+    ]
+    next_pos = {rid: matched for rid, (matched, *_) in enumerate(reqs)}  # next prompt position due
+    generated = dict.fromkeys(range(n), 0)
+    added: set[int] = set()
+
+    def tree(rid: int):
+        return full_tree(0, *reqs[rid][3], lambda parent, branch: branch)
+
+    step = 0
+    # Every chunk advances some request by at least one token, and every
+    # empty schedule before the last adds a request.
+    for _ in range(sum(p + o for _, p, o, _, _ in reqs) + n + 1):
+        for rid, (matched, prompt, output_len, wd, join) in enumerate(reqs):
+            if rid not in added and join <= step:
+                added.add(rid)
+                sched.add_request(
+                    Request(req_id=rid, prompt_tokens=[7] * prompt, output_len=output_len, kv_len=matched, spec=wd)
+                )
+        chunk = sched.schedule_next()
+        if chunk is None:
+            assert added <= set(sched.retired), "no chunk while a request is in flight"
+            if len(added) == n:
+                break
+            step = min(reqs[rid][4] for rid in range(n) if rid not in added)
+            continue
+        step += 1
+
+        assert chunk.total_tokens <= budget
+        assert chunk.total_tokens == sum(e.token_num for e in chunk.entries)
+        pos = 0
+        results = {}
+        for e in chunk.entries:
+            assert e.start_pos == pos
+            pos += e.token_num
+            matched, prompt, output_len, wd, _ = reqs[e.req_id]
+            if e.stage is Stage.PREFILL:
+                assert e.kv_len == next_pos[e.req_id]
+                next_pos[e.req_id] += e.token_num
+                if next_pos[e.req_id] == matched + prompt:
+                    generated[e.req_id] = 1
+                    results[e.req_id] = StageResult(next_token=1, next_tree=tree(e.req_id) if wd else None)
+                continue
+            assert next_pos[e.req_id] == matched + prompt, "decode or verify before the prompt is done"
+            if e.stage is Stage.DECODE:
+                generated[e.req_id] += 1
+                results[e.req_id] = StageResult(next_token=1)
+            else:
+                assert e.token_num == e.spec_tree.spec_len
+                accepted = data.draw(st.integers(1, wd[1]), label="accepted")
+                new = min(accepted, output_len - generated[e.req_id])
+                generated[e.req_id] += new
+                results[e.req_id] = StageResult(committed=accepted, new_tokens=new, next_tree=tree(e.req_id))
+        sched.complete_chunk(chunk, results)
+        for e in chunk.entries:
+            assert (e.req_id in sched.retired) == (generated[e.req_id] >= reqs[e.req_id][2])
+    else:
+        raise AssertionError("the scheduler did not drain its queues")
+
+    assert set(sched.retired) == set(range(n))
+    assert all(next_pos[rid] == matched + prompt for rid, (matched, prompt, *_) in enumerate(reqs))
