@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kv_cache import KvView
-from .planner import TileUnit
+from .planner import TileTable, TileUnit
 from .scheduler import Stage
 
 #: Large negative sentinel standing in for -inf; avoids NaN from inf - inf
@@ -69,9 +69,9 @@ class SoftmaxState:
         return self.accum / self.row_sum[..., None]
 
 
-def skip_plan(tile: TileUnit, kv_block_size: int) -> tuple[int, int]:
-    """(computed, skipped) whole K/V blocks of a tile: the blocks up to
-    its reach are computed, the rest of the stage's blocks skipped."""
+def skip_plan(tile: TileUnit | TileTable, kv_block_size: int):
+    """(computed, skipped) whole K/V blocks of a tile, or their columns for
+    a table: the blocks up to the reach are computed, the rest skipped."""
     computed = tile.computed_blocks(kv_block_size)
     return computed, -(-(tile.kv_len + tile.stage_tokens) // kv_block_size) - computed
 

@@ -2,14 +2,14 @@
 the tiled kernels, and the paged K/V cache.
 
 Each chunk is planned once. ``_plan_chunk`` builds a ``_ChunkPlan``:
-the chunk's query tiles, the (query tile x head) units dealt to cores
-in snake order, the pipeline schedule and K/V split the L2 rule picks
-for the chunk, each verify entry's tree mask, and each linear op's
-tile grid and profiled task table at the smoothed M. The numeric
-kernels run that plan in every layer, one attention call per query
-tile covering all its heads; the cost model prices the (query tile x
-head) units of the same plan with the same split, so what runs is what
-is priced.
+the chunk's (query tile x head) units as one ``TileTable`` and dealt
+to cores in snake order, the pipeline schedule and K/V split the L2
+rule picks from the table's columns, each verify entry's tree mask,
+and each linear op's tile grid and profiled task table at the smoothed
+M. The numeric kernels run that plan in every layer, one attention
+call per query tile covering all its heads; the cost model prices the
+(query tile x head) units of the same plan with the same split, so
+what runs is what is priced.
 
 One radix cache serves every transformer layer: each sequence has one
 block table, and each chunk commits every entry's tokens once. Numeric
@@ -38,7 +38,7 @@ from .oracle import ToyModel, dense_forward, rms_norm, silu
 from .planner import (
     LinearOp,
     TaskTable,
-    TileUnit,
+    TileTable,
     decompose_attention,
     decompose_linear,
     lookup_linear_tasktable,
@@ -76,7 +76,6 @@ class _Runtime:
     last_token: int | None = None
     outputs: list[int] = field(default_factory=list)
     logits_rows: dict[int, np.ndarray] = field(default_factory=dict)
-    first_token_tick: float | None = None
     token_ticks: list[float] = field(default_factory=list)
     done: bool = False
 
@@ -86,16 +85,15 @@ class _ChunkPlan:
     """One chunk's tiling, built once and read by the kernels of every
     layer and by the cost model.
 
-    ``qtiles`` holds one unit per (entry, query tile), in decomposition
-    order; the attention kernel runs each once for every head.
-    ``tasktable`` deals the (query tile x head) units the cost model
-    prices. ``split`` is the K/V split in blocks (None when unsplit) that
-    ``schedule`` runs with. ``masks`` holds the tree mask of each verify
-    entry, by entry index. ``linears`` holds each op's tile grid and
-    task table.
+    ``tiles`` holds the (query tile x head) units; the attention kernel
+    runs its head-0 units once for every head, and ``tasktable`` deals
+    them all to cores for the cost model. ``split`` is the K/V split in
+    blocks (None when unsplit) that ``schedule`` runs with. ``masks``
+    holds the tree mask of each verify entry, by entry index.
+    ``linears`` holds each op's tile grid and task table.
     """
 
-    qtiles: tuple[TileUnit, ...]
+    tiles: TileTable
     tasktable: TaskTable
     schedule: Schedule
     split: int | None
@@ -205,11 +203,11 @@ class Engine:
     def _plan_chunk(self, chunk: Chunk) -> _ChunkPlan:
         hw = self.cfg.hw
         tiles = decompose_attention(chunk, self.cfg.model.num_heads, self.cfg)
-        if all(t.q_len == 1 for t in tiles):
+        if (tiles.q_len == 1).all():
             schedule, split = Schedule.DECODE_PIPE, None
         else:
-            max_q = max(t.q_len for t in tiles)
-            max_kv = max(t.kv_len + t.stage_tokens for t in tiles)
+            max_q = int(tiles.q_len.max())
+            max_kv = int((tiles.kv_len + tiles.stage_tokens).max())
             split = l2_kv_split_blocks(max_q, max_kv, self.cfg.kv_block_size, hw)
             schedule = Schedule.PIPE3 if split is None else Schedule.PIPE4
         m = chunk.total_tokens
@@ -220,7 +218,7 @@ class Engine:
             smoothed = smooth_shape(m, self.cfg.budget, sizes)
             linears[op] = grid, lookup_linear_tasktable(self.store, op, (smoothed, n, k), hw.core_num, grid)
         return _ChunkPlan(
-            qtiles=tuple(t for t in tiles if t.head == 0),
+            tiles=tiles,
             tasktable=reorder_attention(tiles, hw.core_num),
             schedule=schedule,
             split=split,
@@ -234,10 +232,9 @@ class Engine:
 
     def _execute_chunk(self, chunk: Chunk) -> None:
         plan = self._plan_chunk(chunk)
-        for t in plan.tasktable.all_items():
-            c, s = skip_plan(t, self.cfg.kv_block_size)
-            self.skip_computed += c
-            self.skip_skipped += s
+        computed, skipped = skip_plan(plan.tiles, self.cfg.kv_block_size)
+        self.skip_computed += int(computed.sum())
+        self.skip_skipped += int(skipped.sum())
         tokens, positions = self._chunk_tokens_positions(chunk)
         try:
             for entry in chunk.entries:
@@ -317,6 +314,7 @@ class Engine:
         x = x.astype(np.float32)
         scale = 1.0 / np.sqrt(cfg.head_size)
         spec_kv: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+        qtiles = list(plan.tiles[plan.tiles.head == 0])  # one per (entry, query tile)
 
         for li, layer in enumerate(w["layers"]):
             hidden = rms_norm(x, layer["norm1"]).astype(np.float32)
@@ -335,7 +333,7 @@ class Engine:
                 views.append(self.cache.kv_view(table, li))
             out = np.zeros((n, cfg.num_heads, cfg.head_size), dtype=np.float32)
             # Query tiles write disjoint rows of ``out``, so their order changes no bits.
-            for tile in plan.qtiles:
+            for tile in qtiles:
                 row = chunk.entries[tile.stage_id].start_pos + tile.q_start
                 o = run_tile(
                     tile,
@@ -476,8 +474,6 @@ class Engine:
             for token in new:
                 rt.outputs.append(token)
                 rt.token_ticks.append(self.ticks)
-                if rt.first_token_tick is None:
-                    rt.first_token_tick = self.ticks
 
     def _run_checks(self) -> None:
         for rt in self.runtimes.values():
@@ -493,22 +489,18 @@ class Engine:
                     )
 
     def report(self) -> dict:
-        """Per-request TTFT (from arrival; -1.0 when no token came) and
-        mean TBT, completions per million ticks from the first arrival,
-        chunk counts by stage mix (e.g. ``D27P5``: 27 decode and 5
-        prefill entries) and the K/V blocks computed and skipped."""
+        """Per-request TTFT and E2E (from arrival to the first and last
+        token; -1.0 when no token came) and mean TBT, with their p50 and
+        p99 over the requests that have one (TBT needs two tokens); qps
+        from the first arrival, chunk counts by stage mix (e.g. ``D27P5``:
+        27 decode, 5 prefill entries), skipped K/V blocks, cache counts."""
         requests = {}
         for rid, rt in sorted(self.runtimes.items(), key=lambda kv: str(kv[0])):
             ticks = rt.token_ticks
-            tbt = (
-                (ticks[-1] - ticks[0]) / (len(ticks) - 1)
-                if len(ticks) > 1
-                else 0.0
-            )
-            first = rt.first_token_tick
             requests[str(rid)] = {
-                "ttft": first - rt.request.arrival if first is not None else -1.0,
-                "tbt": tbt,
+                "ttft": ticks[0] - rt.request.arrival if ticks else -1.0,
+                "tbt": (ticks[-1] - ticks[0]) / (len(ticks) - 1) if len(ticks) > 1 else 0.0,
+                "e2e": ticks[-1] - rt.request.arrival if ticks else -1.0,
                 "generated": len(rt.outputs),
                 "done": rt.done,
             }
@@ -531,4 +523,16 @@ class Engine:
                 "skipped_blocks": self.skip_skipped,
                 "skip_ratio": (self.skip_skipped / total_blocks) if total_blocks else 0.0,
             },
+            "latency": {
+                "ttft": _p50_p99([r["ttft"] for r in requests.values() if r["generated"]]),
+                "tbt": _p50_p99([r["tbt"] for r in requests.values() if r["generated"] > 1]),
+                "e2e": _p50_p99([r["e2e"] for r in requests.values() if r["generated"]]),
+            },
+            "cache": dict(self.cache.stats),
         }
+
+
+def _p50_p99(values: list[float]) -> dict[str, float]:
+    """Nearest-rank p50 and p99 of ``values``; -1.0 when empty."""
+    ranked = sorted(values)
+    return {f"p{p}": ranked[-(-p * len(ranked) // 100) - 1] if ranked else -1.0 for p in (50, 99)}

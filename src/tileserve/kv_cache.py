@@ -140,6 +140,8 @@ class RadixKvCache:
         # an entry goes stale when its node dies, gains a child, is
         # referenced or is touched, and evict skips stale entries.
         self._lru: list[tuple[int, int, RadixNode]] = []
+        # Prefix tokens kept by start_sequence, blocks evicted, copy-on-write copies.
+        self.stats = {"hit_tokens": 0, "evicted_blocks": 0, "cow_copies": 0}
 
     @classmethod
     def from_config(cls, cfg: ServeConfig, num_layers: int) -> "RadixKvCache":
@@ -212,6 +214,7 @@ class RadixKvCache:
             raise ValueError(f"sequence {seq_id!r} already registered")
         m = self.match_prefix(prompt_tokens)
         use = m.matched_len if max_match is None else min(m.matched_len, max_match)
+        self.stats["hit_tokens"] += use
         keep_blocks = -(-use // self.block_size) if use > 0 else 0
         for bid in m.blocks[keep_blocks:]:
             self._release_block(bid)
@@ -376,6 +379,7 @@ class RadixKvCache:
             parent = node.parent
             if parent is not self._root and parent.is_leaf() and self.ref_count[parent.block_id] == 0:
                 self._push_evictable(parent)
+        self.stats["evicted_blocks"] += freed
         return freed
 
     # ------------------------------------------------------------------
@@ -458,6 +462,7 @@ class RadixKvCache:
 
     def _cow_last_block(self, table: BlockTable, old_bid: int, view: int) -> int:
         new_bid = self._free.pop()
+        self.stats["cow_copies"] += 1
         self.keys[:, new_bid, :view] = self.keys[:, old_bid, :view]
         self.values[:, new_bid, :view] = self.values[:, old_bid, :view]
         self.token_count[new_bid] = view

@@ -3,27 +3,43 @@
 Attention work is cut along the query dimension into fixed-size tile
 blocks, crossed with heads, weighted by the attended K/V area, sorted
 heaviest-first, and dealt to cores in snake order (1..k, k..1, ...).
+The units form a ``TileTable`` of int64 columns, so a chunk is sorted,
+dealt and priced by a fixed number of NumPy calls, not per unit.
 Linear work is a 2-D grid over the padded result matrix whose visit
 order comes from the offline profile store.
 
-``TileUnit.reach`` is the one place that decides how far a tile
-attends. Its sort area, its computed K/V blocks, the attention
-kernel's block loop and row masks, and the cost model's unit costs
-all derive from it.
+``tile_reach`` is the one rule that decides how far a tile attends: the
+``reach`` column holds it, and ``TileUnit.reach`` applies it to one unit.
+The sort area, computed K/V blocks, kernel block loop and row masks,
+and the cost model's unit costs all derive from it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .config import ServeConfig
 from .profiles import ROW_MAJOR, MissingProfile, ProfileStore, grid_order
 from .scheduler import Chunk, Stage
 
+STAGES = tuple(Stage)  # a ``TileTable`` row's ``stage`` is an index into this
+
 
 class UnsupportedShape(ValueError):
     """Linear op dimensions are not aligned to the hardware quantum."""
+
+
+def tile_reach(verify, kv_len, q_start, q_len, stage_tokens):
+    """K/V length (exclusive) a tile's last row may attend: the history
+    plus the stage rows up to and including that row for a causal tile,
+    the history plus the whole speculative span for a verify tile (its
+    tree mask narrows the span per row). Takes ints and a bool, or int64
+    and bool columns; the arithmetic select serves both."""
+    return kv_len + verify * stage_tokens + (1 - verify) * (q_start + q_len)
 
 
 @dataclass(frozen=True)
@@ -40,18 +56,8 @@ class TileUnit:
 
     @property
     def reach(self) -> int:
-        """K/V length (exclusive) the tile's last row may attend: the
-        history plus the stage rows up to and including that row for a
-        causal tile, the history plus the whole speculative span for a
-        verify tile (its tree mask narrows the span per row)."""
-        if self.stage is Stage.VERIFY:
-            return self.kv_len + self.stage_tokens
-        return self.kv_len + self.q_start + self.q_len
-
-    @property
-    def area(self) -> int:
-        """Attended score-matrix area, the sort weight."""
-        return self.q_len * self.reach
+        """``tile_reach`` of this unit."""
+        return tile_reach(self.stage is Stage.VERIFY, self.kv_len, self.q_start, self.q_len, self.stage_tokens)
 
     def computed_blocks(self, kv_block_size: int) -> int:
         """Whole K/V blocks up to the reach; the stage's later blocks are
@@ -59,11 +65,50 @@ class TileUnit:
         return -(-self.reach // kv_block_size)
 
 
+class TileTable:
+    """(query tile x head) units as int64 columns: ``cols`` is [8, units],
+    one row per ``TileUnit`` field (``stage`` as an index into ``STAGES``)
+    and the reach. ``len`` counts units, iteration yields ``TileUnit``s,
+    and a slice or mask index gives the table of those rows."""
+
+    stage_id, stage, head, q_start, q_len, kv_len, stage_tokens, reach = (
+        property(lambda table, row=row: table.cols[row]) for row in range(8)
+    )
+
+    def __init__(self, cols: np.ndarray):
+        self.cols = cols
+
+    @classmethod
+    def of(cls, units: Sequence[TileUnit]) -> "TileTable":
+        return cls._with_reach(
+            [(u.stage_id, STAGES.index(u.stage), u.head, u.q_start, u.q_len, u.kv_len, u.stage_tokens) for u in units]
+        )
+
+    @classmethod
+    def _with_reach(cls, rows: list[tuple[int, ...]]) -> "TileTable":
+        cols = np.array(rows, dtype=np.int64).reshape(-1, 7).T
+        reach = tile_reach(cols[1] == STAGES.index(Stage.VERIFY), cols[5], cols[3], cols[4], cols[6])
+        return cls(np.vstack((cols, reach)))
+
+    def __len__(self) -> int:
+        return self.cols.shape[1]
+
+    def __getitem__(self, index) -> "TileTable":
+        return TileTable(self.cols[:, index])
+
+    def __iter__(self):
+        for sid, stage, head, q_start, q_len, kv_len, stage_tokens in self.cols[:7].T.tolist():
+            yield TileUnit(sid, STAGES[stage], head, q_start, q_len, kv_len, stage_tokens)
+
+    def computed_blocks(self, kv_block_size: int) -> np.ndarray:
+        return -(-self.reach // kv_block_size)
+
+
 @dataclass(frozen=True)
 class TaskTable:
     """Ordered tile list per core; every tile appears exactly once."""
 
-    per_core: tuple[tuple, ...]
+    per_core: tuple[Sequence, ...]
 
     @property
     def core_num(self) -> int:
@@ -91,40 +136,21 @@ def attention_tile_size(stage: Stage, token_num: int, cfg: ServeConfig) -> int:
     return min(token_num, cfg.prefill_tile_size)
 
 
-def decompose_attention(chunk: Chunk, head_num: int, cfg: ServeConfig) -> list[TileUnit]:
-    """Split every stage entry along the query dimension and cross with heads."""
+def decompose_attention(chunk: Chunk, head_num: int, cfg: ServeConfig) -> TileTable:
+    """Split every stage entry along the query dimension and cross with
+    heads: one row per (entry, query tile), repeated for each head."""
     if not chunk.entries:
         raise ValueError("chunk must be nonempty")
-    tiles: list[TileUnit] = []
+    rows = []
     for stage_id, entry in enumerate(chunk.entries):
-        tile_size = attention_tile_size(entry.stage, entry.token_num, cfg)
-        n_blocks = _ceil_div(entry.token_num, tile_size)
-        for b in range(n_blocks):
-            q_start = b * tile_size
-            q_len = min(tile_size, entry.token_num - q_start)
-            for head in range(head_num):
-                tiles.append(
-                    TileUnit(
-                        stage_id=stage_id,
-                        stage=entry.stage,
-                        head=head,
-                        q_start=q_start,
-                        q_len=q_len,
-                        kv_len=entry.kv_len,
-                        stage_tokens=entry.token_num,
-                    )
-                )
-    return tiles
-
-
-def snake_assign(items: list, core_num: int) -> list[list]:
-    """Deal items to cores in order 1..k, k..1, repeating."""
-    per_core: list[list] = [[] for _ in range(core_num)]
-    forward = list(range(core_num))
-    cycle = forward + forward[::-1]
-    for idx, item in enumerate(items):
-        per_core[cycle[idx % len(cycle)]].append(item)
-    return per_core
+        n, code = entry.token_num, STAGES.index(entry.stage)
+        tile_size = attention_tile_size(entry.stage, n, cfg)
+        for q_start in range(0, n, tile_size):
+            rows.append((stage_id, code, 0, q_start, min(tile_size, n - q_start), entry.kv_len, n))
+    qtiles = TileTable._with_reach(rows)
+    cols = np.repeat(qtiles.cols, head_num, axis=1)
+    cols[2] = np.arange(cols.shape[1]) % head_num
+    return TileTable(cols)
 
 
 def contiguous_assign(items: list, core_num: int) -> list[list]:
@@ -133,12 +159,20 @@ def contiguous_assign(items: list, core_num: int) -> list[list]:
     return [list(items[i * size : (i + 1) * size]) for i in range(core_num)]
 
 
-def reorder_attention(tiles: list[TileUnit], core_num: int) -> TaskTable:
-    """Sort by area (heaviest first, deterministic ties) and snake-assign."""
+def reorder_attention(tiles: TileTable | Sequence[TileUnit], core_num: int) -> TaskTable:
+    """Sort by area (heaviest first, deterministic ties) and deal in snake
+    order; each core's table is a slice of one core-major table."""
     if core_num < 1:
         raise ValueError("core_num must be >= 1")
-    ordered = sorted(tiles, key=lambda t: (-t.area, t.stage_id, t.head, t.q_start))
-    return TaskTable(tuple(tuple(core) for core in snake_assign(ordered, core_num)))
+    if not isinstance(tiles, TileTable):
+        tiles = TileTable.of(tiles)
+    area = tiles.q_len * tiles.reach
+    order = np.lexsort((tiles.q_start, tiles.head, tiles.stage_id, -area))
+    turn = np.arange(len(order)) % (2 * core_num)
+    core = np.minimum(turn, 2 * core_num - 1 - turn)
+    dealt = tiles[order[np.argsort(core, kind="stable")]]
+    ends = np.cumsum(np.bincount(core, minlength=core_num)).tolist()
+    return TaskTable(tuple(dealt[lo:hi] for lo, hi in zip([0, *ends], ends)))
 
 
 def decompose_linear(

@@ -14,13 +14,15 @@ Because the rounds are rigid, a core's end time has a closed form: the
 running sum of its round durations, read off per-unit cost arrays (for
 the sequential discipline, the running sum of its op sequence).
 ``simulate_attention`` prices a task table that way and builds no
-events. ``trace_attention`` is its reference: it lays out one
-``StageEvent`` per cube, vector and MTE op, and its makespan equals the
-closed form bit for bit, because both add the same costs in the same
-order. ``simulate_linear`` prices a linear grid tile by tile through a
-shared-L2 reuse model, where a panel's first touch pays the HBM rate
-and re-touches inside the working set pay the L2 rate; it builds no
-events either.
+events: it reads the ``q_len`` and ``reach`` columns of each core's
+``TileTable`` (plain ``TileUnit``s are read into one), a fixed number
+of NumPy calls per core. ``trace_attention`` is its reference: it lays
+out one ``StageEvent`` per cube, vector and MTE op, and its makespan
+equals the closed form bit for bit, because both add the same costs
+in the same order. ``simulate_linear`` prices a linear grid tile by
+tile through a shared-L2 reuse model, where a panel's first touch pays
+the HBM rate and re-touches inside the working set pay the L2 rate; it
+builds no events either.
 
 Costs are plain rate models (work divided by unit rate); time is
 abstract ticks. Identical inputs produce byte-identical traces.
@@ -39,7 +41,7 @@ import numpy as np
 from .attention import plan_splits
 from .config import HwConfig
 from .gemm import TilePrimitive
-from .planner import TaskTable, TileUnit, deal_round_robin
+from .planner import TaskTable, TileTable, TileUnit, deal_round_robin
 from .profiles import (
     CANDIDATE_ORDERINGS,
     OrderingDescriptor,
@@ -214,32 +216,37 @@ def _round_slots(schedule: Schedule, n: int) -> tuple[np.ndarray, np.ndarray]:
     return cube, vec
 
 
-def _check_schedule(
+def _core_tables(
     tasktable: TaskTable, schedule: Schedule, kv_split_blocks: int | None, decode_fused: bool
-) -> None:
+) -> list[TileTable]:
+    """Each core's ``TileTable``, once the schedule's preconditions hold."""
     if schedule is Schedule.PIPE4 and kv_split_blocks is None:
         raise ScheduleViolation("four-stage pipeline requires K/V splitting (L2 rule)")
     if schedule in (Schedule.PIPE3, Schedule.DECODE_PIPE) and kv_split_blocks is not None:
         raise ScheduleViolation(f"{schedule.value} runs unsplit K/V only")
+    if kv_split_blocks is not None and kv_split_blocks < 1:
+        raise ValueError("kv_split_blocks must be >= 1")
+    tables = [t if isinstance(t, TileTable) else TileTable.of(t) for t in tasktable.per_core]
     if schedule is Schedule.DECODE_PIPE or (schedule is Schedule.SEQ and decode_fused):
-        for t in tasktable.all_items():
-            if t.q_len != 1:
-                raise ScheduleViolation("decode pipeline requires qTileLen == 1 everywhere")
+        if any((t.q_len != 1).any() for t in tables):
+            raise ScheduleViolation("decode pipeline requires qTileLen == 1 everywhere")
+    return tables
 
 
 def _core_costs(
-    tiles, head_size: int, kv_block_size: int, kv_split_blocks: int | None, hw: HwConfig
+    tiles: TileTable, head_size: int, kv_block_size: int, kv_split_blocks: int | None, hw: HwConfig
 ) -> np.ndarray:
-    """[len(_KINDS), units] op costs of one core's (tile, split) units, in tile order."""
-    q_lens = []
-    tokens = []
-    for t in tiles:
-        for b0, b1 in plan_splits(t.computed_blocks(kv_block_size), kv_split_blocks):
-            q_lens.append(t.q_len)
-            tokens.append((b1 - b0) * kv_block_size)
-    q = np.array(q_lens, dtype=np.int64)
-    kv = np.array(tokens, dtype=np.int64)
-    return np.array(_op_costs(q, kv, head_size, hw))
+    """[len(_KINDS), units] op costs of one core's (tile, split) units, in
+    tile order; a tile's splits are ``plan_splits``' ranges."""
+    q = tiles.q_len
+    blocks = tiles.computed_blocks(kv_block_size)
+    if kv_split_blocks is not None:
+        splits = -(-blocks // kv_split_blocks)
+        q = np.repeat(q, splits)
+        split_blocks = np.full(len(q), kv_split_blocks, dtype=np.int64)
+        split_blocks[np.cumsum(splits) - 1] = blocks - (splits - 1) * kv_split_blocks
+        blocks = split_blocks
+    return np.array(_op_costs(q, blocks * kv_block_size, head_size, hw))
 
 
 def simulate_attention(
@@ -265,7 +272,7 @@ def simulate_attention(
     units. ``trace_attention`` is the event-by-event reference and gives
     the same makespan to the last bit.
     """
-    _check_schedule(tasktable, schedule, kv_split_blocks, decode_fused)
+    tables = _core_tables(tasktable, schedule, kv_split_blocks, decode_fused)
     if schedule is Schedule.SEQ:
         kinds = _seq_kinds(kv_split_blocks is not None, decode_fused)
         seq_rows = [_KIND_ROW[k] for k in kinds]
@@ -274,7 +281,7 @@ def simulate_attention(
     busy = {"cube": 0.0, "vector": 0.0}
     per_core = []
     makespan = 0.0
-    for tiles in tasktable.per_core:
+    for tiles in tables:
         costs = _core_costs(tiles, head_size, kv_block_size, kv_split_blocks, hw)
         n = costs.shape[1]
         if n == 0:
@@ -364,7 +371,7 @@ def trace_attention(
     but never stretch the makespan. Same arguments and checks as
     ``simulate_attention``.
     """
-    _check_schedule(tasktable, schedule, kv_split_blocks, decode_fused)
+    _core_tables(tasktable, schedule, kv_split_blocks, decode_fused)
     has_update = kv_split_blocks is not None
     trace = SimTrace()
     busy = {"cube": 0.0, "vector": 0.0, "mte": 0.0}

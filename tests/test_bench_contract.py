@@ -1,0 +1,77 @@
+"""The benchmark's tracer contract, checked on a small replay.
+
+``bench/layers.py`` wraps the names the engine imports and the cache,
+scheduler, proposer and profile methods, then re-prices every captured
+attention and linear task table for its ablations. A planner or engine
+change that breaks either breaks the benchmark's per-layer run, so this
+test replays a short trace through that path in both modes.
+"""
+
+from __future__ import annotations
+
+import importlib
+import math
+import time
+from pathlib import Path
+
+import pytest
+
+from tileserve import engine as engine_mod
+from tileserve.config import ServeConfig
+from tileserve.engine import Engine, EngineRequest
+from tileserve.kv_cache import RadixKvCache
+from tileserve.oracle import ToyModel
+from tileserve.planner import attention_tile_size
+from tileserve.trace import gen_trace
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# Speculative requests, and long plain decodes that make enough chunks for
+# the tracer's p95 step time to leave ten samples beyond it.
+TRACE = gen_trace("sharegpt_like", 3, 8, spec=(2, 2), mean_prompt=48, mean_output=16) + [
+    {**row, "id": f"long{row['id']}"} for row in gen_trace("sharegpt_like", 4, 3, mean_prompt=24, mean_output=240)
+]
+
+
+def patched_attributes(layers) -> dict[tuple[object, str], object]:
+    """Every attribute ``layers.Tracer`` replaces, with its current value."""
+    owners = [(engine_mod, name) for name in layers.ENGINE_NAMES]
+    owners += [(cls, name) for cls, (_, names) in layers.METHODS.items() for name in names]
+    owners.append((RadixKvCache, "_try_cache_block"))
+    return {(owner, name): owner.__dict__[name] for owner, name in owners}
+
+
+@pytest.mark.parametrize("numeric", [False, True], ids=["simulate", "numeric"])
+def test_tracer_metrics_and_ablations_on_a_small_replay(numeric, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    layers = importlib.import_module("layers")
+    cfg = ServeConfig()
+    chunks = []
+    real_execute_chunk = Engine._execute_chunk
+
+    def execute_chunk(engine, chunk):
+        chunks.append(chunk)
+        real_execute_chunk(engine, chunk)
+
+    monkeypatch.setattr(Engine, "_execute_chunk", execute_chunk)
+    engine = Engine(cfg, ToyModel.seeded(cfg.model, seed=0) if numeric else None)
+    for row in TRACE:
+        spec = row["spec"] and (row["spec"]["width"], row["spec"]["depth"])
+        engine.submit(EngineRequest(row["id"], row["prompt"], row["output_len"], row["arrival"], spec))
+    originals = patched_attributes(layers)
+    with layers.Tracer() as tracer:
+        t0 = time.perf_counter()
+        engine.run()
+        wall = time.perf_counter() - t0
+    assert patched_attributes(layers) == originals
+
+    metrics = tracer.metrics(engine, wall)
+    ablations = layers.ablations(tracer, engine)
+    assert all(math.isfinite(v) for v in {**metrics, **ablations}.values())
+    units = sum(
+        cfg.model.num_heads * -(-e.token_num // attention_tile_size(e.stage, e.token_num, cfg))
+        for chunk in chunks
+        for e in chunk.entries
+    )
+    assert metrics["planner.tiles"] == units
+    assert metrics["engine.chunks"] == len(chunks) == len(tracer.attention_calls)

@@ -2,10 +2,12 @@
 cache hygiene after a run in either mode, simulate mode at a 7B shape
 without weights or pools, one plan for the kernels and the cost model,
 requests no chunk can serve, a K/V pool that runs out, ``check`` without
-a model, and the report's times and chunk composition."""
+a model, and the report's times, latency percentiles, cache counts and
+chunk composition."""
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 
@@ -202,6 +204,59 @@ def test_report_times_from_arrival_and_plot_rows_at_the_first_token():
         first = engine.runtimes[rid].token_ticks[0]
         assert stamps[f"ttft.{rid}"] == stamps[f"tbt.{rid}"] == first
     assert stamps["qps"] == stamps["skip_ratio"] == end
+
+
+def nearest_rank(values: list[float], pct: int) -> float:
+    ranked = sorted(values)
+    return ranked[math.ceil(pct * len(ranked) / 100) - 1]
+
+
+def test_report_gives_e2e_and_latency_percentiles_from_arrival():
+    """E2E runs from arrival to the last token; the latency block holds the
+    nearest-rank p50 and p99 of the requests that have a value, so a
+    one-token request counts in TTFT and E2E but not in TBT."""
+    one_token = [
+        {"id": rid, "arrival": 7, "prompt": [5, 6, 7], "output_len": 1, "spec": {"width": 1, "depth": 1}}
+        for rid in ("one", "two")
+    ]
+    engine = run_engine(ServeConfig(), numeric=False, trace=TRACE + one_token)
+    report = engine.report()
+    ttft, tbt, e2e = [], [], []
+    for rid, rt in engine.runtimes.items():
+        row = report["requests"][rid]
+        assert row["e2e"] == rt.token_ticks[-1] - rt.request.arrival
+        ttft.append(row["ttft"])
+        e2e.append(row["e2e"])
+        if len(rt.token_ticks) > 1:
+            tbt.append(row["tbt"])
+    assert len(tbt) == len(ttft) - 2
+    assert report["latency"] == {
+        name: {"p50": nearest_rank(values, 50), "p99": nearest_rank(values, 99)}
+        for name, values in (("ttft", ttft), ("tbt", tbt), ("e2e", e2e))
+    }
+
+
+def test_report_counts_cache_hits_evictions_and_copies():
+    """Three requests, one after another, under a 4-block cache cap.
+
+    ``b`` keeps 6 tokens of ``a``'s cached prefix: one whole block and
+    the head of the next, which it copies before appending (one
+    copy-on-write). ``c`` shares nothing and caches 3 blocks, so the 2
+    unreferenced leaves that ``a`` and ``b`` left behind are evicted.
+    """
+    cfg = ServeConfig(kv_block_size=4, kv_cache_cap_blocks=4)
+    prefix = list(range(1, 11))
+    trace = [
+        {"id": "a", "arrival": 0, "prompt": prefix, "output_len": 2, "spec": None},
+        {"id": "b", "arrival": 10**8, "prompt": prefix[:6] + [50, 51, 52], "output_len": 2, "spec": None},
+        {"id": "c", "arrival": 2 * 10**8, "prompt": list(range(100, 113)), "output_len": 2, "spec": None},
+    ]
+    engine = Engine(cfg)
+    for row in trace:
+        engine.submit(EngineRequest(row["id"], row["prompt"], row["output_len"], row["arrival"]))
+    report = engine.run()
+    assert all(r["done"] for r in report["requests"].values())
+    assert report["cache"] == {"hit_tokens": 6, "evicted_blocks": 2, "cow_copies": 1}
 
 
 def test_composition_counts_the_stages_of_each_chunk():

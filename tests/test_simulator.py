@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from tileserve.attention import plan_splits
 from tileserve.config import HwConfig
-from tileserve.planner import TaskTable, TileUnit, deal_round_robin
+from tileserve.planner import TaskTable, TileTable, TileUnit, deal_round_robin
 from tileserve.scheduler import Stage
 from tileserve.simulator import (
     Schedule,
@@ -114,11 +114,14 @@ def assert_timeline_is_legal(trace, order: list[str]) -> None:
 )
 def test_closed_form_matches_event_reference(table, split, head_size, kv_block_size, hw):
     decode_only = all(t.q_len == 1 for t in table.all_items())
+    # The same units as the engine passes them: one column table per core.
+    columns = TaskTable(tuple(TileTable.of(core) for core in table.per_core))
     for schedule, kw in legal_runs(decode_only, split):
         kwargs = dict(head_size=head_size, kv_block_size=kv_block_size, **kw)
         fast = simulate_attention(table, hw, schedule, **kwargs)
         ref = trace_attention(table, hw, schedule, **kwargs)
         assert fast.makespan == ref.makespan, (schedule, kw)
+        assert simulate_attention(columns, hw, schedule, **kwargs).makespan == ref.makespan, (schedule, kw)
         assert fast.events == []
         for unit in ("cube", "vector"):
             assert math.isclose(fast.busy[unit], ref.busy[unit], rel_tol=1e-12)
