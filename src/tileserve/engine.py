@@ -6,10 +6,11 @@ the chunk's (query tile x head) units as one ``TileTable`` and dealt
 to cores in snake order, the pipeline schedule and K/V split the L2
 rule picks from the table's columns, each verify entry's tree mask,
 and each linear op's tile grid and profiled task table at the smoothed
-M. The numeric kernels run that plan in every layer, one attention
-call per query tile covering all its heads; the cost model prices the
-(query tile x head) units of the same plan with the same split, so
-what runs is what is priced.
+M; those depend only on (op, M), so the engine builds each once and
+its table keeps its priced result. The numeric kernels run that plan
+in every layer, one attention call per query tile covering all its
+heads; the cost model prices the (query tile x head) units of the same
+plan with the same split, so what runs is what is priced.
 
 One radix cache serves every transformer layer: each sequence has one
 block table, and each chunk commits every entry's tokens once. Numeric
@@ -36,6 +37,7 @@ from .gemm import TilePrimitive, gemm_virtual_pad, fused_sv_write, smooth_shape
 from .kv_cache import BlockTable, PoolExhausted, RadixKvCache
 from .oracle import ToyModel, dense_forward, rms_norm, silu
 from .planner import (
+    GridTable,
     LinearOp,
     TaskTable,
     TileTable,
@@ -90,7 +92,8 @@ class _ChunkPlan:
     them all to cores for the cost model. ``split`` is the K/V split in
     blocks (None when unsplit) that ``schedule`` runs with. ``masks``
     holds the tree mask of each verify entry, by entry index.
-    ``linears`` holds each op's tile grid and task table.
+    ``linears`` holds each op's tile grid and task table, shared with
+    every chunk of the same M (see ``Engine._plan_linears``).
     """
 
     tiles: TileTable
@@ -98,7 +101,7 @@ class _ChunkPlan:
     schedule: Schedule
     split: int | None
     masks: dict[int, np.ndarray]
-    linears: dict[LinearOp, tuple[tuple[int, int], TaskTable]]
+    linears: dict[LinearOp, tuple[tuple[int, int], GridTable]]
 
 
 def _linear_ops(mcfg: ModelConfig) -> dict[LinearOp, tuple[int, int, TilePrimitive]]:
@@ -137,6 +140,7 @@ class Engine:
         self.cache = RadixKvCache.from_config(cfg, cfg.model.num_layers if model is not None else 0)
         self.store = ProfileStore()
         self._linear_ops = _linear_ops(cfg.model)
+        self._linear_plans: dict[int, dict[LinearOp, tuple[tuple[int, int], GridTable]]] = {}  # by chunk M
         self._weights32 = self._cast_weights(model) if model is not None else None
         self.runtimes: dict[object, _Runtime] = {}
         self.pending: list[EngineRequest] = []
@@ -144,6 +148,8 @@ class Engine:
         self.chunk_log: list[dict] = []
         self.skip_computed = 0
         self.skip_skipped = 0
+        self._unit_busy = {"cube": 0.0, "vector": 0.0}  # ticks of one layer, over every priced chunk
+        self._priced_span = 0.0  # their makespans, summed
         if profile_linear:
             self._profile_linears()
 
@@ -210,13 +216,6 @@ class Engine:
             max_kv = int((tiles.kv_len + tiles.stage_tokens).max())
             split = l2_kv_split_blocks(max_q, max_kv, self.cfg.kv_block_size, hw)
             schedule = Schedule.PIPE3 if split is None else Schedule.PIPE4
-        m = chunk.total_tokens
-        linears = {}
-        for op, (n, k, prim) in self._linear_ops.items():
-            grid = decompose_linear(chunk, n, prim.tile_m, prim.tile_n, self.cfg.quantum)
-            sizes = self.store.profiled_ms(op.value, n, k) or self.cfg.quantum
-            smoothed = smooth_shape(m, self.cfg.budget, sizes)
-            linears[op] = grid, lookup_linear_tasktable(self.store, op, (smoothed, n, k), hw.core_num, grid)
         return _ChunkPlan(
             tiles=tiles,
             tasktable=reorder_attention(tiles, hw.core_num),
@@ -227,8 +226,25 @@ class Engine:
                 for ei, e in enumerate(chunk.entries)
                 if e.stage is Stage.VERIFY
             },
-            linears=linears,
+            linears=self._plan_linears(chunk),
         )
+
+    def _plan_linears(self, chunk: Chunk) -> dict[LinearOp, tuple[tuple[int, int], GridTable]]:
+        """Each linear op's tile grid and task table at the chunk's M,
+        built once per M. The profile store is frozen after ``__init__``,
+        so (op, M) decides both; each table also keeps its priced result
+        (``GridTable.priced``), so a repeated M is not priced again."""
+        m = chunk.total_tokens
+        linears = self._linear_plans.get(m)
+        if linears is None:
+            linears = {}
+            for op, (n, k, prim) in self._linear_ops.items():
+                grid = decompose_linear(chunk, n, prim.tile_m, prim.tile_n, self.cfg.quantum)
+                sizes = self.store.profiled_ms(op.value, n, k) or self.cfg.quantum
+                smoothed = smooth_shape(m, self.cfg.budget, sizes)
+                linears[op] = grid, lookup_linear_tasktable(self.store, op, (smoothed, n, k), self.cfg.hw.core_num, grid)
+            self._linear_plans[m] = linears
+        return linears
 
     def _execute_chunk(self, chunk: Chunk) -> None:
         plan = self._plan_chunk(chunk)
@@ -434,19 +450,34 @@ class Engine:
     # ------------------------------------------------------------------
 
     def _simulate_chunk(self, chunk: Chunk, plan: _ChunkPlan) -> float:
+        """Modelled ticks of the chunk over every layer: one layer's
+        attention span plus its four linear spans, in op order. Each
+        linear op is priced by a ``simulate_linear`` call even when its
+        memoised table returns a stored result, because tracing counts
+        linear ticks from the calls it sees."""
         hw = self.cfg.hw
-        span = simulate_attention(
-            plan.tasktable,
-            hw,
-            plan.schedule,
-            head_size=self.cfg.model.head_size,
-            kv_block_size=self.cfg.kv_block_size,
-            kv_split_blocks=plan.split,
-        ).makespan
+        traces = [
+            simulate_attention(
+                plan.tasktable,
+                hw,
+                plan.schedule,
+                head_size=self.cfg.model.head_size,
+                kv_block_size=self.cfg.kv_block_size,
+                kv_split_blocks=plan.split,
+            )
+        ]
         m = chunk.total_tokens
         for op, (grid, table) in plan.linears.items():
             n, k, prim = self._linear_ops[op]
-            span += simulate_linear(grid, table, hw, prim, m, n, k).makespan
+            traces.append(simulate_linear(grid, table, hw, prim, m, n, k))
+        span = cube = vector = 0.0
+        for trace in traces:
+            span += trace.makespan
+            cube += trace.busy["cube"]
+            vector += trace.busy["vector"]
+        self._priced_span += span
+        self._unit_busy["cube"] += cube
+        self._unit_busy["vector"] += vector
         return span * self.cfg.model.num_layers
 
     def _profile_linears(self) -> None:
@@ -493,7 +524,9 @@ class Engine:
         token; -1.0 when no token came) and mean TBT, with their p50 and
         p99 over the requests that have one (TBT needs two tokens); qps
         from the first arrival, chunk counts by stage mix (e.g. ``D27P5``:
-        27 decode, 5 prefill entries), skipped K/V blocks, cache counts."""
+        27 decode, 5 prefill entries), skipped K/V blocks, cache counts,
+        and the cube and vector units' utilisation over every priced
+        attention and linear span, weighted by its ticks."""
         requests = {}
         for rid, rt in sorted(self.runtimes.items(), key=lambda kv: str(kv[0])):
             ticks = rt.token_ticks
@@ -529,6 +562,10 @@ class Engine:
                 "e2e": _p50_p99([r["e2e"] for r in requests.values() if r["generated"]]),
             },
             "cache": dict(self.cache.stats),
+            "utilization": {
+                unit: busy / (self.cfg.hw.core_num * self._priced_span) if self._priced_span > 0 else 0.0
+                for unit, busy in self._unit_busy.items()
+            },
         }
 
 

@@ -2,12 +2,15 @@
 
 The primitive only ever multiplies full (tileM x tileK) by
 (tileK x tileN) buffers. Arbitrary token counts are handled by
-allocating the on-chip buffer at full tile height, copying in only
-the valid rows (selective read, zeros elsewhere), and writing back
-only the valid rows (selective write); no padded data ever reaches
-the output. Each query tile's attention output, every head at once, is
-written straight into the tensor the output projection reads, with no
-permuted copy.
+padding A with zero rows to whole tiles (selective read, zeros
+elsewhere) and returning only the valid rows (selective write); no
+padded data ever reaches the output. The host runs every tile of a K
+step as one matmul over the padded A: the task table decides which
+tiles exist and is checked to cover the grid, and since no tile's
+result depends on another's, the order the cores would run them in
+cannot change the output. Each query tile's attention output, every
+head at once, is written straight into the tensor the output
+projection reads, with no permuted copy.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .planner import GridTable
 
 SUPPORTED_TILE_MN = (16, 32, 64, 128, 256)
 SUPPORTED_TILE_K = (64, 128)
@@ -47,15 +52,17 @@ class TilePrimitive:
                 raise ShapeMismatch(f"{name}={value} not in supported set {allowed}")
 
 
-def gemm_virtual_pad(a: np.ndarray, b: np.ndarray, prim: TilePrimitive, order) -> np.ndarray:
+def gemm_virtual_pad(a: np.ndarray, b: np.ndarray, prim: TilePrimitive, order: GridTable) -> np.ndarray:
     """C = A @ B with virtual padding on M.
 
     A is (M x K) fp32 with arbitrary M; K must be a multiple of the
-    primitive's tileK. ``order`` is the linear op's task table: its
-    ``all_items()`` are the (row, col) grid tiles, core by core, and
-    must cover the grid. Accumulation is fp32 with tiles visited in
-    ascending K, so the result is deterministic and independent of the
-    visit order.
+    primitive's tileK. ``order`` is the linear op's task table, and it
+    decides which (row, col) grid tiles exist: they must cover the grid,
+    each tile once, or ``ShapeMismatch`` is raised. A is padded with
+    zero rows to whole tiles, and one matmul per K step, over every
+    tile at once, accumulates in fp32 in ascending K. The padded rows
+    are dropped from the result, which is deterministic and does not
+    depend on the table's order.
     """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatch(f"incompatible operands {a.shape} @ {b.shape}")
@@ -63,26 +70,22 @@ def gemm_virtual_pad(a: np.ndarray, b: np.ndarray, prim: TilePrimitive, order) -
     n = b.shape[1]
     if k % prim.tile_k != 0:
         raise ShapeMismatch(f"K={k} must be a multiple of tileK={prim.tile_k}")
-    out = np.empty((m, n), dtype=np.float32)
-    a = np.ascontiguousarray(a, dtype=np.float32)
-    b = np.ascontiguousarray(b, dtype=np.float32)
     rows = -(-m // prim.tile_m)
     cols = -(-n // prim.tile_n)
-    a_buf = np.zeros((prim.tile_m, prim.tile_k), dtype=np.float32)
-    for i, j in order.all_items():
-        if not (0 <= i < rows and 0 <= j < cols):
-            raise ShapeMismatch(f"tile ({i}, {j}) outside grid {(rows, cols)}")
-        r0 = i * prim.tile_m
-        valid = min(prim.tile_m, m - r0)
-        c0 = j * prim.tile_n
-        c1 = min(c0 + prim.tile_n, n)
-        acc = np.zeros((prim.tile_m, c1 - c0), dtype=np.float32)
-        for k0 in range(0, k, prim.tile_k):
-            a_buf[:valid] = a[r0 : r0 + valid, k0 : k0 + prim.tile_k]
-            a_buf[valid:] = 0.0
-            acc += a_buf @ b[k0 : k0 + prim.tile_k, c0:c1]
-        out[r0 : r0 + valid, c0:c1] = acc[:valid]
-    return out
+    i, j = order.cells
+    outside = (i < 0) | (i >= rows) | (j < 0) | (j >= cols)
+    if outside.any():
+        at = outside.argmax()
+        raise ShapeMismatch(f"tile ({i[at]}, {j[at]}) outside grid {(rows, cols)}")
+    if not (np.bincount(i * cols + j, minlength=rows * cols) == 1).all():
+        raise ShapeMismatch(f"task table does not cover the {(rows, cols)} grid once")
+    a_pad = np.zeros((rows * prim.tile_m, k), dtype=np.float32)
+    a_pad[:m] = a
+    b = np.asarray(b, dtype=np.float32)
+    acc = a_pad[:, : prim.tile_k] @ b[: prim.tile_k]
+    for k0 in range(prim.tile_k, k, prim.tile_k):
+        acc += a_pad[:, k0 : k0 + prim.tile_k] @ b[k0 : k0 + prim.tile_k]
+    return acc[:m]
 
 
 def smooth_shape(m: int, budget: int, grid: int | Sequence[int]) -> int:

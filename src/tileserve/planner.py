@@ -6,7 +6,11 @@ heaviest-first, and dealt to cores in snake order (1..k, k..1, ...).
 The units form a ``TileTable`` of int64 columns, so a chunk is sorted,
 dealt and priced by a fixed number of NumPy calls, not per unit.
 Linear work is a 2-D grid over the padded result matrix whose visit
-order comes from the offline profile store.
+order comes from the offline profile store. A ``GridTable`` holds that
+order as (row, col) int64 columns and deals cell c to core c mod k, so
+each core's tiles are a strided view of it: building a linear op's table
+is index arithmetic, not a Python list per cell. The GEMM kernel and the
+cost model read the same table.
 
 ``tile_reach`` is the one rule that decides how far a tile attends: the
 ``reach`` column holds it, and ``TileUnit.reach`` applies it to one unit.
@@ -17,7 +21,7 @@ and the cost model's unit costs all derive from it.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -106,7 +110,8 @@ class TileTable:
 
 @dataclass(frozen=True)
 class TaskTable:
-    """Ordered tile list per core; every tile appears exactly once."""
+    """Attention tiles per core, each core's in run order; every tile
+    appears exactly once. Linear ops use a ``GridTable``."""
 
     per_core: tuple[Sequence, ...]
 
@@ -116,6 +121,25 @@ class TaskTable:
 
     def all_items(self) -> list:
         return [item for core in self.per_core for item in core]
+
+
+@dataclass(frozen=True, eq=False)
+class GridTable:
+    """A linear op's task table: ``cells`` is an int64 [2, cells] array
+    of (row, col) grid tiles in visit order, and cell c runs on core
+    c mod ``core_num``. ``priced`` keeps the cost model's results for
+    this table (see ``simulate_linear``), so pricing it again is a
+    lookup."""
+
+    cells: np.ndarray
+    core_num: int
+    priced: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def per_core(self) -> tuple[np.ndarray, ...]:
+        """Each core's [2, tiles] (row, col) columns, in its run order."""
+        return tuple(self.cells[:, core :: self.core_num] for core in range(self.core_num))
+
 
 class LinearOp(Enum):
     QKV = "qkv"
@@ -202,7 +226,7 @@ def lookup_linear_tasktable(
     shape: tuple[int, int, int],
     core_num: int,
     grid: tuple[int, int],
-) -> TaskTable:
+) -> GridTable:
     """Per-core grid-tile order for a smoothed shape.
 
     Falls back to row-major order when the shape was never profiled.
@@ -216,9 +240,12 @@ def lookup_linear_tasktable(
     return deal_round_robin(grid_order(desc, *grid), core_num)
 
 
-def deal_round_robin(order: list[tuple[int, int]], core_num: int) -> TaskTable:
-    """Deal grid cells to cores in turn: cell i goes to core i mod k."""
-    per_core: list[list] = [[] for _ in range(core_num)]
-    for idx, cell in enumerate(order):
-        per_core[idx % core_num].append(cell)
-    return TaskTable(tuple(tuple(core) for core in per_core))
+def deal_round_robin(order: np.ndarray, core_num: int) -> GridTable:
+    """Deal grid cells to cores in turn: cell c of ``order``, an int
+    [2, cells] (row, col) array, goes to core c mod k."""
+    order = np.asarray(order, dtype=np.int64)
+    if order.ndim != 2 or order.shape[0] != 2:
+        raise ValueError(f"order must be a [2, cells] (row, col) array, not {order.shape}")
+    if core_num < 1:
+        raise ValueError("core_num must be >= 1")
+    return GridTable(order, core_num)

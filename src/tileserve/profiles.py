@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class MissingProfile(KeyError):
     """Shape was never profiled; callers fall back to row-major order."""
@@ -38,22 +40,24 @@ CANDIDATE_ORDERINGS: tuple[OrderingDescriptor, ...] = (
 )
 
 
-def grid_order(desc: OrderingDescriptor, rows: int, cols: int) -> list[tuple[int, int]]:
-    """Visit order of an (rows x cols) tile grid under a descriptor."""
+def grid_order(desc: OrderingDescriptor, rows: int, cols: int) -> np.ndarray:
+    """Visit order of an (rows x cols) tile grid under a descriptor: an
+    int64 [2, rows * cols] array of (row, col) cells, by index arithmetic
+    over the row-major grid."""
+    cells = np.indices((rows, cols), dtype=np.int64)
     if desc.kind == "row_major":
-        return [(i, j) for i in range(rows) for j in range(cols)]
+        return cells.reshape(2, -1)
     if desc.kind == "col_major":
-        return [(i, j) for j in range(cols) for i in range(rows)]
+        return cells.transpose(0, 2, 1).reshape(2, -1)
     if desc.kind == "zigzag":
         if desc.width < 1:
             raise ValueError("zigzag width must be >= 1")
-        out = []
-        for g in range(0, cols, desc.width):
-            hi = min(g + desc.width, cols)
-            for i in range(rows):
-                for j in range(g, hi):
-                    out.append((i, j))
-        return out
+        # Column groups of ``width``, each walked row-major; the last may be narrower.
+        full = cols - cols % desc.width
+        groups = cells[:, :, :full].reshape(2, rows, full // desc.width, desc.width)
+        return np.concatenate(
+            (groups.transpose(0, 2, 1, 3).reshape(2, -1), cells[:, :, full:].reshape(2, -1)), axis=1
+        )
     raise ValueError(f"unknown ordering kind {desc.kind!r}")
 
 

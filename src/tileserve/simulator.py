@@ -22,7 +22,14 @@ equals the closed form bit for bit, because both add the same costs
 in the same order. ``simulate_linear`` prices a linear grid tile by
 tile through a shared-L2 reuse model, where a panel's first touch pays
 the HBM rate and re-touches inside the working set pay the L2 rate; it
-builds no events either.
+builds no events either. It reads the ``GridTable``'s (row, col)
+columns and per-row and per-column byte counts computed once, so its
+loop is plain int and float arithmetic around an LRU and a core heap.
+A table keeps its priced result, and the engine keeps one table per
+linear op and chunk M, so a repeated M is priced by a lookup. The engine
+still makes one ``simulate_linear`` call per op and chunk: tracing from
+outside counts linear ticks from the calls it sees, and a skipped call
+would undercount them.
 
 Costs are plain rate models (work divided by unit rate); time is
 abstract ticks. Identical inputs produce byte-identical traces.
@@ -41,7 +48,7 @@ import numpy as np
 from .attention import plan_splits
 from .config import HwConfig
 from .gemm import TilePrimitive
-from .planner import TaskTable, TileTable, TileUnit, deal_round_robin
+from .planner import GridTable, TaskTable, TileTable, TileUnit, deal_round_robin
 from .profiles import (
     CANDIDATE_ORDERINGS,
     OrderingDescriptor,
@@ -475,7 +482,7 @@ def _mte_events(
 
 def simulate_linear(
     grid: tuple[int, int],
-    tasktable: TaskTable,
+    tasktable: GridTable,
     hw: HwConfig,
     prim: TilePrimitive,
     m: int,
@@ -490,57 +497,79 @@ def simulate_linear(
     run back to back on its core. Cores run concurrently and share the
     working set; ties resolve by core id, so runs are deterministic.
     The trace carries no events.
+
+    The valid rows and columns and the panel bytes of each grid row and
+    column are computed once per call; the loop then does plain int and
+    float arithmetic, and only the LRU working set and the core heap are
+    Python objects. Each core walks its cells of the table with a
+    cursor. The result is kept in ``tasktable.priced`` under the other
+    arguments, so pricing the same table again returns the same trace
+    object, which callers must not change.
     """
     rows, cols = grid
     if rows < 1 or cols < 1:
         raise ValueError("grid must be nonempty")
-    queues = [list(core) for core in tasktable.per_core]
-    heap = [(0.0, core) for core in range(len(queues)) if queues[core]]
-    heapq.heapify(heap)
-    lru: OrderedDict[tuple[str, int], int] = OrderedDict()
+    key = (grid, prim, m, n, k, *vars(hw).values())  # ``HwConfig`` is mutable: key its values
+    trace = tasktable.priced.get(key)
+    if trace is not None:
+        return trace
+    cells = tasktable.cells
+    rows_of, cols_of = cells.tolist()
+    if rows_of and not (0 <= min(rows_of) and max(rows_of) < rows and 0 <= min(cols_of) and max(cols_of) < cols):
+        i, j = next((i, j) for i, j in zip(rows_of, cols_of) if not (0 <= i < rows and 0 <= j < cols))
+        raise ValueError(f"tile ({i}, {j}) outside grid {grid}")
+    # Panels 0..rows-1 are A's row-panels, rows..rows+cols-1 B's column-panels.
+    rows_valid = np.minimum(prim.tile_m, m - np.arange(rows) * prim.tile_m)
+    cols_valid = np.minimum(prim.tile_n, n - np.arange(cols) * prim.tile_n)
+    panel_bytes = (rows_valid * k * BYTES).tolist() + (k * cols_valid * BYTES).tolist()
+    b_panels = (cells[1] + rows).tolist()
+    stores = (rows_valid[cells[0]] * cols_valid[cells[1]] * BYTES / hw.hbm_bytes_per_tick).tolist()
+    compute = 2.0 * prim.tile_m * prim.tile_n * k / hw.cube_flops_per_tick
+    hbm_rate, l2_rate, l2_cap = hw.hbm_bytes_per_tick, hw.l2_hit_bytes_per_tick, hw.l2_bytes
+    core_num, cell_num = tasktable.core_num, len(rows_of)
+    heap = [(0.0, core) for core in range(min(core_num, cell_num))]
+    cursor = list(range(core_num))  # core c runs cells c, c + k, c + 2k, ...
+    lru: OrderedDict[int, int] = OrderedDict()
     lru_bytes = 0
-    busy = {"cube": 0.0, "vector": 0.0, "mte": 0.0}
-    per_core = [0.0] * len(queues)
-    makespan = 0.0
-
-    def touch(panel: tuple[str, int], nbytes: int) -> tuple[int, int]:
-        nonlocal lru_bytes
-        if panel in lru:
-            lru.move_to_end(panel)
-            return 0, nbytes
-        lru[panel] = nbytes
-        lru_bytes += nbytes
-        while lru_bytes > hw.l2_bytes and len(lru) > 1:
-            _, evicted = lru.popitem(last=False)
-            lru_bytes -= evicted
-        return nbytes, 0
-
+    cube = mte = makespan = 0.0
+    per_core = [0.0] * core_num
     while heap:
-        t, core = heapq.heappop(heap)
-        i, j = queues[core].pop(0)
-        if not (0 <= i < rows and 0 <= j < cols):
-            raise ValueError(f"tile ({i}, {j}) outside grid {grid}")
-        rows_valid = min(prim.tile_m, m - i * prim.tile_m)
-        cols_valid = min(prim.tile_n, n - j * prim.tile_n)
-        hbm_a, l2_a = touch(("A", i), rows_valid * k * BYTES)
-        hbm_b, l2_b = touch(("B", j), k * cols_valid * BYTES)
-        load = (hbm_a + hbm_b) / hw.hbm_bytes_per_tick + (l2_a + l2_b) / hw.l2_hit_bytes_per_tick
-        compute = 2.0 * prim.tile_m * prim.tile_n * k / hw.cube_flops_per_tick
-        store = rows_valid * cols_valid * BYTES / hw.hbm_bytes_per_tick
+        t, core = heap[0]
+        c = cursor[core]
+        cursor[core] = c + core_num
+        hbm_bytes = l2_bytes = 0
+        for panel in (rows_of[c], b_panels[c]):
+            nbytes = panel_bytes[panel]
+            if panel in lru:
+                lru.move_to_end(panel)
+                l2_bytes += nbytes
+                continue
+            lru[panel] = nbytes
+            lru_bytes += nbytes
+            while lru_bytes > l2_cap and len(lru) > 1:
+                lru_bytes -= lru.popitem(last=False)[1]
+            hbm_bytes += nbytes
+        load = hbm_bytes / hbm_rate + l2_bytes / l2_rate
+        store = stores[c]
         end = t + load + compute + store
-        busy["mte"] += load + store
-        busy["cube"] += compute
+        mte += load + store
+        cube += compute
         per_core[core] += compute
-        makespan = max(makespan, end)
-        if queues[core]:
-            heapq.heappush(heap, (end, core))
-    denom = makespan * max(1, len(queues))
-    return SimTrace(
+        if end > makespan:
+            makespan = end
+        if c + core_num < cell_num:
+            heapq.heapreplace(heap, (end, core))
+        else:
+            heapq.heappop(heap)
+    denom = makespan * max(1, core_num)
+    trace = SimTrace(
         makespan=makespan,
-        busy=busy,
+        busy={"cube": cube, "vector": 0.0, "mte": mte},
         per_core_load=per_core,
-        utilization={"cube": busy["cube"] / denom if denom > 0 else 0.0},
+        utilization={"cube": cube / denom if denom > 0 else 0.0},
     )
+    tasktable.priced[key] = trace
+    return trace
 
 
 def profile_swizzle(
@@ -562,8 +591,7 @@ def profile_swizzle(
     best: OrderingDescriptor | None = None
     best_span = float("inf")
     for desc in candidates:
-        order = grid_order(desc, rows, cols)
-        table = deal_round_robin(order, hw.core_num)
+        table = deal_round_robin(grid_order(desc, rows, cols), hw.core_num)
         span = simulate_linear((rows, cols), table, hw, prim, m, n, k).makespan
         if span < best_span:
             best, best_span = desc, span

@@ -38,6 +38,20 @@ PREFILL_HEAVY_LENS = (462, 16)
 DECODE_HEAVY_LENS = (462, 256)
 
 
+def _is_token_ids(prompt) -> bool:
+    """Whether a parsed JSON value is a nonempty list of ints >= 0 (bools
+    count, as ``isinstance`` counts them), in two C-level passes instead
+    of a Python test per token. Among JSON values only ints and bools sum
+    to an int: a float makes the sum a float, and a string, list, object
+    or null raises ``TypeError``."""
+    if not isinstance(prompt, list) or not prompt:
+        return False
+    try:
+        return type(sum(prompt)) is int and min(prompt) >= 0
+    except TypeError:
+        return False
+
+
 def parse_trace(path: str | Path) -> list[TraceRequest]:
     requests: list[TraceRequest] = []
     seen: set[str] = set()
@@ -57,11 +71,7 @@ def parse_trace(path: str | Path) -> list[TraceRequest]:
             raise ParseError(line_no, f"duplicate request id {req_id!r}")
         seen.add(req_id)
         prompt = obj["prompt"]
-        if (
-            not isinstance(prompt, list)
-            or not prompt
-            or not all(isinstance(t, int) and t >= 0 for t in prompt)
-        ):
+        if not _is_token_ids(prompt):
             raise ParseError(line_no, "prompt must be a nonempty list of token ids")
         if not isinstance(obj["output_len"], int) or obj["output_len"] < 1:
             raise ParseError(line_no, "output_len must be a positive integer")

@@ -4,7 +4,8 @@
 scheduler, proposer and profile methods, then re-prices every captured
 attention and linear task table for its ablations. A planner or engine
 change that breaks either breaks the benchmark's per-layer run, so this
-test replays a short trace through that path in both modes.
+test replays a short trace through that path in both modes. It also pins
+that the engine's linear memo hides no ``simulate_linear`` call.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from tileserve.config import ServeConfig
 from tileserve.engine import Engine, EngineRequest
 from tileserve.kv_cache import RadixKvCache
 from tileserve.oracle import ToyModel
-from tileserve.planner import attention_tile_size
+from tileserve.planner import LinearOp, attention_tile_size
 from tileserve.trace import gen_trace
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -75,3 +76,16 @@ def test_tracer_metrics_and_ablations_on_a_small_replay(numeric, monkeypatch):
     )
     assert metrics["planner.tiles"] == units
     assert metrics["engine.chunks"] == len(chunks) == len(tracer.attention_calls)
+    # The engine memoises each linear op's table per M, yet every chunk still
+    # makes its four simulate_linear calls, in op order, and its logged ticks
+    # are the layers times what the tracer saw: model.*_ticks and the linear
+    # ablations count exactly what was priced.
+    assert len(tracer.linear_calls) == 4 * len(chunks)
+    dims = layers.linear_op_dims(cfg.model)
+    for i, logged in enumerate(engine.chunk_log):
+        span = tracer.attention_calls[i][2]
+        calls = tracer.linear_calls[4 * i : 4 * i + 4]
+        assert [dims[args[5], args[6]] for args, _ in calls] == list(LinearOp)
+        for _, linear_span in calls:
+            span += linear_span
+        assert span * cfg.model.num_layers == logged["ticks"]

@@ -2,11 +2,12 @@
 cache hygiene after a run in either mode, simulate mode at a 7B shape
 without weights or pools, one plan for the kernels and the cost model,
 requests no chunk can serve, a K/V pool that runs out, ``check`` without
-a model, and the report's times, latency percentiles, cache counts and
-chunk composition."""
+a model, the per-engine linear memo, and the report's times, latency
+percentiles, cache counts, unit utilisation and chunk composition."""
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from collections import Counter
@@ -19,7 +20,9 @@ from tileserve import engine as engine_mod
 from tileserve.config import HwConfig, ModelConfig, ServeConfig
 from tileserve.engine import CHECK_TOL, Engine, EngineRequest, RejectedRequest
 from tileserve.oracle import ToyModel, dense_forward, dense_tree_forward
+from tileserve.planner import GridTable
 from tileserve.scheduler import Stage
+from tileserve.simulator import simulate_linear, trace_attention
 from tileserve.trace import gen_trace, write_trace
 
 # Speculative requests whose output_len often cuts an accepted path short.
@@ -103,6 +106,71 @@ def test_every_sequence_is_released(cfg, numeric):
         # Simulate mode holds no model and its pools no rows.
         assert engine.model is None
         assert engine.cache.keys.nbytes == engine.cache.values.nbytes == 0
+
+
+@pytest.mark.parametrize("numeric", [True, False], ids=["numeric", "simulate"])
+def test_linear_memo_holds_each_op_and_m_once_and_changes_no_result(cfg, numeric, monkeypatch):
+    """Each linear op's grid and task table are built once per chunk M,
+    and a run that rebuilds them before every chunk logs and reports the
+    same bytes. A 24-token budget makes most chunks repeat an M."""
+    cfg.budget = 24
+    engine = run_engine(cfg, numeric)
+    ms = {c["tokens"] for c in engine.chunk_log}
+    assert 2 * len(ms) < len(engine.chunk_log)
+    assert set(engine._linear_plans) == ms
+    assert sum(len(plans) for plans in engine._linear_plans.values()) <= 4 * len(ms)
+    real_execute_chunk = Engine._execute_chunk
+
+    def execute_chunk(engine, chunk):
+        engine._linear_plans.clear()
+        real_execute_chunk(engine, chunk)
+
+    monkeypatch.setattr(Engine, "_execute_chunk", execute_chunk)
+    fresh = run_engine(cfg, numeric)
+    assert json.dumps(fresh.chunk_log) == json.dumps(engine.chunk_log)
+    assert json.dumps(fresh.report()) == json.dumps(engine.report())
+
+
+def test_report_utilization_is_the_tick_weighted_busy_share(cfg, monkeypatch):
+    """``report()["utilization"]`` is each unit's busy ticks over the core
+    ticks of every priced attention and linear span, recomputed here with
+    the event reference and unmemoised linear tables."""
+    priced = []
+    real_simulate_chunk = Engine._simulate_chunk
+
+    def simulate_chunk(engine, chunk, plan):
+        priced.append((chunk.total_tokens, plan))
+        return real_simulate_chunk(engine, chunk, plan)
+
+    monkeypatch.setattr(Engine, "_simulate_chunk", simulate_chunk)
+    engine = run_engine(cfg, numeric=False)
+    hw = cfg.hw
+    busy = {"cube": 0.0, "vector": 0.0}
+    span = 0.0
+    for m, plan in priced:
+        traces = [
+            trace_attention(
+                plan.tasktable,
+                hw,
+                plan.schedule,
+                head_size=cfg.model.head_size,
+                kv_block_size=cfg.kv_block_size,
+                kv_split_blocks=plan.split,
+            )
+        ]
+        for op, (grid, table) in plan.linears.items():
+            n, k, prim = engine._linear_ops[op]
+            traces.append(simulate_linear(grid, GridTable(table.cells, table.core_num), hw, prim, m, n, k))
+        for trace in traces:
+            span += trace.makespan
+            for unit in busy:
+                busy[unit] += trace.busy.get(unit, 0.0)
+    utilization = engine.report()["utilization"]
+    assert set(utilization) == set(busy)
+    for unit, value in utilization.items():
+        assert 0.0 < value <= 1.0
+        assert value == pytest.approx(busy[unit] / (hw.core_num * span), rel=1e-9)
+    assert "utilization" not in engine.chunk_log[0]
 
 
 def test_simulate_mode_serves_a_7b_shape_without_weights_or_pools():

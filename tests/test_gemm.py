@@ -1,13 +1,15 @@
-"""Virtually padded GEMM against ``@`` for any M and any task order."""
+"""Virtually padded GEMM against ``@`` for any M and any task order, and
+the task table's check that it covers the grid."""
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from tileserve.gemm import SUPPORTED_TILE_K, TilePrimitive, gemm_virtual_pad
+from tileserve.gemm import SUPPORTED_TILE_K, ShapeMismatch, TilePrimitive, gemm_virtual_pad
 from tileserve.planner import deal_round_robin
-from tileserve.profiles import CANDIDATE_ORDERINGS, grid_order
+from tileserve.profiles import CANDIDATE_ORDERINGS, ROW_MAJOR, grid_order
 
 
 @settings(max_examples=40, deadline=None)
@@ -40,3 +42,17 @@ def test_any_m_any_order_matches_matmul(m, n_tiles, tile_m, tile_n, tile_k, k_st
     a64, b64 = a.astype(np.float64), b.astype(np.float64)
     bound = k * np.finfo(np.float32).eps * (np.abs(a64) @ np.abs(b64))
     assert (np.abs(first - a64 @ b64) <= bound).all()
+
+
+def test_a_table_that_misses_repeats_or_overruns_a_tile_is_refused():
+    prim = TilePrimitive(tile_m=16, tile_n=16, tile_k=64)
+    a = np.ones((20, 64), dtype=np.float32)
+    b = np.ones((64, 32), dtype=np.float32)  # a 2 x 2 tile grid
+    full = grid_order(ROW_MAJOR, 2, 2)
+    for cells, message in (
+        (full[:, :3], r"does not cover the \(2, 2\) grid once"),
+        (full[:, [0, 1, 2, 2]], r"does not cover the \(2, 2\) grid once"),
+        (np.hstack((full, [[2], [0]])), r"tile \(2, 0\) outside grid \(2, 2\)"),
+    ):
+        with pytest.raises(ShapeMismatch, match=message):
+            gemm_virtual_pad(a, b, prim, deal_round_robin(cells, 2))

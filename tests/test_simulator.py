@@ -1,20 +1,29 @@
-"""Attention cost model: the closed form against the event-by-event reference."""
+"""Cost model: the attention closed form against the event-by-event
+reference, and linear pricing against the tile-by-tile loop it replaced."""
 
 from __future__ import annotations
 
+import dataclasses
+import heapq
 import math
+from collections import OrderedDict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tileserve.attention import plan_splits
 from tileserve.config import HwConfig
+from tileserve.gemm import SUPPORTED_TILE_K, TilePrimitive
 from tileserve.planner import TaskTable, TileTable, TileUnit, deal_round_robin
+from tileserve.profiles import CANDIDATE_ORDERINGS, ROW_MAJOR, grid_order
 from tileserve.scheduler import Stage
 from tileserve.simulator import (
+    BYTES,
     Schedule,
     ScheduleViolation,
     simulate_attention,
+    simulate_linear,
     trace_attention,
 )
 
@@ -188,6 +197,139 @@ class TestPlanSplits:
 
 def test_deal_round_robin():
     cells = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
-    table = deal_round_robin(cells, 2)
-    assert table.per_core == (((0, 0), (1, 0), (2, 0)), ((0, 1), (1, 1)))
-    assert deal_round_robin([], 3).per_core == ((), (), ())
+    table = deal_round_robin(np.array(cells).T, 2)
+    assert [core.T.tolist() for core in table.per_core] == [[[0, 0], [1, 0], [2, 0]], [[0, 1], [1, 1]]]
+    empty = deal_round_robin(np.empty((2, 0), dtype=np.int64), 3)
+    assert [core.T.tolist() for core in empty.per_core] == [[], [], []]
+
+
+# -- linear pricing ------------------------------------------------------------
+
+
+def reference_grid_order(desc, rows: int, cols: int) -> list[tuple[int, int]]:
+    """The visit order as a list of (row, col) cells, built cell by cell."""
+    if desc.kind == "row_major":
+        return [(i, j) for i in range(rows) for j in range(cols)]
+    if desc.kind == "col_major":
+        return [(i, j) for j in range(cols) for i in range(rows)]
+    return [
+        (i, j)
+        for g in range(0, cols, desc.width)
+        for i in range(rows)
+        for j in range(g, min(g + desc.width, cols))
+    ]
+
+
+def reference_simulate_linear(grid, order, core_num, hw, prim, m, n, k) -> dict:
+    """The tile-by-tile pricing loop over tuple lists: cell c of ``order``
+    goes to core c mod ``core_num``, each core pops its next tile, and a
+    closure keeps the LRU working set of ("A", row) and ("B", col) panels.
+    Also counts evictions."""
+    queues = [order[core::core_num] for core in range(core_num)]
+    heap = [(0.0, core) for core in range(core_num) if queues[core]]
+    heapq.heapify(heap)
+    lru = OrderedDict()
+    lru_bytes = evictions = 0
+    busy = {"cube": 0.0, "vector": 0.0, "mte": 0.0}
+    per_core = [0.0] * core_num
+    makespan = 0.0
+
+    def touch(panel, nbytes):
+        nonlocal lru_bytes, evictions
+        if panel in lru:
+            lru.move_to_end(panel)
+            return 0, nbytes
+        lru[panel] = nbytes
+        lru_bytes += nbytes
+        while lru_bytes > hw.l2_bytes and len(lru) > 1:
+            _, evicted = lru.popitem(last=False)
+            lru_bytes -= evicted
+            evictions += 1
+        return nbytes, 0
+
+    while heap:
+        t, core = heapq.heappop(heap)
+        i, j = queues[core].pop(0)
+        rows_valid = min(prim.tile_m, m - i * prim.tile_m)
+        cols_valid = min(prim.tile_n, n - j * prim.tile_n)
+        hbm_a, l2_a = touch(("A", i), rows_valid * k * BYTES)
+        hbm_b, l2_b = touch(("B", j), k * cols_valid * BYTES)
+        load = (hbm_a + hbm_b) / hw.hbm_bytes_per_tick + (l2_a + l2_b) / hw.l2_hit_bytes_per_tick
+        compute = 2.0 * prim.tile_m * prim.tile_n * k / hw.cube_flops_per_tick
+        store = rows_valid * cols_valid * BYTES / hw.hbm_bytes_per_tick
+        end = t + load + compute + store
+        busy["mte"] += load + store
+        busy["cube"] += compute
+        per_core[core] += compute
+        makespan = max(makespan, end)
+        if queues[core]:
+            heapq.heappush(heap, (end, core))
+    return {"makespan": makespan, "busy": busy, "per_core_load": per_core, "evictions": evictions}
+
+
+def assert_prices_like_the_reference(desc, grid, core_num, hw, prim, m, n, k) -> dict:
+    """Columnar order, dealing and pricing equal the reference bit for bit;
+    pricing the table again returns the stored trace, unless an argument
+    changed."""
+    order = grid_order(desc, *grid)
+    assert list(zip(*order.tolist())) == reference_grid_order(desc, *grid)
+    table = deal_round_robin(order, core_num)
+    trace = simulate_linear(grid, table, hw, prim, m, n, k)
+    ref = reference_simulate_linear(grid, reference_grid_order(desc, *grid), core_num, hw, prim, m, n, k)
+    assert trace.makespan == ref["makespan"]
+    assert trace.busy == ref["busy"]
+    assert trace.per_core_load == ref["per_core_load"]
+    assert simulate_linear(grid, table, hw, prim, m, n, k) is trace
+    # The stored result is keyed by every argument: other rates price afresh.
+    slower = dataclasses.replace(hw, hbm_bytes_per_tick=hw.hbm_bytes_per_tick / 2)
+    again = simulate_linear(grid, table, slower, prim, m, n, k)
+    assert again.makespan == simulate_linear(grid, deal_round_robin(order, core_num), slower, prim, m, n, k).makespan
+    assert again.makespan > trace.makespan
+    return ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    desc=st.sampled_from(CANDIDATE_ORDERINGS),
+    rows=st.integers(1, 9),
+    cols=st.integers(1, 9),
+    tile_m=st.sampled_from((16, 32)),
+    tile_n=st.sampled_from((16, 32, 64)),
+    tile_k=st.sampled_from(SUPPORTED_TILE_K),
+    k_steps=st.integers(1, 3),
+    m_tail=st.integers(0, 31),
+    n_tail=st.integers(0, 63),
+    core_num=st.integers(1, 6),
+    l2_frac=st.floats(0.0, 1.5),
+    rates=st.sampled_from(((1024.0, 8192.0), (1000.0, 7777.0), (3.0, 10.0))),
+)
+def test_linear_pricing_equals_the_reference_loop(
+    desc, rows, cols, tile_m, tile_n, tile_k, k_steps, m_tail, n_tail, core_num, l2_frac, rates
+):
+    """Random grids, orders, core counts, M and N tails and L2 sizes, from
+    one panel's bytes (every new panel evicts) to past the whole working
+    set (nothing evicts)."""
+    prim = TilePrimitive(tile_m=tile_m, tile_n=tile_n, tile_k=tile_k)
+    m = rows * tile_m - m_tail % tile_m
+    n = cols * tile_n - n_tail % tile_n
+    k = k_steps * tile_k
+    working_set = (m + n) * k * BYTES
+    hw = HwConfig(
+        core_num=core_num,
+        l2_bytes=max(1, int(l2_frac * working_set)),
+        hbm_bytes_per_tick=rates[0],
+        l2_hit_bytes_per_tick=rates[1],
+    )
+    assert_prices_like_the_reference(desc, (rows, cols), core_num, hw, prim, m, n, k)
+
+
+def test_7b_qkv_grid_prices_like_the_reference_while_evicting():
+    """A 7B model's QKV projection at M = 4096: a 256 x 48 tile grid whose
+    4 MB L2 holds a small share of the panels, in every candidate order."""
+    hw = HwConfig()
+    prim = TilePrimitive(tile_m=16, tile_n=128, tile_k=128)
+    m, n, k = 4096, (32 + 2 * 8) * 128, 4096
+    assert hw.l2_bytes == 4 * 1024 * 1024 and (-(-m // 16), -(-n // 128)) == (256, 48)
+    for desc in (ROW_MAJOR, *CANDIDATE_ORDERINGS[1:]):
+        ref = assert_prices_like_the_reference(desc, (256, 48), hw.core_num, hw, prim, m, n, k)
+        assert ref["evictions"] > 256 + 48  # panels leave L2 and come back
