@@ -13,14 +13,19 @@ heads; the cost model prices the (query tile x head) units of the same
 plan with the same split, so what runs is what is priced.
 
 One radix cache serves every transformer layer: each sequence has one
-block table, and each chunk commits every entry's tokens once. Numeric
-and simulate mode share that flow and the prefill/decode/verify
-bookkeeping; only the token source differs. Given a model (numeric
-mode), the engine runs it in fp32, writes each layer's K/V into the
-reserved rows, picks tokens by argmax and, with ``check``, verifies kept
-rows against a dense recompute. Without one (simulate mode) it reads
-only the ``ModelConfig``, holds no weights or pool rows, draws seeded
-tokens and cannot ``check``. Both modes price the work in model ticks.
+block table, and each chunk commits every entry's tokens once, after
+making room for all of them, so a chunk that does not fit changes no
+table. A chunk's decodes are one run at its head (``Chunk.decodes``),
+handled in one pass each for tokens, picks (one seeded draw call in
+simulate mode), outputs and retirement; prefill and verify entries take
+the per-entry path. Numeric and simulate mode share that flow and the
+prefill/decode/verify bookkeeping; only the token source differs. Given
+a model (numeric mode), the engine runs it in fp32, writes each layer's
+K/V into the reserved rows, picks tokens by argmax and, with ``check``,
+verifies kept rows against a dense recompute. Without one (simulate
+mode) it reads only the ``ModelConfig``, holds no weights or pool rows,
+draws seeded tokens and cannot ``check``. Both modes price the work in
+model ticks.
 """
 
 from __future__ import annotations
@@ -223,7 +228,7 @@ class Engine:
             split=split,
             masks={
                 ei: tree_mask(e.spec_tree)
-                for ei, e in enumerate(chunk.entries)
+                for ei, e in enumerate(chunk.entries[chunk.decodes :], chunk.decodes)
                 if e.stage is Stage.VERIFY
             },
             linears=self._plan_linears(chunk),
@@ -251,38 +256,57 @@ class Engine:
         computed, skipped = skip_plan(plan.tiles, self.cfg.kv_block_size)
         self.skip_computed += int(computed.sum())
         self.skip_skipped += int(skipped.sum())
-        tokens, positions = self._chunk_tokens_positions(chunk)
-        try:
-            for entry in chunk.entries:
-                self.cache.commit_tokens(
-                    self.runtimes[entry.req_id].table,
-                    tokens[entry.start_pos : entry.start_pos + entry.token_num],
-                    cacheable=entry.stage is not Stage.VERIFY,
-                )
-            logits, spec_kv = None, {}
-            if self.model is not None:
-                logits, spec_kv = self._forward_chunk(chunk, plan, tokens, positions)
-            results = self._apply_logits(chunk, logits, spec_kv)
-        except PoolExhausted as exc:
-            raise PoolExhausted(f"chunk {chunk.chunk_id}: {exc}") from exc
+        rts = [self.runtimes[entry.req_id] for entry in chunk.entries]
+        tokens, positions = self._chunk_tokens_positions(chunk, rts)
+        self._reserve_blocks(chunk, rts)
+        for entry, rt in zip(chunk.entries, rts):
+            self.cache.commit_tokens(
+                rt.table,
+                tokens[entry.start_pos : entry.start_pos + entry.token_num],
+                cacheable=entry.stage is not Stage.VERIFY,
+            )
+        logits, spec_kv = None, {}
+        if self.model is not None:
+            logits, spec_kv = self._forward_chunk(chunk, plan, tokens, positions)
+        picks, results = self._apply_logits(chunk, rts, logits, spec_kv)
         span = self._simulate_chunk(chunk, plan)
         self.ticks += span
-        self._record_outputs(chunk, results)
-        self.sched.complete_chunk(chunk, results)
+        self._record_outputs(chunk, rts, picks, results)
+        d = chunk.decodes
+        stages = Counter(entry.stage.value for entry in chunk.entries[d:])
         self.chunk_log.append(
             {
                 "chunk_id": chunk.chunk_id,
                 "tokens": chunk.total_tokens,
-                "stages": "".join(sorted(e.stage.value for e in chunk.entries)),
+                "stages": "D" * d + "P" * stages["P"] + "V" * stages["V"],
                 "ticks": span,
             }
         )
-        # Only a chunk's own entries can retire in it.
-        for entry in chunk.entries:
-            rt = self.runtimes[entry.req_id]
-            if not rt.done and entry.req_id in self.sched.retired:
-                rt.done = True
-                self.cache.release_sequence(rt.table)
+        for req_id in self.sched.complete_chunk(chunk, results):
+            rt = self.runtimes[req_id]
+            rt.done = True
+            self.cache.release_sequence(rt.table)
+
+    def _reserve_blocks(self, chunk: Chunk, rts: list[_Runtime]) -> None:
+        """Make room for every commit of the chunk before the first one,
+        with one ``evict`` call for any shortfall, so that a chunk commits
+        all or nothing (a block cached in the tree cannot be rolled back).
+        No commit takes more blocks than it has tokens."""
+        cache = self.cache
+        free = cache.free_block_count()
+        if free >= chunk.total_tokens:
+            return
+        needs = [cache._blocks_needed(rt.table, entry.token_num) for entry, rt in zip(chunk.entries, rts)]
+        if sum(needs) > free:
+            cache.evict(sum(needs) - free)
+            free = cache.free_block_count()
+        for entry, need in zip(chunk.entries, needs):
+            if need > free:
+                raise PoolExhausted(
+                    f"chunk {chunk.chunk_id}: sequence {entry.req_id!r} needs {need} K/V blocks for "
+                    f"{entry.token_num} tokens, {free} free of {cache.pool_blocks} after eviction"
+                )
+            free -= need
 
     # ------------------------------------------------------------------
     # Numeric forward
@@ -300,17 +324,14 @@ class Engine:
             w32["layers"].append({k: v.astype(np.float32) for k, v in layer.items()})
         return w32
 
-    def _chunk_tokens_positions(self, chunk: Chunk) -> tuple[list[int], list[int]]:
-        tokens: list[int] = []
-        positions: list[int] = []
-        for entry in chunk.entries:
-            rt = self.runtimes[entry.req_id]
+    def _chunk_tokens_positions(self, chunk: Chunk, rts: list[_Runtime]) -> tuple[list[int], list[int]]:
+        d = chunk.decodes
+        tokens = [rt.last_token for rt in rts[:d]]
+        positions = [entry.kv_len for entry in chunk.entries[:d]]
+        for entry, rt in zip(chunk.entries[d:], rts[d:]):
             if entry.stage is Stage.PREFILL:
                 tokens.extend(rt.request.prompt[entry.kv_len : entry.kv_len + entry.token_num])
                 positions.extend(range(entry.kv_len, entry.kv_len + entry.token_num))
-            elif entry.stage is Stage.DECODE:
-                tokens.append(rt.last_token)
-                positions.append(entry.kv_len)
             else:
                 tree = entry.spec_tree
                 tokens.extend(tree.tokens)
@@ -377,14 +398,27 @@ class Engine:
     def _apply_logits(
         self,
         chunk: Chunk,
+        rts: list[_Runtime],
         logits: np.ndarray | None,
         spec_kv: dict[int, list[tuple[np.ndarray, np.ndarray]]],
-    ) -> dict[object, StageResult]:
-        """Each entry's stage result. ``logits`` is None in simulate mode,
-        where seeded draws stand in for the argmax and no rows are kept."""
+    ) -> tuple[list[int], dict[object, StageResult]]:
+        """The decode run's picks, in entry order, and the stage result of
+        each later entry that picks a token. ``logits`` is None in simulate
+        mode, where seeded draws stand in for the argmax and no rows are
+        kept; the decode run draws first, in one call, which gives the
+        same stream as one draw per decode."""
+        d = chunk.decodes
+        if logits is None:
+            picks = self.rng.integers(self.cfg.model.vocab_size, size=d).tolist() if d else []
+        else:
+            picks = logits[:d].argmax(axis=1).tolist()
+            for i, (entry, rt) in enumerate(zip(chunk.entries[:d], rts)):
+                rt.logits_rows[entry.kv_len] = logits[i].copy()
+        for rt, token in zip(rts, picks):
+            rt.last_token = token
         results: dict[object, StageResult] = {}
-        for ei, entry in enumerate(chunk.entries):
-            rt = self.runtimes[entry.req_id]
+        for ei in range(d, len(rts)):
+            entry, rt = chunk.entries[ei], rts[ei]
             req = rt.request
             if entry.stage is Stage.VERIFY:
                 results[req.req_id] = self._accept_verify(entry, rt, logits, spec_kv.get(ei, []))
@@ -392,7 +426,7 @@ class Engine:
             if logits is not None:
                 for i in range(entry.token_num):
                     rt.logits_rows[entry.kv_len + i] = logits[entry.start_pos + i].copy()
-            if entry.kv_len + entry.token_num < len(rt.request.prompt):
+            if entry.kv_len + entry.token_num < len(req.prompt):
                 continue  # a prompt slice that is not the last one
             next_token = self._next_token(logits, entry.start_pos + entry.token_num - 1)
             rt.last_token = next_token
@@ -400,7 +434,7 @@ class Engine:
                 next_token=next_token,
                 next_tree=self._propose(rt, next_token) if req.spec else None,
             )
-        return results
+        return picks, results
 
     def _next_token(self, logits: np.ndarray | None, row: int) -> int:
         """The target's pick after chunk row ``row``: the argmax in numeric
@@ -491,20 +525,19 @@ class Engine:
             for sm in sizes:
                 profile_swizzle(op.value, (sm, n, k), self.cfg.hw, prim, store=self.store)
 
-    def _record_outputs(self, chunk: Chunk, results: dict[object, StageResult]) -> None:
-        for entry in chunk.entries:
-            result = results.get(entry.req_id)
+    def _record_outputs(
+        self, chunk: Chunk, rts: list[_Runtime], picks: list[int], results: dict[object, StageResult]
+    ) -> None:
+        for rt, token in zip(rts, picks):
+            rt.outputs.append(token)
+            rt.token_ticks.append(self.ticks)
+        for rt in rts[chunk.decodes :]:
+            result = results.get(rt.request.req_id)
             if result is None:
                 continue
-            rt = self.runtimes[entry.req_id]
-            new: list[int] = []
-            if entry.stage is Stage.VERIFY:
-                new = list(result.delivered)
-            elif result.next_token is not None and entry.stage in (Stage.PREFILL, Stage.DECODE):
-                new = [result.next_token]
-            for token in new:
-                rt.outputs.append(token)
-                rt.token_ticks.append(self.ticks)
+            new = result.delivered if result.next_token is None else [result.next_token]
+            rt.outputs.extend(new)
+            rt.token_ticks.extend([self.ticks] * len(new))
 
     def _run_checks(self) -> None:
         for rt in self.runtimes.values():

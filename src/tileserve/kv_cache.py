@@ -10,9 +10,12 @@ tables of PagedAttention do.
 Appending is split in two. :meth:`RadixKvCache.commit_tokens` reserves:
 it records the tokens, allocates their blocks (all or nothing), copies
 every layer's rows on copy-on-write and caches full blocks in the tree,
-but writes no K/V. :meth:`RadixKvCache.write_kv` then fills one layer's
-rows of the reserved tokens. The pools hold only the layers a caller
-writes; the engine's simulate mode asks for none and never writes.
+but writes no K/V; one token into a last block that the sequence alone
+holds and that has room (a decode step) takes a short path that
+allocates and copies nothing. :meth:`RadixKvCache.write_kv` then fills
+one layer's rows of the reserved tokens. The pools hold only the layers
+a caller writes; the engine's simulate mode asks for none and never
+writes.
 
 A radix tree over token-id sequences indexes completed blocks so that
 later requests can reuse matching prefixes token-wise; a mismatch
@@ -253,10 +256,19 @@ class RadixKvCache:
             return table
         st = self._seqs[table.seq_id]
         bs = self.block_size
-        view = table.last_block_tokens(bs)
-        room = bs - view if table.blocks and view < bs else 0
-        cow = room > 0 and not self._exclusively_owned(table.blocks[-1], view)
-        needed = int(cow) + -(-(n - room) // bs)
+        if n == 1 and table.blocks:
+            # One token into a block this sequence alone holds and that has
+            # room (a decode step, mostly): no new block, no copy.
+            bid = table.blocks[-1]
+            view = table.total_tokens - (len(table.blocks) - 1) * bs
+            if view < bs and self._exclusively_owned(bid, view):
+                self.token_count[bid] = view + 1
+                table.total_tokens += 1
+                st.tokens.append(new_tokens[0])
+                if view + 1 == bs and cacheable:
+                    self._try_cache_block(table, st, bid)
+                return table
+        needed = self._blocks_needed(table, n)
         if needed > len(self._free):
             self.evict(needed - len(self._free))
             if needed > len(self._free):
@@ -449,6 +461,15 @@ class RadixKvCache:
                 if n.is_leaf() and self.ref_count[n.block_id] == 0
             ]
             heapq.heapify(self._lru)
+
+    def _blocks_needed(self, table: BlockTable, n: int) -> int:
+        """Blocks that committing ``n`` tokens to ``table`` takes from the
+        pool, a copy-on-write of its last block included."""
+        bs = self.block_size
+        view = table.last_block_tokens(bs)
+        room = bs - view if table.blocks and view < bs else 0
+        cow = room > 0 and not self._exclusively_owned(table.blocks[-1], view)
+        return int(cow) + -(-(n - room) // bs)
 
     def _exclusively_owned(self, bid: int, view: int) -> bool:
         return (

@@ -3,8 +3,9 @@
 Attention work is cut along the query dimension into fixed-size tile
 blocks, crossed with heads, weighted by the attended K/V area, sorted
 heaviest-first, and dealt to cores in snake order (1..k, k..1, ...).
-The units form a ``TileTable`` of int64 columns, so a chunk is sorted,
-dealt and priced by a fixed number of NumPy calls, not per unit.
+The units form a ``TileTable`` of int64 columns, cut from per-entry
+columns (``np.repeat`` only where an entry spans several tiles), so a
+chunk is cut, sorted, dealt and priced by a fixed number of NumPy calls.
 Linear work is a 2-D grid over the padded result matrix whose visit
 order comes from the offline profile store. A ``GridTable`` holds that
 order as (row, col) int64 columns and deals cell c to core c mod k, so
@@ -84,13 +85,11 @@ class TileTable:
 
     @classmethod
     def of(cls, units: Sequence[TileUnit]) -> "TileTable":
-        return cls._with_reach(
-            [(u.stage_id, STAGES.index(u.stage), u.head, u.q_start, u.q_len, u.kv_len, u.stage_tokens) for u in units]
-        )
+        rows = [(u.stage_id, STAGES.index(u.stage), u.head, u.q_start, u.q_len, u.kv_len, u.stage_tokens) for u in units]
+        return cls._with_reach(np.array(rows, dtype=np.int64).reshape(-1, 7).T)
 
     @classmethod
-    def _with_reach(cls, rows: list[tuple[int, ...]]) -> "TileTable":
-        cols = np.array(rows, dtype=np.int64).reshape(-1, 7).T
+    def _with_reach(cls, cols: np.ndarray) -> "TileTable":
         reach = tile_reach(cols[1] == STAGES.index(Stage.VERIFY), cols[5], cols[3], cols[4], cols[6])
         return cls(np.vstack((cols, reach)))
 
@@ -162,17 +161,27 @@ def attention_tile_size(stage: Stage, token_num: int, cfg: ServeConfig) -> int:
 
 def decompose_attention(chunk: Chunk, head_num: int, cfg: ServeConfig) -> TileTable:
     """Split every stage entry along the query dimension and cross with
-    heads: one row per (entry, query tile), repeated for each head."""
+    heads: one row per (entry, query tile), repeated for each head.
+
+    Every stage cuts at ``cfg.prefill_tile_size`` (see
+    ``attention_tile_size``), so the tiles follow from per-entry int
+    columns; only a chunk with an entry longer than one tile pays for
+    the ``np.repeat`` that cuts it."""
     if not chunk.entries:
         raise ValueError("chunk must be nonempty")
-    rows = []
-    for stage_id, entry in enumerate(chunk.entries):
-        n, code = entry.token_num, STAGES.index(entry.stage)
-        tile_size = attention_tile_size(entry.stage, n, cfg)
-        for q_start in range(0, n, tile_size):
-            rows.append((stage_id, code, 0, q_start, min(tile_size, n - q_start), entry.kv_len, n))
-    qtiles = TileTable._with_reach(rows)
-    cols = np.repeat(qtiles.cols, head_num, axis=1)
+    entries, d, size = chunk.entries, chunk.decodes, cfg.prefill_tile_size
+    cols = np.zeros((7, len(entries)), dtype=np.int64)  # the TileUnit fields
+    cols[0] = np.arange(len(entries))
+    cols[1, :d] = STAGES.index(Stage.DECODE)
+    cols[1, d:] = [STAGES.index(e.stage) for e in entries[d:]]
+    cols[4] = cols[6] = [e.token_num for e in entries]
+    cols[5] = [e.kv_len for e in entries]
+    if cols[6].max() > size:
+        tiles = -(-cols[6] // size)
+        cols = np.repeat(cols, tiles, axis=1)
+        cols[3] = (np.arange(cols.shape[1]) - np.repeat(np.cumsum(tiles) - tiles, tiles)) * size
+        cols[4] = np.minimum(size, cols[6] - cols[3])
+    cols = np.repeat(TileTable._with_reach(cols).cols, head_num, axis=1)
     cols[2] = np.arange(cols.shape[1]) % head_num
     return TileTable(cols)
 

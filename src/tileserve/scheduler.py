@@ -6,6 +6,11 @@ remaining budget with prefill tokens in arrival order, splitting a
 prompt whose remainder does not fit. While decode or verify tokens are
 queued, a slice of the budget is held back for them, so prefill-only
 chunks appear only when those queues are empty.
+
+Decodes therefore form one run at the head of each chunk
+(``Chunk.decodes`` long), and ``complete_chunk`` retires or requeues
+that run in one pass: a decode always delivers exactly one token, so it
+needs no ``StageResult``.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .spec_decode import SpecTree
 
@@ -44,7 +50,6 @@ class Request:
     spec: tuple[int, int] | None = None  # (width, depth) or None
     spec_tree: SpecTree | None = None
     # progress
-    stage: Stage = Stage.PREFILL
     scheduled: int = 0  # prompt tokens handed out so far
     generated: int = 0
 
@@ -52,10 +57,11 @@ class Request:
         return len(self.prompt_tokens) - self.scheduled
 
 
-@dataclass(frozen=True)
-class ChunkEntry:
+class ChunkEntry(NamedTuple):
     """One stage instance inside a chunk; ``start_pos`` is the offset
-    into the chunk's flat token tensor."""
+    into the chunk's flat token tensor. A named tuple, not a frozen
+    dataclass: a decode run builds one per decode, and a tuple is built
+    four times faster."""
 
     req_id: object
     stage: Stage
@@ -67,16 +73,20 @@ class ChunkEntry:
 
 @dataclass
 class Chunk:
+    """A chunk's entries in flat-token order; the first ``decodes`` of
+    them are its decode run."""
+
     chunk_id: int
     entries: list[ChunkEntry]
     total_tokens: int
+    decodes: int = 0
 
 
 @dataclass
 class StageResult:
     """Per-request outcome the driver reports back after running a chunk."""
 
-    next_token: int | None = None  # prefill-final and decode
+    next_token: int | None = None  # prefill-final
     committed: int = 0  # verify: tokens whose K/V was kept
     new_tokens: int = 0  # verify: tokens added to the output this round
     next_tree: SpecTree | None = None  # verify continuation (and prefill->verify)
@@ -84,7 +94,8 @@ class StageResult:
 
 
 class TokenScheduler:
-    """Single-threaded scheduler; callers alternate schedule/complete."""
+    """Single-threaded scheduler; callers alternate schedule/complete, so a
+    request has at most one entry in flight."""
 
     def __init__(self, budget: int, reserve: int | None = None):
         if budget < 1:
@@ -97,7 +108,7 @@ class TokenScheduler:
         self._decode: deque[Request] = deque()
         self._verify: deque[Request] = deque()
         self._requests: dict[object, Request] = {}
-        self._in_flight: dict[object, int] = {}
+        self._in_flight: set[object] = set()  # requests with an entry in the open chunk
         self._retired: dict[object, Request] = {}
         self._next_chunk_id = 0
 
@@ -120,14 +131,12 @@ class TokenScheduler:
     def schedule_next(self) -> Chunk | None:
         """Build the next fixed-budget chunk, or None if queues are empty."""
         entries: list[ChunkEntry] = []
-        used = 0
-
-        while self._decode and used < self.budget:
+        for pos in range(min(len(self._decode), self.budget)):
             req = self._decode.popleft()
-            entries.append(ChunkEntry(req.req_id, Stage.DECODE, used, 1, req.kv_len))
+            entries.append(ChunkEntry(req.req_id, Stage.DECODE, pos, 1, req.kv_len))
             req.kv_len += 1
-            used += 1
-            self._mark_in_flight(req)
+            self._in_flight.add(req.req_id)
+        used = decodes = len(entries)
 
         while self._verify:
             spec_len = self._verify[0].spec_tree.spec_len
@@ -138,7 +147,7 @@ class TokenScheduler:
                 ChunkEntry(req.req_id, Stage.VERIFY, used, spec_len, req.kv_len, req.spec_tree)
             )
             used += spec_len
-            self._mark_in_flight(req)
+            self._in_flight.add(req.req_id)
 
         dv = used
         if self._prefill:
@@ -157,7 +166,7 @@ class TokenScheduler:
                 req.scheduled += take
                 used += take
                 room -= take
-                self._mark_in_flight(req)
+                self._in_flight.add(req.req_id)
                 if req.remaining_prompt() == 0:
                     self._prefill.popleft()
                 else:
@@ -165,19 +174,28 @@ class TokenScheduler:
 
         if not entries:
             return None
-        chunk = Chunk(self._next_chunk_id, entries, used)
+        chunk = Chunk(self._next_chunk_id, entries, used, decodes)
         self._next_chunk_id += 1
         return chunk
 
-    def complete_chunk(self, chunk: Chunk, results: dict[object, StageResult]) -> None:
-        """Apply a finished chunk: advance, re-enqueue, or retire requests."""
-        for entry in chunk.entries:
-            req = self._requests.get(entry.req_id)
-            if req is None or self._in_flight.get(entry.req_id, 0) <= 0:
-                raise UnknownRequest(entry.req_id)
-            self._in_flight[entry.req_id] -= 1
-            if self._in_flight[entry.req_id] == 0:
-                del self._in_flight[entry.req_id]
+    def complete_chunk(self, chunk: Chunk, results: dict[object, StageResult]) -> list[object]:
+        """Apply a finished chunk: advance, re-enqueue, or retire requests.
+
+        ``results`` holds the outcome of each verify entry and each last
+        prompt slice; the decode run needs none. Returns the ids of the
+        requests this chunk retired, in entry order.
+        """
+        retired = []
+        for entry in chunk.entries[: chunk.decodes]:
+            req = self._land(entry.req_id)
+            req.generated += 1
+            if req.generated >= req.output_len:
+                self._retire(req)
+                retired.append(req.req_id)
+            else:
+                self._decode.append(req)
+        for entry in chunk.entries[chunk.decodes :]:
+            req = self._land(entry.req_id)
             result = results.get(entry.req_id, StageResult())
 
             if entry.stage is Stage.PREFILL:
@@ -187,42 +205,29 @@ class TokenScheduler:
                 if result.next_token is None:
                     raise ValueError(f"prefill completion for {req.req_id!r} needs next_token")
                 req.generated = 1
-                if req.generated >= req.output_len:
-                    self._retire(req)
-                elif req.spec is not None:
-                    if result.next_tree is None:
-                        raise ValueError("speculative request needs next_tree after prefill")
-                    req.spec_tree = result.next_tree
-                    req.stage = Stage.VERIFY
-                    self._verify.append(req)
-                else:
-                    req.stage = Stage.DECODE
-                    self._decode.append(req)
-
-            elif entry.stage is Stage.DECODE:
-                if result.next_token is None:
-                    raise ValueError(f"decode completion for {req.req_id!r} needs next_token")
-                req.generated += 1
-                if req.generated >= req.output_len:
-                    self._retire(req)
-                else:
-                    self._decode.append(req)
-
             else:  # VERIFY
                 req.kv_len += result.committed
                 req.generated += result.new_tokens
-                if req.generated >= req.output_len:
-                    self._retire(req)
-                else:
-                    if result.next_tree is None:
-                        raise ValueError("verify continuation needs next_tree")
-                    req.spec_tree = result.next_tree
-                    self._verify.append(req)
+            if req.generated >= req.output_len:
+                self._retire(req)
+                retired.append(req.req_id)
+            elif req.spec is None:
+                self._decode.append(req)
+            elif result.next_tree is None:
+                raise ValueError(f"speculative request {req.req_id!r} needs next_tree to continue")
+            else:
+                req.spec_tree = result.next_tree
+                self._verify.append(req)
+        return retired
 
     # ------------------------------------------------------------------
 
-    def _mark_in_flight(self, req: Request) -> None:
-        self._in_flight[req.req_id] = self._in_flight.get(req.req_id, 0) + 1
+    def _land(self, req_id) -> Request:
+        """Take ``req_id``'s entry of the open chunk off the books."""
+        if req_id not in self._in_flight:
+            raise UnknownRequest(req_id)
+        self._in_flight.remove(req_id)
+        return self._requests[req_id]
 
     def _retire(self, req: Request) -> None:
         del self._requests[req.req_id]

@@ -16,10 +16,9 @@ the sequential discipline, the running sum of its op sequence).
 ``simulate_attention`` prices a task table that way and builds no
 events: it reads the ``q_len`` and ``reach`` columns of each core's
 ``TileTable`` (plain ``TileUnit``s are read into one), a fixed number
-of NumPy calls per core. ``trace_attention`` is its reference: it lays
-out one ``StageEvent`` per cube, vector and MTE op, and its makespan
-equals the closed form bit for bit, because both add the same costs
-in the same order. ``simulate_linear`` prices a linear grid tile by
+of NumPy calls per core. The tests hold its reference, which lays out
+one event per cube, vector and MTE op and whose makespan equals the
+closed form bit for bit. ``simulate_linear`` prices a linear grid tile by
 tile through a shared-L2 reuse model, where a panel's first touch pays
 the HBM rate and re-touches inside the working set pay the L2 rate; it
 builds no events either. It reads the ``GridTable``'s (row, col)
@@ -45,10 +44,9 @@ from enum import Enum
 
 import numpy as np
 
-from .attention import plan_splits
 from .config import HwConfig
 from .gemm import TilePrimitive
-from .planner import GridTable, TaskTable, TileTable, TileUnit, deal_round_robin
+from .planner import GridTable, TaskTable, TileTable, deal_round_robin
 from .profiles import (
     CANDIDATE_ORDERINGS,
     OrderingDescriptor,
@@ -71,29 +69,13 @@ class Schedule(Enum):
     DECODE_PIPE = "decode"
 
 
-@dataclass(frozen=True)
-class StageEvent:
-    core: int
-    unit: str  # "cube" | "vector" | "mte"
-    kind: str  # QK | Softmax | SV | Update | QKSoftmax | Load | Store
-    tile: str
-    start: float
-    end: float
-
-
 @dataclass
 class SimTrace:
-    events: list[StageEvent] = field(default_factory=list)
+    events: list = field(default_factory=list)  # no pricing path builds events
     makespan: float = 0.0
     busy: dict[str, float] = field(default_factory=dict)
     per_core_load: list[float] = field(default_factory=list)
     utilization: dict[str, float] = field(default_factory=dict)
-
-    def to_csv(self) -> str:
-        lines = ["unit,kind,tile,start,end"]
-        for e in self.events:
-            lines.append(f"core{e.core}.{e.unit},{e.kind},{e.tile},{e.start!r},{e.end!r}")
-        return "\n".join(lines) + "\n"
 
 
 def l2_kv_split_blocks(
@@ -276,8 +258,8 @@ def simulate_attention(
     (intermediates stay in L2), so they never stretch the makespan and
     are not modelled here. The trace carries no events; ``busy``,
     ``per_core_load`` and ``utilization`` cover the cube and vector
-    units. ``trace_attention`` is the event-by-event reference and gives
-    the same makespan to the last bit.
+    units. The tests' event-by-event reference gives the same makespan
+    to the last bit.
     """
     tables = _core_tables(tasktable, schedule, kv_split_blocks, decode_fused)
     if schedule is Schedule.SEQ:
@@ -319,160 +301,6 @@ def simulate_attention(
         per_core_load=per_core,
         utilization={u: (b / denom if denom > 0 else 0.0) for u, b in busy.items()},
     )
-
-
-# -- event-by-event reference ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Unit:
-    """One (tile, split) work item and its op costs in ticks."""
-
-    ref: str
-    costs: tuple[float, ...]  # in ``_KINDS`` order
-    load_bytes: int
-    store_bytes: int
-
-    def cost(self, kind: str) -> float:
-        return self.costs[_KIND_ROW[kind]]
-
-
-def _tile_units(
-    tiles: list[TileUnit],
-    head_size: int,
-    kv_block_size: int,
-    kv_split_blocks: int | None,
-    hw: HwConfig,
-) -> list[_Unit]:
-    units = []
-    for t in tiles:
-        computed = t.computed_blocks(kv_block_size)
-        for s, (b0, b1) in enumerate(plan_splits(computed, kv_split_blocks)):
-            tokens = (b1 - b0) * kv_block_size
-            units.append(
-                _Unit(
-                    ref=f"{t.stage_id}.{t.head}.{t.q_start}.{s}",
-                    costs=_op_costs(t.q_len, tokens, head_size, hw),
-                    load_bytes=2 * tokens * head_size * BYTES,
-                    store_bytes=t.q_len * head_size * BYTES if b1 == computed else 0,
-                )
-            )
-    return units
-
-
-def trace_attention(
-    tasktable: TaskTable,
-    hw: HwConfig,
-    schedule: Schedule,
-    *,
-    head_size: int,
-    kv_block_size: int,
-    kv_split_blocks: int | None = None,
-    decode_fused: bool = False,
-) -> SimTrace:
-    """Lay out every op of ``simulate_attention`` as a ``StageEvent``.
-
-    The reference for the closed form: rounds and sequences advance a
-    clock op by op, and MTE prefetch and write-back events are clipped
-    inside the compute window, so they are recorded (``busy["mte"]``)
-    but never stretch the makespan. Same arguments and checks as
-    ``simulate_attention``.
-    """
-    _core_tables(tasktable, schedule, kv_split_blocks, decode_fused)
-    has_update = kv_split_blocks is not None
-    trace = SimTrace()
-    busy = {"cube": 0.0, "vector": 0.0, "mte": 0.0}
-    per_core = []
-    makespan = 0.0
-    for core, tiles in enumerate(tasktable.per_core):
-        units = _tile_units(list(tiles), head_size, kv_block_size, kv_split_blocks, hw)
-        events = (
-            _run_seq(core, units, _seq_kinds(has_update, decode_fused))
-            if schedule is Schedule.SEQ
-            else _run_rounds(core, units, schedule)
-        )
-        core_busy = 0.0
-        core_end = 0.0
-        for e in events:
-            trace.events.append(e)
-            busy[e.unit] += e.end - e.start
-            core_busy += e.end - e.start
-            core_end = max(core_end, e.end)
-        trace.events.extend(_mte_events(core, units, events, hw, busy))
-        per_core.append(core_busy)
-        makespan = max(makespan, core_end)
-    trace.makespan = makespan
-    trace.busy = busy
-    trace.per_core_load = per_core
-    denom = makespan * max(1, tasktable.core_num)
-    trace.utilization = {
-        u: (b / denom if denom > 0 else 0.0) for u, b in busy.items() if u != "mte"
-    }
-    trace.events.sort(key=lambda e: (e.core, e.unit, e.start, e.kind, e.tile))
-    return trace
-
-
-def _run_seq(core: int, units: list[_Unit], kinds: tuple[str, ...]) -> list[StageEvent]:
-    events = []
-    t = 0.0
-    for u in units:
-        for kind in kinds:
-            cost = u.cost(kind)
-            events.append(StageEvent(core, _KIND_UNIT[kind], kind, u.ref, t, t + cost))
-            t += cost
-    return events
-
-
-def _run_rounds(core: int, units: list[_Unit], schedule: Schedule) -> list[StageEvent]:
-    n = len(units)
-    if n == 0:
-        return []
-    events = []
-    t = 0.0
-    for cube_slot, vec_slot in _rounds(schedule, n):
-        dur = 0.0
-        if cube_slot is not None:
-            dur = max(dur, units[cube_slot[1] - 1].cost(cube_slot[0]))
-        if vec_slot is not None:
-            dur = max(dur, units[vec_slot[1] - 1].cost(vec_slot[0]))
-        if dur == 0.0:
-            continue
-        for unit_name, slot in (("cube", cube_slot), ("vector", vec_slot)):
-            if slot is not None:
-                kind, idx = slot
-                u = units[idx - 1]
-                events.append(StageEvent(core, unit_name, kind, u.ref, t, t + u.cost(kind)))
-        t += dur
-    return events
-
-
-def _mte_events(
-    core: int, units: list[_Unit], events: list[StageEvent], hw: HwConfig, busy: dict
-) -> list[StageEvent]:
-    """K/V prefetch before each unit's first op and output write-back
-    after its last; clipped inside the compute window (L2-resident
-    intermediates keep the MTE off the critical path)."""
-    first_start: dict[str, float] = {}
-    last_end: dict[str, float] = {}
-    for e in events:
-        first_start[e.tile] = min(first_start.get(e.tile, e.start), e.start)
-        last_end[e.tile] = max(last_end.get(e.tile, e.end), e.end)
-    out = []
-    for u in units:
-        if u.ref not in first_start:
-            continue
-        load_ticks = u.load_bytes / hw.hbm_bytes_per_tick
-        s = first_start[u.ref]
-        ev = StageEvent(core, "mte", "Load", u.ref, max(0.0, s - load_ticks), s)
-        out.append(ev)
-        busy["mte"] += ev.end - ev.start
-        if u.store_bytes:
-            st = u.store_bytes / hw.hbm_bytes_per_tick
-            e = last_end[u.ref]
-            ev = StageEvent(core, "mte", "Store", u.ref, max(0.0, e - st), e)
-            out.append(ev)
-            busy["mte"] += ev.end - ev.start
-    return out
 
 
 # ---------------------------------------------------------------------------

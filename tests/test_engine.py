@@ -1,12 +1,15 @@
 """Engine: numeric outputs and verify rows against the dense oracle,
 cache hygiene after a run in either mode, simulate mode at a 7B shape
 without weights or pools, one plan for the kernels and the cost model,
-requests no chunk can serve, a K/V pool that runs out, ``check`` without
-a model, the per-engine linear memo, and the report's times, latency
-percentiles, cache counts, unit utilisation and chunk composition."""
+requests no chunk can serve, a K/V pool that runs out (and leaves no
+chunk half committed), ``check`` without a model, the per-engine linear
+memo, the report's times, latency percentiles, cache counts, unit
+utilisation and chunk composition, and a recorded simulate-mode run of
+mixed chunks."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -19,11 +22,14 @@ from tileserve import cli
 from tileserve import engine as engine_mod
 from tileserve.config import HwConfig, ModelConfig, ServeConfig
 from tileserve.engine import CHECK_TOL, Engine, EngineRequest, RejectedRequest
+from tileserve.kv_cache import PoolExhausted
 from tileserve.oracle import ToyModel, dense_forward, dense_tree_forward
 from tileserve.planner import GridTable
 from tileserve.scheduler import Stage
-from tileserve.simulator import simulate_linear, trace_attention
+from tileserve.simulator import simulate_linear
 from tileserve.trace import gen_trace, write_trace
+
+from attention_events import trace_attention
 
 # Speculative requests whose output_len often cuts an accepted path short.
 TRACE = gen_trace("sharegpt_like", 4, 12, spec=(2, 3), mean_prompt=24, mean_output=8)
@@ -359,6 +365,36 @@ def test_cli_exits_2_on_a_tree_larger_than_the_budget(tmp_path, capsys):
     assert err.startswith("error: request ") and "31 tokens" in err and "budget of 16" in err
 
 
+def test_a_chunk_that_runs_out_of_blocks_changes_no_table(monkeypatch):
+    """A six-block pool of 4-token blocks that caches nothing: ``a`` and
+    ``b`` fill two blocks each, so the chunk that holds their decodes and
+    ``c``'s 9-token prompt needs 1 + 1 + 3 blocks of the 2 free. It must
+    fail before any commit: the decodes, which fit, keep no rows either."""
+    cfg = ServeConfig(kv_block_size=4, kv_pool_blocks=6, kv_cache_cap_blocks=0)
+    engine = Engine(cfg)
+    engine.submit(EngineRequest("a", list(range(8)), 4))
+    engine.submit(EngineRequest("b", list(range(10, 18)), 4))
+    engine.submit(EngineRequest("c", list(range(20, 29)), 4, arrival=1))
+    before = []
+    real_execute_chunk = Engine._execute_chunk
+
+    def state():
+        cache = engine.cache
+        tables = {rid: (list(rt.table.blocks), rt.table.total_tokens) for rid, rt in engine.runtimes.items()}
+        return tables, list(cache._free), list(cache.ref_count), list(cache.token_count)
+
+    def execute_chunk(engine, chunk):
+        before.append(state())
+        real_execute_chunk(engine, chunk)
+
+    monkeypatch.setattr(Engine, "_execute_chunk", execute_chunk)
+    with pytest.raises(PoolExhausted) as err:
+        engine.run()
+    assert str(err.value) == "chunk 1: sequence 'c' needs 3 K/V blocks for 9 tokens, 0 free of 6 after eviction"
+    assert len(before) == 2 and len(before[1][1]) == 2  # chunk 1 began with two free blocks
+    assert state() == before[1]
+
+
 def test_cli_exits_4_when_the_pool_runs_out(tmp_path, capsys):
     trace = tmp_path / "t.jsonl"
     write_trace([{"id": "big", "arrival": 0, "prompt": list(range(20)), "output_len": 2}], trace)
@@ -368,3 +404,33 @@ def test_cli_exits_4_when_the_pool_runs_out(tmp_path, capsys):
     assert code == 4
     err = capsys.readouterr().err
     assert err == "error: chunk 0: sequence 'big' needs 5 K/V blocks for 20 tokens, 2 free of 2 after eviction\n"
+
+
+def mixed_simulate_trace() -> list[dict]:
+    """Plain and speculative requests in turn, whose prompts split at a
+    64-token budget, and four long plain decodes: most chunks hold a run
+    of decodes, then verify entries and prefill slices."""
+    rows = gen_trace("sharegpt_like", 7, 16, spec=(2, 3), mean_prompt=48, mean_output=16)
+    rows = [{**row, "spec": row["spec"] if i % 2 else None} for i, row in enumerate(rows)]
+    longs = gen_trace("sharegpt_like", 8, 4, mean_prompt=24, mean_output=40)
+    return rows + [{**row, "id": f"long{row['id']}"} for row in longs]
+
+
+def test_simulate_mode_repeats_a_recorded_run_of_mixed_chunks():
+    """Simulate mode draws each decode's token, each verify path and bonus
+    token and each prompt's first token from one seeded stream, in entry
+    order. A recorded run pins the result: the outputs, the chunk log and
+    the report, as the SHA-256 of their JSON, so moving any draw shows."""
+    engine = Engine(ServeConfig(budget=64), seed=5)
+    for row in mixed_simulate_trace():
+        spec = row["spec"] and (row["spec"]["width"], row["spec"]["depth"])
+        engine.submit(EngineRequest(row["id"], row["prompt"], row["output_len"], row["arrival"], spec))
+    report = engine.run()
+    composition = report["chunks"]["composition"]
+    assert sum(n for key, n in composition.items() if "D" in key and "V" in key) == 24
+    assert sum(c["stages"].count("P") for c in engine.chunk_log) == 38  # slices of 20 prompts
+    assert report["makespan_ticks"] == 50263.5
+    assert engine.runtimes["longr00002"].outputs == [5, 127, 55, 14, 71, 15, 99, 41, 102, 40, 86, 45, 5, 21]
+    outputs = {str(rid): rt.outputs for rid, rt in sorted(engine.runtimes.items(), key=lambda kv: str(kv[0]))}
+    blob = json.dumps([outputs, engine.chunk_log, report], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == "e5d4421692d4b2e21b5a68c83872c9d17573161ccc79c50cf68720234ebc9dac"

@@ -1,9 +1,11 @@
-"""Radix K/V cache: prefix matching, copy-on-write, LRU eviction."""
+"""Radix K/V cache: prefix matching, copy-on-write, LRU eviction, and
+one-token commits against one commit of the same run."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tileserve.kv_cache import PoolExhausted, RadixKvCache
 
@@ -407,3 +409,71 @@ def test_shared_prefix_reuse_is_real():
     t1 = cache.start_sequence("b", [7, 8, 9, 1])
     assert t1.total_tokens == 4
     assert t1.blocks == t0.blocks  # physical sharing, not copies
+
+
+def cache_state(cache: RadixKvCache, tables: dict) -> tuple:
+    """What a commit may change: each table, the per-block counts, the
+    free list, the radix tree (content, block and recency of each node),
+    each sequence's tokens and the stats."""
+
+    def tree(node):
+        return {key: (child.block_id, child.last_used, tree(child)) for key, child in node.children.items()}
+
+    return (
+        {sid: (list(t.blocks), t.total_tokens) for sid, t in tables.items()},
+        list(cache.token_count),
+        list(cache.ref_count),
+        list(cache._free),
+        tree(cache._root),
+        {sid: list(seq.tokens) for sid, seq in cache._seqs.items()},
+        dict(cache.stats),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_token_commits_leave_what_one_commit_of_the_run_leaves(data):
+    """Two caches run the same operations, except that the second commits
+    every run of tokens one token at a time, as decodes do. Prompts share
+    prefixes, so matches end inside cached blocks and the next commit
+    copies them; runs may be non-cacheable, sequences are truncated and
+    released, and a small cache cap evicts as blocks fill. The pool is
+    large enough that no commit runs short of blocks."""
+    bs = data.draw(st.integers(2, 4), label="block_size")
+    cap = data.draw(st.integers(0, 6), label="cache_cap_blocks")
+    caches = [RadixKvCache(bs, 256, cap, KV_HEADS, HEAD) for _ in range(2)]
+    tables: list[dict] = [{}, {}]
+    shared = [1, 2, 3, 1, 2, 3, 4, 5, 6, 7]
+    small = st.lists(st.integers(0, 3), max_size=6)
+    for step in range(data.draw(st.integers(1, 30), label="steps")):
+        live = sorted(tables[0])
+        op = data.draw(st.sampled_from(["start", "commit", "commit", "truncate", "release", "evict"] if live else ["start"]))
+        sid = f"s{step}" if op == "start" else data.draw(st.sampled_from(live))
+        if op == "start":
+            arg = shared[: data.draw(st.integers(0, len(shared)))] + data.draw(small) or [0]
+        elif op == "commit":
+            arg = data.draw(small.filter(bool)), data.draw(st.booleans())
+        elif op == "truncate":
+            arg = data.draw(st.integers(0, tables[0][sid].total_tokens))
+        else:
+            arg = data.draw(st.integers(1, 3))
+        outcomes = []
+        for one_at_a_time, (cache, table_of) in enumerate(zip(caches, tables)):
+            try:
+                if op == "start":
+                    table_of[sid] = cache.start_sequence(sid, arg)
+                elif op == "commit":
+                    run, cacheable = arg
+                    for part in [[t] for t in run] if one_at_a_time else [run]:
+                        cache.commit_tokens(table_of[sid], part, cacheable=cacheable)
+                elif op == "truncate":
+                    cache.truncate_tokens(table_of[sid], arg)
+                elif op == "release":
+                    cache.release_sequence(table_of.pop(sid))
+                else:
+                    cache.evict(arg)
+                outcomes.append(None)
+            except ValueError as exc:  # a truncation into the cached prefix
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert cache_state(caches[0], tables[0]) == cache_state(caches[1], tables[1]), (step, op)

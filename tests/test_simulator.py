@@ -24,8 +24,9 @@ from tileserve.simulator import (
     ScheduleViolation,
     simulate_attention,
     simulate_linear,
-    trace_attention,
 )
+
+from attention_events import trace_attention
 
 HWS = (
     HwConfig(),
