@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config
-from .engine import Engine, EngineRequest, OracleCheckFailure, RejectedRequest
+from .engine import Engine, OracleCheckFailure, RejectedRequest
 from .kv_cache import PoolExhausted
 from .oracle import ToyModel
 from .trace import PROFILES, ParseError, gen_trace, parse_trace, write_trace
@@ -46,15 +46,7 @@ def run_trace(
     for req in requests:
         if max(req.prompt, default=0) >= cfg.model.vocab_size:
             raise ParseError(0, f"request {req.req_id}: token id beyond model.vocab_size")
-        engine.submit(
-            EngineRequest(
-                req_id=req.req_id,
-                prompt=req.prompt,
-                output_len=req.output_len,
-                arrival=req.arrival,
-                spec=req.spec,
-            )
-        )
+        engine.submit(req)
     return engine.run()
 
 

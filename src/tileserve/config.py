@@ -6,7 +6,7 @@ plain ``key = value`` text file (the same keys the CLI accepts).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 

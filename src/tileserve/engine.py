@@ -13,19 +13,21 @@ heads; the cost model prices the (query tile x head) units of the same
 plan with the same split, so what runs is what is priced.
 
 One radix cache serves every transformer layer: each sequence has one
-block table, and each chunk commits every entry's tokens once, after
-making room for all of them, so a chunk that does not fit changes no
-table. A chunk's decodes are one run at its head (``Chunk.decodes``),
-handled in one pass each for tokens, picks (one seeded draw call in
-simulate mode), outputs and retirement; prefill and verify entries take
-the per-entry path. Numeric and simulate mode share that flow and the
-prefill/decode/verify bookkeeping; only the token source differs. Given
-a model (numeric mode), the engine runs it in fp32, writes each layer's
-K/V into the reserved rows, picks tokens by argmax and, with ``check``,
-verifies kept rows against a dense recompute. Without one (simulate
-mode) it reads only the ``ModelConfig``, holds no weights or pool rows,
-draws seeded tokens and cannot ``check``. Both modes price the work in
-model ticks.
+block table, and each chunk commits every entry's tokens once, after the
+cache has made room for all of them (``RadixKvCache.reserve_blocks``),
+so a chunk that does not fit changes no table. The chunk is priced
+before its tokens are picked, so each output is recorded with its tick
+where it is picked. A chunk's decodes are one run at its head
+(``Chunk.decodes``), handled in one pass each for tokens, picks (one
+seeded draw call in simulate mode) and retirement; prefill and verify
+entries take the per-entry path. Numeric and simulate mode share that
+flow and the prefill/decode/verify bookkeeping; only the token source
+differs. Given a model (numeric mode), the engine runs it in fp32,
+writes each layer's K/V into the reserved rows, picks tokens by argmax
+and, with ``check``, verifies kept rows against a dense recompute.
+Without one (simulate mode) it reads only the ``ModelConfig``, holds no
+weights or pool rows, draws seeded tokens and cannot ``check``. Both
+modes price the work in model ticks.
 """
 
 from __future__ import annotations
@@ -258,7 +260,10 @@ class Engine:
         self.skip_skipped += int(skipped.sum())
         rts = [self.runtimes[entry.req_id] for entry in chunk.entries]
         tokens, positions = self._chunk_tokens_positions(chunk, rts)
-        self._reserve_blocks(chunk, rts)
+        try:
+            self.cache.reserve_blocks([(rt.table, entry.token_num) for entry, rt in zip(chunk.entries, rts)])
+        except PoolExhausted as exc:
+            raise PoolExhausted(f"chunk {chunk.chunk_id}: {exc}") from None
         for entry, rt in zip(chunk.entries, rts):
             self.cache.commit_tokens(
                 rt.table,
@@ -268,10 +273,9 @@ class Engine:
         logits, spec_kv = None, {}
         if self.model is not None:
             logits, spec_kv = self._forward_chunk(chunk, plan, tokens, positions)
-        picks, results = self._apply_logits(chunk, rts, logits, spec_kv)
         span = self._simulate_chunk(chunk, plan)
         self.ticks += span
-        self._record_outputs(chunk, rts, picks, results)
+        results = self._apply_logits(chunk, rts, logits, spec_kv)
         d = chunk.decodes
         stages = Counter(entry.stage.value for entry in chunk.entries[d:])
         self.chunk_log.append(
@@ -286,27 +290,6 @@ class Engine:
             rt = self.runtimes[req_id]
             rt.done = True
             self.cache.release_sequence(rt.table)
-
-    def _reserve_blocks(self, chunk: Chunk, rts: list[_Runtime]) -> None:
-        """Make room for every commit of the chunk before the first one,
-        with one ``evict`` call for any shortfall, so that a chunk commits
-        all or nothing (a block cached in the tree cannot be rolled back).
-        No commit takes more blocks than it has tokens."""
-        cache = self.cache
-        free = cache.free_block_count()
-        if free >= chunk.total_tokens:
-            return
-        needs = [cache._blocks_needed(rt.table, entry.token_num) for entry, rt in zip(chunk.entries, rts)]
-        if sum(needs) > free:
-            cache.evict(sum(needs) - free)
-            free = cache.free_block_count()
-        for entry, need in zip(chunk.entries, needs):
-            if need > free:
-                raise PoolExhausted(
-                    f"chunk {chunk.chunk_id}: sequence {entry.req_id!r} needs {need} K/V blocks for "
-                    f"{entry.token_num} tokens, {free} free of {cache.pool_blocks} after eviction"
-                )
-            free -= need
 
     # ------------------------------------------------------------------
     # Numeric forward
@@ -401,9 +384,10 @@ class Engine:
         rts: list[_Runtime],
         logits: np.ndarray | None,
         spec_kv: dict[int, list[tuple[np.ndarray, np.ndarray]]],
-    ) -> tuple[list[int], dict[object, StageResult]]:
-        """The decode run's picks, in entry order, and the stage result of
-        each later entry that picks a token. ``logits`` is None in simulate
+    ) -> dict[object, StageResult]:
+        """Pick each entry's tokens and record them as outputs at the
+        current tick; return the stage result of each entry after the
+        decode run that picks a token. ``logits`` is None in simulate
         mode, where seeded draws stand in for the argmax and no rows are
         kept; the decode run draws first, in one call, which gives the
         same stream as one draw per decode."""
@@ -416,6 +400,8 @@ class Engine:
                 rt.logits_rows[entry.kv_len] = logits[i].copy()
         for rt, token in zip(rts, picks):
             rt.last_token = token
+            rt.outputs.append(token)
+            rt.token_ticks.append(self.ticks)
         results: dict[object, StageResult] = {}
         for ei in range(d, len(rts)):
             entry, rt = chunk.entries[ei], rts[ei]
@@ -434,7 +420,9 @@ class Engine:
                 next_token=next_token,
                 next_tree=self._propose(rt, next_token) if req.spec else None,
             )
-        return picks, results
+            rt.outputs.append(next_token)
+            rt.token_ticks.append(self.ticks)
+        return results
 
     def _next_token(self, logits: np.ndarray | None, row: int) -> int:
         """The target's pick after chunk row ``row``: the argmax in numeric
@@ -466,12 +454,14 @@ class Engine:
                 rt.logits_rows[entry.kv_len + j] = logits[entry.start_pos + node].copy()
         rt.last_token = bonus
         continuing = len(rt.outputs) + len(delivered) < rt.request.output_len
-        return StageResult(
+        result = StageResult(
             committed=len(path),
             new_tokens=len(delivered),
             next_tree=self._propose(rt, bonus) if continuing else None,
-            delivered=delivered,
         )
+        rt.outputs.extend(delivered)
+        rt.token_ticks.extend([self.ticks] * len(delivered))
+        return result
 
     def _propose(self, rt: _Runtime, root_token: int) -> SpecTree:
         width, depth = rt.request.spec
@@ -524,20 +514,6 @@ class Engine:
         for op, (n, k, prim) in self._linear_ops.items():
             for sm in sizes:
                 profile_swizzle(op.value, (sm, n, k), self.cfg.hw, prim, store=self.store)
-
-    def _record_outputs(
-        self, chunk: Chunk, rts: list[_Runtime], picks: list[int], results: dict[object, StageResult]
-    ) -> None:
-        for rt, token in zip(rts, picks):
-            rt.outputs.append(token)
-            rt.token_ticks.append(self.ticks)
-        for rt in rts[chunk.decodes :]:
-            result = results.get(rt.request.req_id)
-            if result is None:
-                continue
-            new = result.delivered if result.next_token is None else [result.next_token]
-            rt.outputs.extend(new)
-            rt.token_ticks.extend([self.ticks] * len(new))
 
     def _run_checks(self) -> None:
         for rt in self.runtimes.values():

@@ -10,20 +10,22 @@ tables of PagedAttention do.
 Appending is split in two. :meth:`RadixKvCache.commit_tokens` reserves:
 it records the tokens, allocates their blocks (all or nothing), copies
 every layer's rows on copy-on-write and caches full blocks in the tree,
-but writes no K/V; one token into a last block that the sequence alone
-holds and that has room (a decode step) takes a short path that
-allocates and copies nothing. :meth:`RadixKvCache.write_kv` then fills
-one layer's rows of the reserved tokens. The pools hold only the layers
-a caller writes; the engine's simulate mode asks for none and never
-writes.
+but writes no K/V. :meth:`RadixKvCache.write_kv` then fills one layer's
+rows of the reserved tokens. The pools hold only the layers a caller
+writes; the engine's simulate mode asks for none and never writes.
+
+Ownership follows from the ref counts alone: a sequence appends in
+place into its last block exactly when it is the block's only holder
+and the block is not a tree node; otherwise the commit copies the block
+first. :meth:`RadixKvCache.reserve_blocks` applies the same block-need
+rule to a batch of commits (a chunk's), making room for all of them with
+one eviction before the first, or raising before any table changes.
 
 A radix tree over token-id sequences indexes completed blocks so that
 later requests can reuse matching prefixes token-wise; a mismatch
-inside a block still reuses the matching head of that block. Shared
-blocks are never written in place: appending to a block that the tree
-or another sequence can see goes through copy-on-write. When the pool
-or the cache-capacity cap runs out, least-recently-used unreferenced
-leaf blocks are evicted from the tree.
+inside a block still reuses the matching head of that block. When the
+pool or the cache-capacity cap runs out, least-recently-used
+unreferenced leaf blocks are evicted from the tree.
 """
 
 from __future__ import annotations
@@ -132,7 +134,6 @@ class RadixKvCache:
         shape = (num_layers, pool_blocks, block_size, kv_heads, head_size)
         self.keys = np.zeros(shape, dtype=np.float32)
         self.values = np.zeros(shape, dtype=np.float32)
-        self.token_count = [0] * pool_blocks
         self.ref_count = [0] * pool_blocks
         self._free: list[int] = list(range(pool_blocks - 1, -1, -1))
         self._root = RadixNode(token_key=(), block_id=-1, parent=None)
@@ -235,17 +236,18 @@ class RadixKvCache:
         """Reserve K/V rows for ``new_tokens`` at the end of the sequence.
 
         Records the tokens and gives them blocks, but writes no K/V:
-        fill the reserved rows with :meth:`write_kv`, per layer. Appends
-        in place only into a block this sequence exclusively owns; a
-        block that is cached in the tree or referenced by anyone else is
-        duplicated first, every layer's rows (copy-on-write), so other
-        referents never observe the later writes. Blocks that become
-        full are inserted into the radix tree unless ``cacheable`` is
-        False (used for speculative tokens that may be rolled back).
+        fill the reserved rows with :meth:`write_kv`, per layer. The
+        tokens fill the last block's room first, in place when the
+        sequence owns that block and after copying every layer's rows
+        (copy-on-write) when it does not, so other referents never
+        observe the later writes; the rest go to fresh blocks. Blocks
+        that become full are inserted into the radix tree unless
+        ``cacheable`` is False (used for speculative tokens that may be
+        rolled back).
 
-        Every block the commit needs, copy-on-write included, is taken
-        from the pool (evicting LRU leaves for any shortfall) before
-        anything changes, so a commit is all or nothing.
+        Every block the commit needs is made room for, as by
+        :meth:`reserve_blocks`, before anything changes, so a commit is
+        all or nothing.
 
         Raises:
             PoolExhausted: too few free blocks even after LRU eviction;
@@ -254,48 +256,55 @@ class RadixKvCache:
         n = len(new_tokens)
         if n == 0:
             return table
+        room, owned, need = self._fill_plan(table, n)
+        if need > len(self._free):
+            self.reserve_blocks([(table, n)])
         st = self._seqs[table.seq_id]
+        st.tokens.extend(new_tokens)
+        table.total_tokens += n
         bs = self.block_size
-        if n == 1 and table.blocks:
-            # One token into a block this sequence alone holds and that has
-            # room (a decode step, mostly): no new block, no copy.
+        if room:
             bid = table.blocks[-1]
-            view = table.total_tokens - (len(table.blocks) - 1) * bs
-            if view < bs and self._exclusively_owned(bid, view):
-                self.token_count[bid] = view + 1
-                table.total_tokens += 1
-                st.tokens.append(new_tokens[0])
-                if view + 1 == bs and cacheable:
-                    self._try_cache_block(table, st, bid)
-                return table
-        needed = self._blocks_needed(table, n)
-        if needed > len(self._free):
-            self.evict(needed - len(self._free))
-            if needed > len(self._free):
-                raise PoolExhausted(
-                    f"sequence {table.seq_id!r} needs {needed} K/V blocks for {n} tokens, "
-                    f"{len(self._free)} free of {self.pool_blocks} after eviction"
-                )
-        pos = 0
-        while pos < n:
-            view = table.last_block_tokens(bs)
-            if table.blocks and view < bs:
-                bid = table.blocks[-1]
-                if not self._exclusively_owned(bid, view):
-                    bid = self._cow_last_block(table, bid, view)
-            else:
-                bid = self._free.pop()
-                self.ref_count[bid] = 1
-                table.blocks.append(bid)
-                view = 0
-            take = min(bs - view, n - pos)
-            self.token_count[bid] = view + take
-            table.total_tokens += take
-            st.tokens.extend(new_tokens[pos : pos + take])
-            pos += take
-            if view + take == bs and cacheable:
+            if not owned:
+                bid = self._cow_last_block(table, bid, bs - room)
+            if n >= room and cacheable:
+                self._try_cache_block(table, st, bid)
+        end = room  # new tokens up to the end of the last block
+        while end < n:
+            bid = self._free.pop()
+            self.ref_count[bid] = 1
+            table.blocks.append(bid)
+            end += bs
+            if end <= n and cacheable:
                 self._try_cache_block(table, st, bid)
         return table
+
+    def reserve_blocks(self, commits: list[tuple[BlockTable, int]]) -> None:
+        """Make room for a batch of commits, each a (table, token count),
+        before the first of them, with one :meth:`evict` call for any
+        shortfall, so that the batch commits all or nothing (a block
+        cached in the tree cannot be rolled back). No commit takes more
+        blocks than it has tokens, so enough free blocks for every token
+        end the check early.
+
+        Raises:
+            PoolExhausted: naming the first commit that does not fit in
+                what eviction left; no table has changed.
+        """
+        free = len(self._free)
+        if free >= sum(n for _, n in commits):
+            return
+        needs = [self._fill_plan(table, n)[2] for table, n in commits]
+        if sum(needs) > free:
+            self.evict(sum(needs) - free)
+            free = len(self._free)
+        for (table, n), need in zip(commits, needs):
+            if need > free:
+                raise PoolExhausted(
+                    f"sequence {table.seq_id!r} needs {need} K/V blocks for {n} tokens, "
+                    f"{free} free of {self.pool_blocks} after eviction"
+                )
+            free -= need
 
     def write_kv(self, table: BlockTable, layer: int, start: int, k: np.ndarray, v: np.ndarray) -> None:
         """Write layer ``layer``'s K/V rows for sequence positions
@@ -328,10 +337,9 @@ class RadixKvCache:
             pos += take
 
     def truncate_tokens(self, table: BlockTable, keep_total: int) -> None:
-        """Drop the sequence's trailing tokens (speculative rollback).
-
-        Only privately owned storage is touched; shared or cached
-        blocks merely shrink from this sequence's point of view.
+        """Drop the sequence's trailing tokens (speculative rollback):
+        release the blocks past ``keep_total``; the last kept block
+        merely shrinks from this sequence's point of view.
         """
         st = self._seqs[table.seq_id]
         if keep_total < 0 or keep_total > table.total_tokens:
@@ -339,18 +347,12 @@ class RadixKvCache:
         cursor_cover = self._cursor_depth_tokens(st.cursor)
         if keep_total < cursor_cover:
             raise ValueError("cannot truncate into tree-cached prefix of this sequence")
-        bs = self.block_size
-        keep_blocks = -(-keep_total // bs) if keep_total > 0 else 0
+        keep_blocks = -(-keep_total // self.block_size)
         for bid in table.blocks[keep_blocks:]:
             self._release_block(bid)
         del table.blocks[keep_blocks:]
         table.total_tokens = keep_total
         del st.tokens[keep_total:]
-        if table.blocks:
-            last = table.blocks[-1]
-            view = table.last_block_tokens(bs)
-            if self._exclusively_owned_storage(last):
-                self.token_count[last] = view
 
     def release_sequence(self, table: BlockTable) -> None:
         """Drop the sequence's references; uncached blocks return to the pool."""
@@ -442,7 +444,6 @@ class RadixKvCache:
         if self.ref_count[bid] == 0:
             node = self._node_of.get(bid)
             if node is None:
-                self.token_count[bid] = 0
                 self._free.append(bid)
             elif node.is_leaf():
                 self._push_evictable(node)
@@ -462,31 +463,23 @@ class RadixKvCache:
             ]
             heapq.heapify(self._lru)
 
-    def _blocks_needed(self, table: BlockTable, n: int) -> int:
-        """Blocks that committing ``n`` tokens to ``table`` takes from the
-        pool, a copy-on-write of its last block included."""
-        bs = self.block_size
-        view = table.last_block_tokens(bs)
-        room = bs - view if table.blocks and view < bs else 0
-        cow = room > 0 and not self._exclusively_owned(table.blocks[-1], view)
-        return int(cow) + -(-(n - room) // bs)
-
-    def _exclusively_owned(self, bid: int, view: int) -> bool:
-        return (
-            self.ref_count[bid] == 1
-            and bid not in self._node_of
-            and self.token_count[bid] == view
-        )
-
-    def _exclusively_owned_storage(self, bid: int) -> bool:
-        return self.ref_count[bid] == 1 and bid not in self._node_of
+    def _fill_plan(self, table: BlockTable, n: int) -> tuple[int, bool, int]:
+        """The block-need rule of committing ``n`` tokens to ``table``:
+        the room left in its last block, whether the sequence owns that
+        block (it alone holds it and it is not a tree node, so it may
+        append in place), and the blocks the commit takes from the pool,
+        a copy-on-write of a last block with room that it does not own
+        included."""
+        blocks, bs = table.blocks, self.block_size
+        room = len(blocks) * bs - table.total_tokens
+        owned = room > 0 and self.ref_count[blocks[-1]] == 1 and blocks[-1] not in self._node_of
+        return room, owned, (room > 0 and not owned) + -(-(n - room) // bs)
 
     def _cow_last_block(self, table: BlockTable, old_bid: int, view: int) -> int:
         new_bid = self._free.pop()
         self.stats["cow_copies"] += 1
         self.keys[:, new_bid, :view] = self.keys[:, old_bid, :view]
         self.values[:, new_bid, :view] = self.values[:, old_bid, :view]
-        self.token_count[new_bid] = view
         self.ref_count[new_bid] = 1
         table.blocks[-1] = new_bid
         self._release_block(old_bid)
@@ -523,7 +516,6 @@ class RadixKvCache:
         assert node.parent is not None
         del node.parent.children[node.token_key]
         del self._node_of[node.block_id]
-        self.token_count[node.block_id] = 0
         self._free.append(node.block_id)
 
     def _cursor_depth_tokens(self, node: RadixNode) -> int:

@@ -151,20 +151,12 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def attention_tile_size(stage: Stage, token_num: int, cfg: ServeConfig) -> int:
-    """Prefill tiles use the configured size; decode and verify stages
-    fit in a single block when their span allows."""
-    if stage is Stage.PREFILL:
-        return cfg.prefill_tile_size
-    return min(token_num, cfg.prefill_tile_size)
-
-
 def decompose_attention(chunk: Chunk, head_num: int, cfg: ServeConfig) -> TileTable:
     """Split every stage entry along the query dimension and cross with
     heads: one row per (entry, query tile), repeated for each head.
 
-    Every stage cuts at ``cfg.prefill_tile_size`` (see
-    ``attention_tile_size``), so the tiles follow from per-entry int
+    Every stage cuts at ``cfg.prefill_tile_size``, so an entry no
+    longer than that is one tile, and the tiles follow from per-entry int
     columns; only a chunk with an entry longer than one tile pays for
     the ``np.repeat`` that cuts it."""
     if not chunk.entries:

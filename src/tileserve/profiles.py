@@ -23,9 +23,6 @@ class OrderingDescriptor:
     kind: str  # "row_major" | "col_major" | "zigzag"
     width: int = 0
 
-    def name(self) -> str:
-        return f"zigzag-width-{self.width}" if self.kind == "zigzag" else self.kind
-
 
 ROW_MAJOR = OrderingDescriptor("row_major")
 COL_MAJOR = OrderingDescriptor("col_major")

@@ -16,7 +16,7 @@ needs no ``StageResult``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -90,7 +90,6 @@ class StageResult:
     committed: int = 0  # verify: tokens whose K/V was kept
     new_tokens: int = 0  # verify: tokens added to the output this round
     next_tree: SpecTree | None = None  # verify continuation (and prefill->verify)
-    delivered: list[int] = field(default_factory=list)  # verify: the tokens themselves
 
 
 class TokenScheduler:
@@ -109,7 +108,7 @@ class TokenScheduler:
         self._verify: deque[Request] = deque()
         self._requests: dict[object, Request] = {}
         self._in_flight: set[object] = set()  # requests with an entry in the open chunk
-        self._retired: dict[object, Request] = {}
+        self._retired: set[object] = set()  # ids, for the duplicate check
         self._next_chunk_id = 0
 
     # ------------------------------------------------------------------
@@ -121,10 +120,6 @@ class TokenScheduler:
         if not req.prompt_tokens:
             raise ValueError("request needs at least one uncached prompt token")
         self._prefill.append(req)
-
-    @property
-    def retired(self) -> dict[object, Request]:
-        return self._retired
 
     # ------------------------------------------------------------------
 
@@ -231,4 +226,4 @@ class TokenScheduler:
 
     def _retire(self, req: Request) -> None:
         del self._requests[req.req_id]
-        self._retired[req.req_id] = req
+        self._retired.add(req.req_id)

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .engine import EngineRequest
 
 
 class ParseError(ValueError):
@@ -22,15 +23,6 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass
-class TraceRequest:
-    req_id: str
-    arrival: int
-    prompt: list[int]
-    output_len: int
-    spec: tuple[int, int] | None = None
-
-
 PROFILES = ("prefill_heavy", "decode_heavy", "sharegpt_like")
 
 # Fixed input/output lengths of the two synthetic workload profiles.
@@ -39,21 +31,13 @@ DECODE_HEAVY_LENS = (462, 256)
 
 
 def _is_token_ids(prompt) -> bool:
-    """Whether a parsed JSON value is a nonempty list of ints >= 0 (bools
-    count, as ``isinstance`` counts them), in two C-level passes instead
-    of a Python test per token. Among JSON values only ints and bools sum
-    to an int: a float makes the sum a float, and a string, list, object
-    or null raises ``TypeError``."""
-    if not isinstance(prompt, list) or not prompt:
-        return False
-    try:
-        return type(sum(prompt)) is int and min(prompt) >= 0
-    except TypeError:
-        return False
+    """Whether a parsed JSON value is a nonempty list of ints >= 0, not
+    bools, in two C-level passes instead of a Python test per token."""
+    return isinstance(prompt, list) and set(map(type, prompt)) == {int} and min(prompt) >= 0
 
 
-def parse_trace(path: str | Path) -> list[TraceRequest]:
-    requests: list[TraceRequest] = []
+def parse_trace(path: str | Path) -> list[EngineRequest]:
+    requests: list[EngineRequest] = []
     seen: set[str] = set()
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -84,11 +68,11 @@ def parse_trace(path: str | Path) -> list[TraceRequest]:
             if spec_cfg[0] < 1 or spec_cfg[1] < 1:
                 raise ParseError(line_no, "spec width and depth must be >= 1")
         requests.append(
-            TraceRequest(
+            EngineRequest(
                 req_id=req_id,
-                arrival=int(obj["arrival"]),
                 prompt=list(prompt),
                 output_len=int(obj["output_len"]),
+                arrival=int(obj["arrival"]),
                 spec=spec_cfg,
             )
         )

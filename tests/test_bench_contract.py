@@ -22,7 +22,7 @@ from tileserve.config import ServeConfig
 from tileserve.engine import Engine, EngineRequest
 from tileserve.kv_cache import RadixKvCache
 from tileserve.oracle import ToyModel
-from tileserve.planner import LinearOp, attention_tile_size
+from tileserve.planner import LinearOp
 from tileserve.trace import gen_trace
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -70,7 +70,7 @@ def test_tracer_metrics_and_ablations_on_a_small_replay(numeric, monkeypatch):
     ablations = layers.ablations(tracer, engine)
     assert all(math.isfinite(v) for v in {**metrics, **ablations}.values())
     units = sum(
-        cfg.model.num_heads * -(-e.token_num // attention_tile_size(e.stage, e.token_num, cfg))
+        cfg.model.num_heads * -(-e.token_num // cfg.prefill_tile_size)
         for chunk in chunks
         for e in chunk.entries
     )

@@ -381,7 +381,7 @@ def test_a_chunk_that_runs_out_of_blocks_changes_no_table(monkeypatch):
     def state():
         cache = engine.cache
         tables = {rid: (list(rt.table.blocks), rt.table.total_tokens) for rid, rt in engine.runtimes.items()}
-        return tables, list(cache._free), list(cache.ref_count), list(cache.token_count)
+        return tables, list(cache._free), list(cache.ref_count)
 
     def execute_chunk(engine, chunk):
         before.append(state())

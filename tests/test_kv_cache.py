@@ -1,5 +1,5 @@
-"""Radix K/V cache: prefix matching, copy-on-write, LRU eviction, and
-one-token commits against one commit of the same run."""
+"""Radix K/V cache: prefix matching, copy-on-write, batch reservations,
+LRU eviction, and one-token commits against one commit of the same run."""
 
 from __future__ import annotations
 
@@ -130,8 +130,7 @@ class TestCommit:
         commit(small_cache, table, [5, 6, 7], 0)
         assert len(table.blocks) == 2
         assert table.total_tokens == 3
-        assert small_cache.token_count[table.blocks[0]] == 2
-        assert small_cache.token_count[table.blocks[1]] == 1
+        assert table.last_block_tokens(small_cache.block_size) == 1
 
     def test_cow_on_shared_partial_block(self, small_cache):
         # s0 caches ABCD; s1 matches ABC (half of the second block) and
@@ -143,7 +142,7 @@ class TestCommit:
         assert t1.total_tokens == 3
         commit(small_cache, t1, [99], 3)
         assert t1.blocks[1] != shared
-        assert small_cache.token_count[t1.blocks[1]] == 2
+        assert t1.last_block_tokens(small_cache.block_size) == 2
         np.testing.assert_array_equal(small_cache.keys[0, shared], before_k)
 
     def test_exclusive_block_appends_in_place(self, small_cache):
@@ -191,6 +190,49 @@ class TestCommit:
         free_before = small_cache.free_block_count()
         commit(small_cache, table, [4, 5], 3)
         assert small_cache.free_block_count() <= free_before
+
+
+def pool_state(cache: RadixKvCache, tables: list) -> tuple:
+    return [(list(t.blocks), t.total_tokens) for t in tables], list(cache.ref_count), list(cache._free)
+
+
+class TestReserveBlocks:
+    def test_a_batch_that_does_not_fit_changes_nothing(self):
+        # Six 2-token blocks, nothing cached: ``a`` holds two (the last with
+        # room), ``b`` one (full), so three are free. ``a`` needs none for one
+        # token, ``b`` one for two, and ``c`` three for five: two are left.
+        cache = RadixKvCache(block_size=2, pool_blocks=6, cache_cap_blocks=0, kv_heads=KV_HEADS, head_size=HEAD)
+        a, _ = build_seq(cache, "a", [1, 2, 3])
+        b, _ = build_seq(cache, "b", [4, 5])
+        c = cache.start_sequence("c", [6] * 5)
+        before = pool_state(cache, [a, b, c])
+        evicts = []
+        cache.evict = lambda needed: evicts.append(needed) or 0
+        with pytest.raises(PoolExhausted) as err:
+            cache.reserve_blocks([(a, 1), (b, 2), (c, 5)])
+        assert str(err.value) == "sequence 'c' needs 3 K/V blocks for 5 tokens, 2 free of 6 after eviction"
+        assert evicts == [1]
+        assert pool_state(cache, [a, b, c]) == before
+
+    def test_a_batch_that_fits_after_eviction_evicts_once(self):
+        # A released 3-block chain leaves three free blocks and three
+        # evictable ones; two 4-token prompts need four blocks.
+        cache = RadixKvCache(block_size=2, pool_blocks=6, cache_cap_blocks=6, kv_heads=KV_HEADS, head_size=HEAD)
+        cache.release_sequence(build_seq(cache, "x", [1, 2, 3, 4, 5, 6])[0])
+        tables = [cache.start_sequence(sid, [sid] * 4) for sid in (7, 8)]
+        evicts = []
+        real_evict = cache.evict
+        cache.evict = lambda needed: evicts.append(needed) or real_evict(needed)
+        cache.reserve_blocks([(t, 4) for t in tables])
+        assert evicts == [1] and cache.free_block_count() == 4
+        for t in tables:
+            cache.commit_tokens(t, [t.seq_id] * 4)
+        assert evicts == [1] and cache.free_block_count() == 0
+
+    def test_enough_free_blocks_for_every_token_evict_nothing(self, small_cache):
+        table = small_cache.start_sequence("s0", [1, 2, 3])
+        small_cache.evict = None  # any call would fail
+        small_cache.reserve_blocks([(table, 3)])
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +454,8 @@ def test_shared_prefix_reuse_is_real():
 
 
 def cache_state(cache: RadixKvCache, tables: dict) -> tuple:
-    """What a commit may change: each table, the per-block counts, the
-    free list, the radix tree (content, block and recency of each node),
+    """What a commit may change: each table, the ref counts, the free
+    list, the radix tree (content, block and recency of each node),
     each sequence's tokens and the stats."""
 
     def tree(node):
@@ -421,7 +463,6 @@ def cache_state(cache: RadixKvCache, tables: dict) -> tuple:
 
     return (
         {sid: (list(t.blocks), t.total_tokens) for sid, t in tables.items()},
-        list(cache.token_count),
         list(cache.ref_count),
         list(cache._free),
         tree(cache._root),
@@ -477,3 +518,48 @@ def test_one_token_commits_leave_what_one_commit_of_the_run_leaves(data):
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
         assert cache_state(caches[0], tables[0]) == cache_state(caches[1], tables[1]), (step, op)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_commit_copies_the_last_block_exactly_when_it_is_shared(data):
+    """A commit adds one to ``cow_copies`` exactly when the table's last
+    block has room and the tree caches it or another sequence holds it,
+    and none when it fails. Prompts share prefixes, so matches end inside
+    cached blocks; sequences are also truncated, released and evicted,
+    and the pool is small enough that some commits run short."""
+    bs = data.draw(st.integers(2, 4), label="block_size")
+    pool = data.draw(st.integers(4, 24), label="pool_blocks")
+    cache = RadixKvCache(bs, pool, data.draw(st.integers(0, 6), label="cache_cap_blocks"), KV_HEADS, HEAD)
+    tables: dict = {}
+    shared = [1, 2, 3, 1, 2, 3, 4, 5, 6, 7]
+    small = st.lists(st.integers(0, 3), max_size=6)
+    for step in range(data.draw(st.integers(1, 30), label="steps")):
+        live = sorted(tables)
+        op = data.draw(st.sampled_from(["start", "commit", "commit", "truncate", "release", "evict"] if live else ["start"]))
+        if op == "start":
+            prompt = shared[: data.draw(st.integers(0, len(shared)))] + data.draw(small) or [0]
+            tables[f"s{step}"] = cache.start_sequence(f"s{step}", prompt)
+            continue
+        table = tables[data.draw(st.sampled_from(live))]
+        if op == "commit":
+            run, cacheable = data.draw(small.filter(bool)), data.draw(st.booleans())
+            room = table.total_tokens < len(table.blocks) * bs
+            last = table.blocks[-1] if room else None
+            copies = int(room and (last in cache.pool_partition()["cached"] or cache.ref_count[last] > 1))
+            before = cache.stats["cow_copies"]
+            try:
+                cache.commit_tokens(table, run, cacheable=cacheable)
+            except PoolExhausted:
+                copies = 0
+            assert cache.stats["cow_copies"] - before == copies, step
+        elif op == "truncate":
+            try:
+                cache.truncate_tokens(table, data.draw(st.integers(0, table.total_tokens)))
+            except ValueError:  # into the cached prefix
+                pass
+        elif op == "release":
+            cache.release_sequence(tables.pop(table.seq_id))
+        else:
+            cache.evict(data.draw(st.integers(1, 3)))
+    release_all(cache, {sid: (t, None) for sid, t in tables.items()})

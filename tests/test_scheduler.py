@@ -38,6 +38,7 @@ def test_chunks_cover_every_prompt_token_once_and_every_request_retires(data):
     next_pos = {rid: matched for rid, (matched, *_) in enumerate(reqs)}  # next prompt position due
     generated = dict.fromkeys(range(n), 0)
     added: set[int] = set()
+    retired: set[int] = set()
 
     def tree(rid: int):
         return full_tree(0, *reqs[rid][3], lambda parent, branch: branch)
@@ -54,7 +55,7 @@ def test_chunks_cover_every_prompt_token_once_and_every_request_retires(data):
                 )
         chunk = sched.schedule_next()
         if chunk is None:
-            assert added <= set(sched.retired), "no chunk while a request is in flight"
+            assert added <= retired, "no chunk while a request is in flight"
             if len(added) == n:
                 break
             step = min(reqs[rid][4] for rid in range(n) if rid not in added)
@@ -86,11 +87,11 @@ def test_chunks_cover_every_prompt_token_once_and_every_request_retires(data):
                 new = min(accepted, output_len - generated[e.req_id])
                 generated[e.req_id] += new
                 results[e.req_id] = StageResult(committed=accepted, new_tokens=new, next_tree=tree(e.req_id))
-        sched.complete_chunk(chunk, results)
+        retired.update(sched.complete_chunk(chunk, results))
         for e in chunk.entries:
-            assert (e.req_id in sched.retired) == (generated[e.req_id] >= reqs[e.req_id][2])
+            assert (e.req_id in retired) == (generated[e.req_id] >= reqs[e.req_id][2])
     else:
         raise AssertionError("the scheduler did not drain its queues")
 
-    assert set(sched.retired) == set(range(n))
+    assert retired == set(range(n))
     assert all(next_pos[rid] == matched + prompt for rid, (matched, prompt, *_) in enumerate(reqs))

@@ -14,7 +14,7 @@ from tileserve.trace import ParseError, parse_trace
     [
         ([3, 0, 127], True),
         ([2**70], True),  # the vocabulary bound is checked later, against the config
-        ([True, False, 1], True),  # JSON booleans are Python ints
+        ([True, False, 1], False),  # JSON booleans are not token ids
         ([], False),
         ([1, -1], False),
         ([1, 2.0], False),
