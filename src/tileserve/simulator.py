@@ -11,14 +11,14 @@ rigid alternating rounds: each unit follows its fixed slot pattern
 reproduces the textbook alternating timeline exactly.
 
 Because the rounds are rigid, a core's end time has a closed form: the
-running sum of its round durations, read off per-unit cost arrays (for
-the sequential discipline, the running sum of its op sequence).
-``simulate_attention`` prices a task table that way and builds no
-events: it reads the ``q_len`` and ``reach`` columns of each core's
-``TileTable`` (plain ``TileUnit``s are read into one), a fixed number
-of NumPy calls per core. The tests hold its reference, which lays out
-one event per cube, vector and MTE op and whose makespan equals the
-closed form bit for bit. ``simulate_linear`` prices a linear grid tile by
+running sum of its round durations (SEQ is the pattern of one op per
+round). ``simulate_attention`` prices a task table that way in one pass
+per chunk and builds no events: one cost matrix for every core's units,
+from the ``q_len`` and ``reach`` columns of the core-major ``TileTable``
+(plain ``TileUnit``s are read into one), and one gather through a cached
+table of every core's round slots. The tests hold its reference, which
+lays out one event per cube, vector and MTE op and whose makespan equals
+the closed form bit for bit. ``simulate_linear`` prices a linear grid tile by
 tile through a shared-L2 reuse model, where a panel's first touch pays
 the HBM rate and re-touches inside the working set pay the L2 rate; it
 builds no events either. It reads the ``GridTable``'s (row, col)
@@ -101,6 +101,8 @@ def l2_kv_split_blocks(
 _KINDS = ("QK", "Softmax", "SV", "Update", "QKSoftmax")
 _KIND_ROW = {kind: row for row, kind in enumerate(_KINDS)}
 _KIND_UNIT = {"QK": "cube", "Softmax": "vector", "SV": "cube", "Update": "vector", "QKSoftmax": "vector"}
+_IDLE_COST = np.zeros(1)  # appended to a cost matrix, for idle slots to read
+_Slot = tuple[str, int] | None  # (op kind, 1-based unit index) or idle
 
 
 def _op_costs(q_len, tokens, head_size: int, hw: HwConfig) -> tuple:
@@ -110,32 +112,31 @@ def _op_costs(q_len, tokens, head_size: int, hw: HwConfig) -> tuple:
     evaluate the same expressions in the same order, so a unit costs the
     same to the last bit on either path.
     """
+    two_q = 2.0 * q_len
+    two_q_tokens = two_q * tokens  # SV's and QKSoftmax's left operand
     return (
-        2.0 * q_len * head_size * tokens / hw.cube_flops_per_tick,
+        two_q * head_size * tokens / hw.cube_flops_per_tick,
         q_len * tokens / hw.vector_elems_per_tick,
-        2.0 * q_len * tokens * head_size / hw.cube_flops_per_tick,
+        two_q_tokens * head_size / hw.cube_flops_per_tick,
         q_len * (head_size + 2) / hw.vector_elems_per_tick,
-        (tokens * head_size + 2.0 * q_len * tokens) / hw.vector_elems_per_tick,
+        (tokens * head_size + two_q_tokens) / hw.vector_elems_per_tick,
     )
 
 
-def _seq_kinds(has_update: bool, fused: bool) -> tuple[str, ...]:
-    """Per-unit op sequence of the sequential discipline."""
-    if fused:
-        return ("QKSoftmax", "SV")
-    return ("QK", "Softmax", "SV", "Update") if has_update else ("QK", "Softmax", "SV")
-
-
-def _rounds(schedule: Schedule, n: int) -> list[tuple[tuple[str, int] | None, tuple[str, int] | None]]:
+def _rounds(schedule: Schedule, n: int, *, split: bool = False, fused: bool = False) -> list[tuple[_Slot, _Slot]]:
     """Per-round (cube op, vector op) slots; unit indices are 1-based.
 
     The pipelined patterns are the rigid alternating schedules: after
     the lead-in, the cube ping-pongs QK/SV and the vector Softmax/
     Update on fixed slots, idling when its slot's op does not exist.
+    SEQ runs one op per round, unit after unit, in dependency order
+    (QK+Softmax fused when ``fused``, a split's Update last when
+    ``split``), while the other unit idles; ``split`` and ``fused``
+    shape SEQ only.
     """
-    rounds: list[tuple[tuple[str, int] | None, tuple[str, int] | None]] = []
+    rounds: list[tuple[_Slot, _Slot]] = []
 
-    def slot(kind: str, idx: int) -> tuple[str, int] | None:
+    def slot(kind: str, idx: int) -> _Slot:
         return (kind, idx) if 1 <= idx <= n else None
 
     if schedule is Schedule.PIPE4:
@@ -180,62 +181,62 @@ def _rounds(schedule: Schedule, n: int) -> list[tuple[tuple[str, int] | None, tu
             vec = slot("QKSoftmax", r + 1)
             rounds.append((cube, vec))
     else:
-        raise ValueError(f"no round pattern for {schedule}")
+        kinds = ("QKSoftmax", "SV") if fused else ("QK", "Softmax", "SV", "Update")[: 3 + split]
+        for i in range(1, n + 1):
+            for kind in kinds:
+                rounds.append(((kind, i), None) if _KIND_UNIT[kind] == "cube" else (None, (kind, i)))
     return rounds
 
 
 @functools.lru_cache(maxsize=256)
-def _round_slots(schedule: Schedule, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_rounds`` as flat indices into a core's raveled cost matrix.
+def _slot_table(schedule: Schedule, split: bool, fused: bool, counts: tuple[int, ...]) -> tuple[np.ndarray, tuple]:
+    """Every core's ``_rounds`` as flat indices into a chunk's raveled
+    cost matrix, for cores of ``counts`` units each: slot (kind, i) of a
+    core whose units start at ``offset`` is ``row(kind) * units + offset
+    + i - 1``. Idle slots, and rounds past a core's last, read
+    ``len(_KINDS) * units``, where the caller appends a zero cost.
+    Returns the read-only [2, cores, rounds] (cube, vector) table and a
+    (rounds, cores) pair per round count, ``cores`` a slice when all have
+    it. Snake dealing keeps counts within one, so keys repeat."""
+    units = sum(counts)
+    idle = len(_KINDS) * units
+    patterns = [_rounds(schedule, n, split=split, fused=fused) if n else [] for n in counts]
+    lengths = [len(p) for p in patterns]
+    slots = np.full((2, len(counts), max([1, *lengths])), idle, dtype=np.intp)
+    offsets = np.cumsum((0, *counts))
+    for core, pattern in enumerate(patterns):
+        for r, pair in enumerate(pattern):
+            for unit, s in enumerate(pair):
+                if s is not None:
+                    slots[unit, core, r] = _KIND_ROW[s[0]] * units + offsets[core] + s[1] - 1
+    slots.flags.writeable = False
+    groups = tuple(  # not ``np.unique``, which imports ``numpy.ma`` (about 1 MB)
+        (n, slice(None) if lengths.count(n) == len(lengths) else np.flatnonzero(np.equal(lengths, n)))
+        for n in sorted(set(lengths) - {0})
+    )
+    return slots, groups
 
-    Slot (kind, i) of ``n`` units is ``row(kind) * n + i - 1``; an idle
-    slot is ``len(_KINDS) * n``, where the caller appends a zero cost.
-    The arrays are shared by every caller, so they are read-only.
-    """
-    idle = len(_KINDS) * n
 
-    def index(slot: tuple[str, int] | None) -> int:
-        return idle if slot is None else _KIND_ROW[slot[0]] * n + slot[1] - 1
-
-    rounds = _rounds(schedule, n)
-    cube = np.array([index(c) for c, _ in rounds], dtype=np.intp)
-    vec = np.array([index(v) for _, v in rounds], dtype=np.intp)
-    cube.flags.writeable = False
-    vec.flags.writeable = False
-    return cube, vec
-
-
-def _core_tables(
+def _dealt_table(
     tasktable: TaskTable, schedule: Schedule, kv_split_blocks: int | None, decode_fused: bool
-) -> list[TileTable]:
-    """Each core's ``TileTable``, once the schedule's preconditions hold."""
+) -> tuple[TileTable, tuple[int, ...]]:
+    """The table's tiles as one core-major ``TileTable`` and each core's
+    tile count, once the schedule's preconditions hold."""
     if schedule is Schedule.PIPE4 and kv_split_blocks is None:
         raise ScheduleViolation("four-stage pipeline requires K/V splitting (L2 rule)")
     if schedule in (Schedule.PIPE3, Schedule.DECODE_PIPE) and kv_split_blocks is not None:
         raise ScheduleViolation(f"{schedule.value} runs unsplit K/V only")
     if kv_split_blocks is not None and kv_split_blocks < 1:
         raise ValueError("kv_split_blocks must be >= 1")
-    tables = [t if isinstance(t, TileTable) else TileTable.of(t) for t in tasktable.per_core]
+    per_core = tasktable.per_core
+    if per_core and all(isinstance(t, TileTable) for t in per_core):
+        tiles = TileTable(np.concatenate([t.cols for t in per_core], axis=1))
+    else:
+        tiles = TileTable.of(tasktable.all_items())
     if schedule is Schedule.DECODE_PIPE or (schedule is Schedule.SEQ and decode_fused):
-        if any((t.q_len != 1).any() for t in tables):
+        if (tiles.q_len != 1).any():
             raise ScheduleViolation("decode pipeline requires qTileLen == 1 everywhere")
-    return tables
-
-
-def _core_costs(
-    tiles: TileTable, head_size: int, kv_block_size: int, kv_split_blocks: int | None, hw: HwConfig
-) -> np.ndarray:
-    """[len(_KINDS), units] op costs of one core's (tile, split) units, in
-    tile order; a tile's splits are ``plan_splits``' ranges."""
-    q = tiles.q_len
-    blocks = tiles.computed_blocks(kv_block_size)
-    if kv_split_blocks is not None:
-        splits = -(-blocks // kv_split_blocks)
-        q = np.repeat(q, splits)
-        split_blocks = np.full(len(q), kv_split_blocks, dtype=np.int64)
-        split_blocks[np.cumsum(splits) - 1] = blocks - (splits - 1) * kv_split_blocks
-        blocks = split_blocks
-    return np.array(_op_costs(q, blocks * kv_block_size, head_size, hw))
+    return tiles, tuple(map(len, per_core))
 
 
 def simulate_attention(
@@ -250,56 +251,52 @@ def simulate_attention(
 ) -> SimTrace:
     """Price an attention task table under one pipeline discipline.
 
-    Cores are independent. A core's end time comes in closed form from
-    its per-unit cost arrays: under a pipelined discipline it is the
-    running sum of the round durations, max(cube op, vector op) over the
-    slots of ``_rounds``; under SEQ, the running sum of its op sequence.
-    MTE transfers are prefetch and write-back overlapped with compute
-    (intermediates stay in L2), so they never stretch the makespan and
-    are not modelled here. The trace carries no events; ``busy``,
-    ``per_core_load`` and ``utilization`` cover the cube and vector
-    units. The tests' event-by-event reference gives the same makespan
-    to the last bit.
+    All cores are priced in one pass: one [len(_KINDS), units] cost
+    matrix of the table's (tile, split) units (a tile's splits are
+    ``plan_splits``' ranges), gathered through the cached ``_slot_table``.
+    A core's end time is the running sum of its rounds' durations,
+    max(cube op, vector op). MTE transfers are prefetch and write-back
+    overlapped with compute (intermediates stay in L2), so they never
+    stretch the makespan and are not modelled. The trace carries no
+    events; ``busy``, ``per_core_load`` and ``utilization`` cover the cube
+    and vector units. The tests' event-by-event reference gives the same
+    makespan to the last bit.
     """
-    tables = _core_tables(tasktable, schedule, kv_split_blocks, decode_fused)
-    if schedule is Schedule.SEQ:
-        kinds = _seq_kinds(kv_split_blocks is not None, decode_fused)
-        seq_rows = [_KIND_ROW[k] for k in kinds]
-        cube_rows = [_KIND_ROW[k] for k in kinds if _KIND_UNIT[k] == "cube"]
-        vec_rows = [_KIND_ROW[k] for k in kinds if _KIND_UNIT[k] == "vector"]
-    busy = {"cube": 0.0, "vector": 0.0}
+    tiles, counts = _dealt_table(tasktable, schedule, kv_split_blocks, decode_fused)
+    q = tiles.q_len
+    blocks = tiles.computed_blocks(kv_block_size)
+    if kv_split_blocks is not None:
+        splits = -(-blocks // kv_split_blocks)
+        ends = np.cumsum(splits)
+        counts = tuple(np.diff(np.append(0, ends)[np.cumsum((0, *counts))]).tolist())
+        q = np.repeat(q, splits)
+        split_blocks = np.full(len(q), kv_split_blocks, dtype=np.int64)
+        split_blocks[ends - 1] = blocks - (splits - 1) * kv_split_blocks
+        blocks = split_blocks
+    flat = np.concatenate((*_op_costs(q, blocks * kv_block_size, head_size, hw), _IDLE_COST))
+    fused = decode_fused and schedule is Schedule.SEQ
+    slots, groups = _slot_table(schedule, kv_split_blocks is not None, fused, counts)
+    ops = flat[slots]
+    # np.cumsum adds left to right like ``t += dur``, and the zeros past
+    # a core's last round add nothing; np.sum adds pairwise, so a core's
+    # busy ticks sum exactly its own rounds, like a sum over the core alone.
+    end = np.cumsum(np.maximum(ops[0], ops[1]), axis=1)[:, -1]
+    busy = np.zeros((2, len(counts)))
+    for rounds, cores in groups:
+        busy[:, cores] = ops[:, cores, :rounds].sum(axis=-1)
+    totals = {"cube": 0.0, "vector": 0.0}
     per_core = []
-    makespan = 0.0
-    for tiles in tables:
-        costs = _core_costs(tiles, head_size, kv_block_size, kv_split_blocks, hw)
-        n = costs.shape[1]
-        if n == 0:
-            cube = vector = end = 0.0
-        elif schedule is Schedule.SEQ:
-            cube = float(costs[cube_rows].sum())
-            vector = float(costs[vec_rows].sum())
-            # Unit-major op order, summed left to right like ``t += cost``.
-            end = float(np.cumsum(costs[seq_rows].T.ravel())[-1])
-        else:
-            flat = np.append(costs.ravel(), 0.0)
-            cube_ix, vec_ix = _round_slots(schedule, n)
-            cube_ops = flat[cube_ix]
-            vec_ops = flat[vec_ix]
-            cube = float(cube_ops.sum())
-            vector = float(vec_ops.sum())
-            # np.cumsum adds left to right like ``t += dur``; np.sum adds
-            # pairwise and could differ in the last bit.
-            end = float(np.cumsum(np.maximum(cube_ops, vec_ops))[-1])
-        busy["cube"] += cube
-        busy["vector"] += vector
+    for cube, vector in zip(*busy.tolist()):
+        totals["cube"] += cube
+        totals["vector"] += vector
         per_core.append(cube + vector)
-        makespan = max(makespan, end)
+    makespan = float(end.max(initial=0.0))
     denom = makespan * max(1, tasktable.core_num)
     return SimTrace(
         makespan=makespan,
-        busy=busy,
+        busy=totals,
         per_core_load=per_core,
-        utilization={u: (b / denom if denom > 0 else 0.0) for u, b in busy.items()},
+        utilization={u: (b / denom if denom > 0 else 0.0) for u, b in totals.items()},
     )
 
 

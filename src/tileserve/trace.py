@@ -36,7 +36,9 @@ def _is_token_ids(prompt) -> bool:
     return isinstance(prompt, list) and set(map(type, prompt)) == {int} and min(prompt) >= 0
 
 
-def parse_trace(path: str | Path) -> list[EngineRequest]:
+def parse_trace(path: str | Path, vocab_size: int | None = None) -> list[EngineRequest]:
+    """Requests of a JSONL trace. With ``vocab_size``, a prompt token id at
+    or past it is refused on its line too."""
     requests: list[EngineRequest] = []
     seen: set[str] = set()
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -57,6 +59,8 @@ def parse_trace(path: str | Path) -> list[EngineRequest]:
         prompt = obj["prompt"]
         if not _is_token_ids(prompt):
             raise ParseError(line_no, "prompt must be a nonempty list of token ids")
+        if vocab_size is not None and max(prompt) >= vocab_size:
+            raise ParseError(line_no, f"request {req_id}: token id {max(prompt)} beyond model.vocab_size {vocab_size}")
         if not isinstance(obj["output_len"], int) or obj["output_len"] < 1:
             raise ParseError(line_no, "output_len must be a positive integer")
         spec = obj.get("spec")
@@ -70,7 +74,7 @@ def parse_trace(path: str | Path) -> list[EngineRequest]:
         requests.append(
             EngineRequest(
                 req_id=req_id,
-                prompt=list(prompt),
+                prompt=prompt,
                 output_len=int(obj["output_len"]),
                 arrival=int(obj["arrival"]),
                 spec=spec_cfg,

@@ -20,10 +20,9 @@ from tileserve.simulator import (
     BYTES,
     Schedule,
     SimTrace,
-    _core_tables,
+    _dealt_table,
     _op_costs,
     _rounds,
-    _seq_kinds,
 )
 
 
@@ -91,7 +90,7 @@ def trace_attention(
     but never stretch the makespan. Same arguments and checks as
     ``simulate_attention``.
     """
-    _core_tables(tasktable, schedule, kv_split_blocks, decode_fused)
+    _dealt_table(tasktable, schedule, kv_split_blocks, decode_fused)
     has_update = kv_split_blocks is not None
     trace = SimTrace()
     busy = {"cube": 0.0, "vector": 0.0, "mte": 0.0}
@@ -123,6 +122,13 @@ def trace_attention(
     }
     trace.events.sort(key=lambda e: (e.core, e.unit, e.start, e.kind, e.tile))
     return trace
+
+
+def _seq_kinds(has_update: bool, fused: bool) -> tuple[str, ...]:
+    """Per-unit op sequence of the sequential discipline."""
+    if fused:
+        return ("QKSoftmax", "SV")
+    return ("QK", "Softmax", "SV", "Update") if has_update else ("QK", "Softmax", "SV")
 
 
 def _run_seq(core: int, units: list[_Unit], kinds: tuple[str, ...]) -> list[StageEvent]:

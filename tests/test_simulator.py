@@ -1,5 +1,6 @@
 """Cost model: the attention closed form against the event-by-event
-reference, and linear pricing against the tile-by-tile loop it replaced."""
+reference and against the per-core loop it replaced, and linear pricing
+against the tile-by-tile loop it replaced."""
 
 from __future__ import annotations
 
@@ -19,9 +20,15 @@ from tileserve.planner import TaskTable, TileTable, TileUnit, deal_round_robin
 from tileserve.profiles import CANDIDATE_ORDERINGS, ROW_MAJOR, grid_order
 from tileserve.scheduler import Stage
 from tileserve.simulator import (
+    _KIND_ROW,
+    _KIND_UNIT,
+    _KINDS,
     BYTES,
     Schedule,
     ScheduleViolation,
+    SimTrace,
+    _rounds,
+    _slot_table,
     simulate_attention,
     simulate_linear,
 )
@@ -170,6 +177,143 @@ def test_schedule_violations_raise(simulate, q_len, schedule, kwargs, message):
     table = TaskTable(((_prefill_tile(q_len),),))
     with pytest.raises(ScheduleViolation, match=message):
         simulate(table, HwConfig(), schedule, head_size=8, kv_block_size=4, **kwargs)
+
+
+# -- one-pass attention pricing against the per-core loop ----------------------
+
+
+def _core_costs(tiles: TileTable, head_size, kv_block_size, kv_split_blocks, hw) -> np.ndarray:
+    """[len(_KINDS), units] op costs of one core's (tile, split) units."""
+    q = tiles.q_len
+    blocks = tiles.computed_blocks(kv_block_size)
+    if kv_split_blocks is not None:
+        splits = -(-blocks // kv_split_blocks)
+        q = np.repeat(q, splits)
+        split_blocks = np.full(len(q), kv_split_blocks, dtype=np.int64)
+        split_blocks[np.cumsum(splits) - 1] = blocks - (splits - 1) * kv_split_blocks
+        blocks = split_blocks
+    tokens = blocks * kv_block_size
+    return np.array(
+        (
+            2.0 * q * head_size * tokens / hw.cube_flops_per_tick,
+            q * tokens / hw.vector_elems_per_tick,
+            2.0 * q * tokens * head_size / hw.cube_flops_per_tick,
+            q * (head_size + 2) / hw.vector_elems_per_tick,
+            (tokens * head_size + 2.0 * q * tokens) / hw.vector_elems_per_tick,
+        )
+    )
+
+
+def per_core_attention(
+    tasktable, hw, schedule, *, head_size, kv_block_size, kv_split_blocks=None, decode_fused=False
+) -> SimTrace:
+    """The per-core pricing loop that one-pass pricing replaced: each
+    core's cost matrix, round slots, sums and running sum on their own."""
+    tables = [t if isinstance(t, TileTable) else TileTable.of(t) for t in tasktable.per_core]
+    kinds = op_order(schedule, {"kv_split_blocks": kv_split_blocks, "decode_fused": decode_fused})
+    busy = {"cube": 0.0, "vector": 0.0}
+    per_core = []
+    makespan = 0.0
+    for tiles in tables:
+        costs = _core_costs(tiles, head_size, kv_block_size, kv_split_blocks, hw)
+        n = costs.shape[1]
+        if n == 0:
+            cube = vector = end = 0.0
+        elif schedule is Schedule.SEQ:
+            cube = float(costs[[_KIND_ROW[k] for k in kinds if _KIND_UNIT[k] == "cube"]].sum())
+            vector = float(costs[[_KIND_ROW[k] for k in kinds if _KIND_UNIT[k] == "vector"]].sum())
+            end = float(np.cumsum(costs[[_KIND_ROW[k] for k in kinds]].T.ravel())[-1])
+        else:
+            flat = np.append(costs.ravel(), 0.0)
+            idle = len(_KINDS) * n
+            cube_ix, vec_ix = (
+                np.array([idle if s is None else _KIND_ROW[s[0]] * n + s[1] - 1 for s in unit], dtype=np.intp)
+                for unit in zip(*_rounds(schedule, n))
+            )
+            cube_ops, vec_ops = flat[cube_ix], flat[vec_ix]
+            cube, vector = float(cube_ops.sum()), float(vec_ops.sum())
+            end = float(np.cumsum(np.maximum(cube_ops, vec_ops))[-1])
+        busy["cube"] += cube
+        busy["vector"] += vector
+        per_core.append(cube + vector)
+        makespan = max(makespan, end)
+    denom = makespan * max(1, tasktable.core_num)
+    return SimTrace(
+        makespan=makespan,
+        busy=busy,
+        per_core_load=per_core,
+        utilization={u: (b / denom if denom > 0 else 0.0) for u, b in busy.items()},
+    )
+
+
+@st.composite
+def uneven_task_tables(draw, decode_only: bool) -> TaskTable:
+    """1-6 cores of 0-8 tiles each, the first or last core often empty,
+    each core's tiles as ``TileUnit``s or as a ``TileTable``."""
+    counts = draw(st.lists(st.integers(0, 8), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        counts[0] = 0
+    if draw(st.booleans()):
+        counts[-1] = 0
+    cores = [draw(st.lists(tiles(decode_only), min_size=n, max_size=n)) for n in counts]
+    return TaskTable(tuple(TileTable.of(c) if draw(st.booleans()) else tuple(c) for c in cores))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    table=st.booleans().flatmap(uneven_task_tables),
+    split=st.integers(1, 4),
+    head_size=st.sampled_from((4, 64, 128)),
+    kv_block_size=st.sampled_from((1, 4, 8)),
+    hw=st.sampled_from(HWS),
+)
+def test_one_pass_pricing_equals_the_per_core_loop(table, split, head_size, kv_block_size, hw):
+    """Bit for bit under the pipelined disciplines. SEQ's makespan is
+    bit-equal too; its busy ticks now sum each unit's ops in round order,
+    not row by row, so they agree to rounding."""
+    decode_only = all(t.q_len == 1 for t in table.all_items())
+    for schedule, kw in legal_runs(decode_only, split):
+        kwargs = dict(head_size=head_size, kv_block_size=kv_block_size, **kw)
+        fast = simulate_attention(table, hw, schedule, **kwargs)
+        ref = per_core_attention(table, hw, schedule, **kwargs)
+        assert fast.makespan == ref.makespan, (schedule, kw)
+        if schedule is not Schedule.SEQ:
+            assert fast == ref, (schedule, kw)
+            continue
+        for unit in ("cube", "vector"):
+            assert math.isclose(fast.busy[unit], ref.busy[unit], rel_tol=1e-12)
+        assert len(fast.per_core_load) == len(ref.per_core_load)
+        for a, b in zip(fast.per_core_load, ref.per_core_load):
+            assert math.isclose(a, b, rel_tol=1e-12)
+
+
+def test_slot_tables_are_cached_per_pattern_and_core_counts():
+    """A cached slot table prices like a cold one. SEQ with and without
+    the fused decode op, and split and unsplit K/V, never share an entry
+    even at the same unit counts, and the cache is bounded."""
+    tile = TileUnit(0, Stage.DECODE, 0, 0, 1, 64, 1)  # 9 blocks of 8: one unit under a split of 16
+    table = TaskTable(((tile,) * 3, (tile,) * 2, ()))
+    kw = dict(head_size=64, kv_block_size=8)
+    runs = [
+        (Schedule.DECODE_PIPE, {}),
+        (Schedule.SEQ, {}),
+        (Schedule.SEQ, {"decode_fused": True}),
+        (Schedule.SEQ, {"kv_split_blocks": 16}),
+        (Schedule.SEQ, {"kv_split_blocks": 16, "decode_fused": True}),
+    ]
+    _slot_table.cache_clear()
+    cold = [simulate_attention(table, HwConfig(), schedule, **kw, **extra) for schedule, extra in runs]
+    assert _slot_table.cache_info().misses == _slot_table.cache_info().currsize == len(runs)
+    warm = [simulate_attention(table, HwConfig(), schedule, **kw, **extra) for schedule, extra in runs]
+    assert warm == cold
+    assert _slot_table.cache_info().hits == len(runs)
+    # The split's Update and the fused op make the SEQ spans differ.
+    assert len({trace.makespan for trace in cold[1:4]}) == 3
+    maxsize = _slot_table.cache_info().maxsize
+    assert maxsize is not None
+    for n in range(maxsize + 8):
+        _slot_table(Schedule.PIPE3, False, False, (n, 1))
+    assert _slot_table.cache_info().currsize == maxsize
 
 
 class TestPlanSplits:

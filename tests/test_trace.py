@@ -1,4 +1,5 @@
-"""Trace parsing: which prompts ``parse_trace`` accepts."""
+"""Trace parsing: which prompts ``parse_trace`` accepts, and where a
+token id past the vocabulary is refused."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import json
 
 import pytest
 
+from tileserve import cli
 from tileserve.trace import ParseError, parse_trace
 
 
@@ -13,7 +15,7 @@ from tileserve.trace import ParseError, parse_trace
     "prompt, accepted",
     [
         ([3, 0, 127], True),
-        ([2**70], True),  # the vocabulary bound is checked later, against the config
+        ([2**70], True),  # no vocabulary bound is given here
         ([True, False, 1], False),  # JSON booleans are not token ids
         ([], False),
         ([1, -1], False),
@@ -43,3 +45,18 @@ def test_prompt_must_be_a_nonempty_list_of_token_ids(tmp_path, prompt, accepted)
     else:
         with pytest.raises(ParseError, match="line 1: prompt must be a nonempty list of token ids"):
             parse_trace(path)
+
+
+def test_a_token_past_the_vocabulary_is_refused_on_its_line(tmp_path, capsys):
+    """``run`` checks the bound while parsing, before it builds a model,
+    and names the line."""
+    rows = [{"id": f"r{i}", "arrival": i, "prompt": [1, 2, 3], "output_len": 2, "spec": None} for i in range(3)]
+    rows[2]["prompt"] = [5, 128, 7]  # the default config's vocabulary is 128
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert len(parse_trace(path)) == len(parse_trace(path, vocab_size=129)) == 3
+    with pytest.raises(ParseError, match="request r2: token id 128 beyond model.vocab_size 128") as err:
+        parse_trace(path, vocab_size=128)
+    assert err.value.line_no == 3
+    assert cli.main(["run", "--trace", str(path), "--mode", "simulate"]) == 2
+    assert capsys.readouterr().err.startswith("error: trace line 3: request r2: token id 128")
