@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config
-from .engine import Engine, OracleCheckFailure, RejectedRequest
+from .engine import Engine, EngineRequest, OracleCheckFailure, RejectedRequest
 from .kv_cache import PoolExhausted
 from .oracle import ToyModel
 from .trace import PROFILES, ParseError, gen_trace, parse_trace, write_trace
@@ -32,7 +32,9 @@ def run_trace(
     check: bool = False,
     seed: int = 0,
     profile_linear: bool = False,
-) -> dict:
+) -> tuple[dict, list[EngineRequest]]:
+    """Serve the trace at ``trace_path``; returns the engine's report and
+    the parsed requests."""
     cfg = load_config(config_path)
     requests = parse_trace(trace_path, cfg.model.vocab_size)
     model = ToyModel.seeded(cfg.model, seed=seed) if mode == "numeric" else None
@@ -45,7 +47,7 @@ def run_trace(
     )
     for req in requests:
         engine.submit(req)
-    return engine.run()
+    return engine.run(), requests
 
 
 def _plot_rows(report: dict, arrivals: dict[str, int]) -> list[tuple[float, str, float]]:
@@ -105,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --check needs --mode numeric", file=sys.stderr)
         return 2
     try:
-        report = run_trace(
+        report, requests = run_trace(
             args.trace,
             args.config,
             args.mode,
@@ -130,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
         print(text)
     if args.plot_csv:
         lines = ["ts,metric,value"]
-        arrivals = {req.req_id: req.arrival for req in parse_trace(args.trace)}
+        arrivals = {req.req_id: req.arrival for req in requests}
         for ts, metric, value in _plot_rows(report, arrivals):
             lines.append(f"{ts!r},{metric},{value!r}")
         Path(args.plot_csv).write_text("\n".join(lines) + "\n")

@@ -13,14 +13,17 @@ heads; the cost model prices the (query tile x head) units of the same
 plan with the same split, so what runs is what is priced.
 
 One radix cache serves every transformer layer: each sequence has one
-block table, and each chunk commits every entry's tokens once, after the
-cache has made room for all of them (``RadixKvCache.reserve_blocks``),
-so a chunk that does not fit changes no table. The chunk is priced
-before its tokens are picked, so each output is recorded with its tick
-where it is picked. A chunk's decodes are one run at its head
-(``Chunk.decodes``), handled in one pass each for tokens, picks (one
-seeded draw call in simulate mode) and retirement; prefill and verify
-entries take the per-entry path. Numeric and simulate mode share that
+block table, and each chunk reserves every stage's tokens once, after
+the cache has made room for all of them (``RadixKvCache.reserve_blocks``,
+skipped when the free blocks cover every token of the chunk), so a chunk
+that does not fit changes no table. The chunk is priced before its
+tokens are picked, so each output is recorded with its tick where it is
+picked. A chunk's decodes are one run at its head, carried as columns
+(``Chunk.decode_ids`` and ``Chunk.decode_kv``) with no entry object per
+decode, and handled in one pass each for tokens, the cache append
+(``RadixKvCache.append_run``), the attention tiles, picks (one seeded
+draw call in simulate mode) and retirement; prefill and verify entries
+take the per-entry path. Numeric and simulate mode share that
 flow and the prefill/decode/verify bookkeeping; only the token source
 differs. Given a model (numeric mode), the engine runs it in fp32,
 writes each layer's K/V into the reserved rows, picks tokens by argmax
@@ -98,7 +101,8 @@ class _ChunkPlan:
     runs its head-0 units once for every head, and ``tasktable`` deals
     them all to cores for the cost model. ``split`` is the K/V split in
     blocks (None when unsplit) that ``schedule`` runs with. ``masks``
-    holds the tree mask of each verify entry, by entry index.
+    holds the tree mask of each verify entry, by stage id (its place in
+    the chunk's flat order, after the decode run).
     ``linears`` holds each op's tile grid and task table, shared with
     every chunk of the same M (see ``Engine._plan_linears``).
     """
@@ -230,7 +234,7 @@ class Engine:
             split=split,
             masks={
                 ei: tree_mask(e.spec_tree)
-                for ei, e in enumerate(chunk.entries[chunk.decodes :], chunk.decodes)
+                for ei, e in enumerate(chunk.entries, chunk.decodes)
                 if e.stage is Stage.VERIFY
             },
             linears=self._plan_linears(chunk),
@@ -258,12 +262,19 @@ class Engine:
         computed, skipped = skip_plan(plan.tiles, self.cfg.kv_block_size)
         self.skip_computed += int(computed.sum())
         self.skip_skipped += int(skipped.sum())
-        rts = [self.runtimes[entry.req_id] for entry in chunk.entries]
-        tokens, positions = self._chunk_tokens_positions(chunk, rts)
-        try:
-            self.cache.reserve_blocks([(rt.table, entry.token_num) for entry, rt in zip(chunk.entries, rts)])
-        except PoolExhausted as exc:
-            raise PoolExhausted(f"chunk {chunk.chunk_id}: {exc}") from None
+        d = chunk.decodes
+        runtimes = self.runtimes
+        run = [runtimes[req_id] for req_id in chunk.decode_ids]
+        rts = [runtimes[entry.req_id] for entry in chunk.entries]
+        tokens, positions = self._chunk_tokens_positions(chunk, run, rts)
+        if chunk.total_tokens > self.cache.free_block_count():
+            commits = [(rt.table, 1) for rt in run]
+            commits += [(rt.table, entry.token_num) for entry, rt in zip(chunk.entries, rts)]
+            try:
+                self.cache.reserve_blocks(commits)
+            except PoolExhausted as exc:
+                raise PoolExhausted(f"chunk {chunk.chunk_id}: {exc}") from None
+        self.cache.append_run([rt.table for rt in run], tokens[:d])
         for entry, rt in zip(chunk.entries, rts):
             self.cache.commit_tokens(
                 rt.table,
@@ -275,9 +286,8 @@ class Engine:
             logits, spec_kv = self._forward_chunk(chunk, plan, tokens, positions)
         span = self._simulate_chunk(chunk, plan)
         self.ticks += span
-        results = self._apply_logits(chunk, rts, logits, spec_kv)
-        d = chunk.decodes
-        stages = Counter(entry.stage.value for entry in chunk.entries[d:])
+        results = self._apply_logits(chunk, run, rts, logits, spec_kv)
+        stages = Counter(entry.stage.value for entry in chunk.entries)
         self.chunk_log.append(
             {
                 "chunk_id": chunk.chunk_id,
@@ -307,11 +317,14 @@ class Engine:
             w32["layers"].append({k: v.astype(np.float32) for k, v in layer.items()})
         return w32
 
-    def _chunk_tokens_positions(self, chunk: Chunk, rts: list[_Runtime]) -> tuple[list[int], list[int]]:
-        d = chunk.decodes
-        tokens = [rt.last_token for rt in rts[:d]]
-        positions = [entry.kv_len for entry in chunk.entries[:d]]
-        for entry, rt in zip(chunk.entries[d:], rts[d:]):
+    def _chunk_tokens_positions(
+        self, chunk: Chunk, run: list[_Runtime], rts: list[_Runtime]
+    ) -> tuple[list[int], list[int]]:
+        """The chunk's tokens and their sequence positions in flat order;
+        ``run`` holds the decode run's runtimes and ``rts`` the entries'."""
+        tokens = [rt.last_token for rt in run]
+        positions = list(chunk.decode_kv)
+        for entry, rt in zip(chunk.entries, rts):
             if entry.stage is Stage.PREFILL:
                 tokens.extend(rt.request.prompt[entry.kv_len : entry.kv_len + entry.token_num])
                 positions.extend(range(entry.kv_len, entry.kv_len + entry.token_num))
@@ -325,8 +338,8 @@ class Engine:
         self, chunk: Chunk, plan: _ChunkPlan, tokens: list[int], positions: list[int]
     ) -> tuple[np.ndarray, dict[int, list[tuple[np.ndarray, np.ndarray]]]]:
         """Run the toy model over the chunk's committed tokens, writing
-        each layer's K/V. Returns the logits and, per verify entry, every
-        layer's K/V of its tree tokens."""
+        each layer's K/V. Returns the logits and, per verify entry by
+        stage id, every layer's K/V of its tree tokens."""
         cfg = self.cfg.model
         w = self._weights32
         n = len(tokens)
@@ -334,27 +347,34 @@ class Engine:
         x = x.astype(np.float32)
         scale = 1.0 / np.sqrt(cfg.head_size)
         spec_kv: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-        qtiles = list(plan.tiles[plan.tiles.head == 0])  # one per (entry, query tile)
+        qtiles = list(plan.tiles[plan.tiles.head == 0])  # one per (stage, query tile)
+        d = chunk.decodes
+        # By stage id: each stage's first row in the chunk, and its table.
+        starts = [*range(d), *(entry.start_pos for entry in chunk.entries)]
+        tables = [self.runtimes[req_id].table for req_id in (*chunk.decode_ids, *(e.req_id for e in chunk.entries))]
 
         for li, layer in enumerate(w["layers"]):
             hidden = rms_norm(x, layer["norm1"]).astype(np.float32)
             qkv2d = self._linear(plan, hidden, layer["wqkv"], LinearOp.QKV)
             qkv = qkv2d.reshape(n, cfg.num_heads + 2 * cfg.num_kv_heads, cfg.head_size)
             q = qkv[:, : cfg.num_heads, :]
+            k_rows = qkv[:, cfg.num_heads : cfg.num_heads + cfg.num_kv_heads, :]
+            v_rows = qkv[:, cfg.num_heads + cfg.num_kv_heads :, :]
             views = []
-            for ei, entry in enumerate(chunk.entries):
+            for i, (table, kv_len) in enumerate(zip(tables, chunk.decode_kv)):
+                self.cache.write_kv(table, li, kv_len, k_rows[i : i + 1], v_rows[i : i + 1])
+                views.append(self.cache.kv_view(table, li))
+            for ei, entry in enumerate(chunk.entries, d):
                 rows = slice(entry.start_pos, entry.start_pos + entry.token_num)
-                new_k = qkv[rows, cfg.num_heads : cfg.num_heads + cfg.num_kv_heads, :]
-                new_v = qkv[rows, cfg.num_heads + cfg.num_kv_heads :, :]
+                new_k, new_v = k_rows[rows], v_rows[rows]
                 if entry.stage is Stage.VERIFY:
                     spec_kv.setdefault(ei, []).append((new_k, new_v))
-                table = self.runtimes[entry.req_id].table
-                self.cache.write_kv(table, li, entry.kv_len, new_k, new_v)
-                views.append(self.cache.kv_view(table, li))
+                self.cache.write_kv(tables[ei], li, entry.kv_len, new_k, new_v)
+                views.append(self.cache.kv_view(tables[ei], li))
             out = np.zeros((n, cfg.num_heads, cfg.head_size), dtype=np.float32)
             # Query tiles write disjoint rows of ``out``, so their order changes no bits.
             for tile in qtiles:
-                row = chunk.entries[tile.stage_id].start_pos + tile.q_start
+                row = starts[tile.stage_id] + tile.q_start
                 o = run_tile(
                     tile,
                     q[row : row + tile.q_len],
@@ -381,30 +401,32 @@ class Engine:
     def _apply_logits(
         self,
         chunk: Chunk,
+        run: list[_Runtime],
         rts: list[_Runtime],
         logits: np.ndarray | None,
         spec_kv: dict[int, list[tuple[np.ndarray, np.ndarray]]],
     ) -> dict[object, StageResult]:
-        """Pick each entry's tokens and record them as outputs at the
-        current tick; return the stage result of each entry after the
-        decode run that picks a token. ``logits`` is None in simulate
-        mode, where seeded draws stand in for the argmax and no rows are
-        kept; the decode run draws first, in one call, which gives the
-        same stream as one draw per decode."""
+        """Pick each stage's tokens and record them as outputs at the
+        current tick; return the stage result of each entry that picks a
+        token. ``run`` holds the decode run's runtimes and ``rts`` the
+        entries'. ``logits`` is None in simulate mode, where seeded draws
+        stand in for the argmax and no rows are kept; the decode run
+        draws first, in one call, which gives the same stream as one
+        draw per decode."""
         d = chunk.decodes
         if logits is None:
             picks = self.rng.integers(self.cfg.model.vocab_size, size=d).tolist() if d else []
         else:
             picks = logits[:d].argmax(axis=1).tolist()
-            for i, (entry, rt) in enumerate(zip(chunk.entries[:d], rts)):
-                rt.logits_rows[entry.kv_len] = logits[i].copy()
-        for rt, token in zip(rts, picks):
+            for i, (kv_len, rt) in enumerate(zip(chunk.decode_kv, run)):
+                rt.logits_rows[kv_len] = logits[i].copy()
+        ticks = self.ticks
+        for rt, token in zip(run, picks):
             rt.last_token = token
             rt.outputs.append(token)
-            rt.token_ticks.append(self.ticks)
+            rt.token_ticks.append(ticks)
         results: dict[object, StageResult] = {}
-        for ei in range(d, len(rts)):
-            entry, rt = chunk.entries[ei], rts[ei]
+        for ei, (entry, rt) in enumerate(zip(chunk.entries, rts), d):
             req = rt.request
             if entry.stage is Stage.VERIFY:
                 results[req.req_id] = self._accept_verify(entry, rt, logits, spec_kv.get(ei, []))

@@ -13,13 +13,17 @@ every layer's rows on copy-on-write and caches full blocks in the tree,
 but writes no K/V. :meth:`RadixKvCache.write_kv` then fills one layer's
 rows of the reserved tokens. The pools hold only the layers a caller
 writes; the engine's simulate mode asks for none and never writes.
+:meth:`RadixKvCache.append_run` reserves one token for each of a run of
+sequences (a chunk's decodes) in one call, with the outcome of one
+one-token commit per sequence.
 
 Ownership follows from the ref counts alone: a sequence appends in
 place into its last block exactly when it is the block's only holder
-and the block is not a tree node; otherwise the commit copies the block
-first. :meth:`RadixKvCache.reserve_blocks` applies the same block-need
-rule to a batch of commits (a chunk's), making room for all of them with
-one eviction before the first, or raising before any table changes.
+and the block is not a tree node (``_owns_last_block``); otherwise the
+commit copies the block first. :meth:`RadixKvCache.reserve_blocks`
+applies the same block-need rule to a batch of commits (a chunk's),
+making room for all of them with one eviction before the first, or
+raising before any table changes.
 
 A radix tree over token-id sequences indexes completed blocks so that
 later requests can reuse matching prefixes token-wise; a mismatch
@@ -220,8 +224,7 @@ class RadixKvCache:
         use = m.matched_len if max_match is None else min(m.matched_len, max_match)
         self.stats["hit_tokens"] += use
         keep_blocks = -(-use // self.block_size) if use > 0 else 0
-        for bid in m.blocks[keep_blocks:]:
-            self._release_block(bid)
+        self._release_blocks(m.blocks[keep_blocks:])
         full_nodes = use // self.block_size
         cursor = m.nodes[full_nodes - 1] if full_nodes > 0 else self._root
         table = BlockTable(seq_id=seq_id, blocks=m.blocks[:keep_blocks], total_tokens=use)
@@ -306,13 +309,37 @@ class RadixKvCache:
                 )
             free -= need
 
+    def append_run(self, tables: list[BlockTable], tokens: list[int]) -> None:
+        """Reserve a K/V row for ``tokens[i]`` at the end of ``tables[i]``,
+        for each i in order, as ``commit_tokens(tables[i], [tokens[i]])``
+        would. A sequence that owns a last block with room appends in
+        place, caching the block when the token fills it; the rest go
+        through :meth:`commit_tokens`. Make room first
+        (:meth:`reserve_blocks`): a run that runs short raises
+        ``PoolExhausted`` with the earlier tables appended."""
+        bs = self.block_size
+        seqs = self._seqs
+        owns = self._owns_last_block
+        for table, token in zip(tables, tokens):
+            blocks = table.blocks
+            room = len(blocks) * bs - table.total_tokens
+            if room and owns(table):
+                st = seqs[table.seq_id]
+                st.tokens.append(token)
+                table.total_tokens += 1
+                if room == 1:
+                    self._try_cache_block(table, st, blocks[-1])
+            else:
+                self.commit_tokens(table, [token])
+
     def write_kv(self, table: BlockTable, layer: int, start: int, k: np.ndarray, v: np.ndarray) -> None:
         """Write layer ``layer``'s K/V rows for sequence positions
         ``start .. start + len(k) - 1``.
 
-        Write only rows that the latest :meth:`commit_tokens` reserved:
-        no other sequence has read their blocks yet. Rewriting a shared
-        prefix would change it under its other readers.
+        Write only rows that the latest :meth:`commit_tokens` or
+        :meth:`append_run` reserved: no other sequence has read their
+        blocks yet. Rewriting a shared prefix would change it under its
+        other readers.
 
         Raises:
             ValueError: ``k`` and ``v`` differ in length, or the rows reach
@@ -348,24 +375,21 @@ class RadixKvCache:
         if keep_total < cursor_cover:
             raise ValueError("cannot truncate into tree-cached prefix of this sequence")
         keep_blocks = -(-keep_total // self.block_size)
-        for bid in table.blocks[keep_blocks:]:
-            self._release_block(bid)
+        self._release_blocks(table.blocks[keep_blocks:])
         del table.blocks[keep_blocks:]
         table.total_tokens = keep_total
         del st.tokens[keep_total:]
 
     def release_sequence(self, table: BlockTable) -> None:
         """Drop the sequence's references; uncached blocks return to the pool."""
-        for bid in table.blocks:
-            self._release_block(bid)
+        self._release_blocks(table.blocks)
         table.blocks.clear()
         table.total_tokens = 0
         del self._seqs[table.seq_id]
 
     def release_blocks(self, match: PrefixMatch) -> None:
         """Release blocks pinned by a raw :meth:`match_prefix` call."""
-        for bid in match.blocks:
-            self._release_block(bid)
+        self._release_blocks(match.blocks)
         match.blocks = []
 
     # ------------------------------------------------------------------
@@ -438,15 +462,20 @@ class RadixKvCache:
     # Internals
     # ------------------------------------------------------------------
 
-    def _release_block(self, bid: int) -> None:
-        self.ref_count[bid] -= 1
-        assert self.ref_count[bid] >= 0, "ref count underflow"
-        if self.ref_count[bid] == 0:
-            node = self._node_of.get(bid)
-            if node is None:
-                self._free.append(bid)
-            elif node.is_leaf():
-                self._push_evictable(node)
+    def _release_blocks(self, bids) -> None:
+        """Drop one reference to each block of ``bids``, in order: a block
+        left unreferenced returns to the free list, or becomes evictable
+        when it is a tree leaf."""
+        ref_count, node_of, free = self.ref_count, self._node_of, self._free
+        for bid in bids:
+            ref_count[bid] -= 1
+            assert ref_count[bid] >= 0, "ref count underflow"
+            if ref_count[bid] == 0:
+                node = node_of.get(bid)
+                if node is None:
+                    free.append(bid)
+                elif node.is_leaf():
+                    self._push_evictable(node)
 
     def _evictable(self, entry: tuple[int, int, RadixNode]) -> bool:
         last_used, bid, node = entry
@@ -466,14 +495,19 @@ class RadixKvCache:
     def _fill_plan(self, table: BlockTable, n: int) -> tuple[int, bool, int]:
         """The block-need rule of committing ``n`` tokens to ``table``:
         the room left in its last block, whether the sequence owns that
-        block (it alone holds it and it is not a tree node, so it may
-        append in place), and the blocks the commit takes from the pool,
-        a copy-on-write of a last block with room that it does not own
-        included."""
-        blocks, bs = table.blocks, self.block_size
-        room = len(blocks) * bs - table.total_tokens
-        owned = room > 0 and self.ref_count[blocks[-1]] == 1 and blocks[-1] not in self._node_of
+        block (``_owns_last_block``), and the blocks the commit takes from
+        the pool, a copy-on-write of a last block with room that it does
+        not own included."""
+        bs = self.block_size
+        room = len(table.blocks) * bs - table.total_tokens
+        owned = room > 0 and self._owns_last_block(table)
         return room, owned, (room > 0 and not owned) + -(-(n - room) // bs)
+
+    def _owns_last_block(self, table: BlockTable) -> bool:
+        """The ownership rule: the sequence alone holds its last block
+        and the block is not a tree node, so it may append in place."""
+        bid = table.blocks[-1]
+        return self.ref_count[bid] == 1 and bid not in self._node_of
 
     def _cow_last_block(self, table: BlockTable, old_bid: int, view: int) -> int:
         new_bid = self._free.pop()
@@ -482,7 +516,7 @@ class RadixKvCache:
         self.values[:, new_bid, :view] = self.values[:, old_bid, :view]
         self.ref_count[new_bid] = 1
         table.blocks[-1] = new_bid
-        self._release_block(old_bid)
+        self._release_blocks((old_bid,))
         return new_bid
 
     def _try_cache_block(self, table: BlockTable, st: _SeqState, bid: int) -> None:

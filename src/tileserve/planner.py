@@ -3,9 +3,10 @@
 Attention work is cut along the query dimension into fixed-size tile
 blocks, crossed with heads, weighted by the attended K/V area, sorted
 heaviest-first, and dealt to cores in snake order (1..k, k..1, ...).
-The units form a ``TileTable`` of int64 columns, cut from per-entry
-columns (``np.repeat`` only where an entry spans several tiles), so a
-chunk is cut, sorted, dealt and priced by a fixed number of NumPy calls.
+The units form a ``TileTable`` of int64 columns, cut from per-stage
+columns (the chunk's decode run is already columns; ``np.repeat`` only
+where an entry spans several tiles), so a chunk is cut, sorted, dealt
+and priced by a fixed number of NumPy calls.
 Linear work is a 2-D grid over the padded result matrix whose visit
 order comes from the offline profile store. A ``GridTable`` holds that
 order as (row, col) int64 columns and deals cell c to core c mod k, so
@@ -152,22 +153,28 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def decompose_attention(chunk: Chunk, head_num: int, cfg: ServeConfig) -> TileTable:
-    """Split every stage entry along the query dimension and cross with
-    heads: one row per (entry, query tile), repeated for each head.
+    """Split every stage along the query dimension and cross with heads:
+    one row per (stage, query tile), repeated for each head. A stage's
+    ``stage_id`` is its place in the chunk's flat order: decode ``i`` is
+    stage ``i`` and ``entries[j]`` is stage ``decodes + j``.
 
-    Every stage cuts at ``cfg.prefill_tile_size``, so an entry no
-    longer than that is one tile, and the tiles follow from per-entry int
-    columns; only a chunk with an entry longer than one tile pays for
-    the ``np.repeat`` that cuts it."""
-    if not chunk.entries:
-        raise ValueError("chunk must be nonempty")
+    Every stage cuts at ``cfg.prefill_tile_size``, so a stage no
+    longer than that is one tile, and the tiles follow from per-stage int
+    columns, the decode rows straight from ``decode_kv``; only a chunk
+    with an entry longer than one tile pays for the ``np.repeat`` that
+    cuts it."""
     entries, d, size = chunk.entries, chunk.decodes, cfg.prefill_tile_size
-    cols = np.zeros((7, len(entries)), dtype=np.int64)  # the TileUnit fields
-    cols[0] = np.arange(len(entries))
+    n = d + len(entries)
+    if not n:
+        raise ValueError("chunk must be nonempty")
+    cols = np.zeros((7, n), dtype=np.int64)  # the TileUnit fields
+    cols[0] = np.arange(n)
     cols[1, :d] = STAGES.index(Stage.DECODE)
-    cols[1, d:] = [STAGES.index(e.stage) for e in entries[d:]]
-    cols[4] = cols[6] = [e.token_num for e in entries]
-    cols[5] = [e.kv_len for e in entries]
+    cols[4, :d] = cols[6, :d] = 1
+    cols[5, :d] = chunk.decode_kv
+    cols[1, d:] = [STAGES.index(e.stage) for e in entries]
+    cols[4, d:] = cols[6, d:] = [e.token_num for e in entries]
+    cols[5, d:] = [e.kv_len for e in entries]
     if cols[6].max() > size:
         tiles = -(-cols[6] // size)
         cols = np.repeat(cols, tiles, axis=1)
@@ -213,7 +220,7 @@ def decompose_linear(
     The M dimension is rounded up to the quantum; virtual padding
     covers the remainder.
     """
-    if not chunk.entries or chunk.total_tokens < 1:
+    if chunk.total_tokens < 1:
         raise ValueError("chunk must be nonempty")
     if n_len % quantum != 0:
         raise UnsupportedShape(f"nLen={n_len} is not a multiple of the quantum {quantum}")

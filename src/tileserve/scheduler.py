@@ -7,16 +7,17 @@ prompt whose remainder does not fit. While decode or verify tokens are
 queued, a slice of the budget is held back for them, so prefill-only
 chunks appear only when those queues are empty.
 
-Decodes therefore form one run at the head of each chunk
-(``Chunk.decodes`` long), and ``complete_chunk`` retires or requeues
-that run in one pass: a decode always delivers exactly one token, so it
-needs no ``StageResult``.
+Decodes therefore form one run at the head of each chunk, carried as
+two columns, ``Chunk.decode_ids`` and ``Chunk.decode_kv``, with no
+object per decode. ``complete_chunk`` checks that the whole run is in
+flight and then retires or requeues it in one pass: a decode always
+delivers exactly one token, so it needs no ``StageResult``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -58,10 +59,8 @@ class Request:
 
 
 class ChunkEntry(NamedTuple):
-    """One stage instance inside a chunk; ``start_pos`` is the offset
-    into the chunk's flat token tensor. A named tuple, not a frozen
-    dataclass: a decode run builds one per decode, and a tuple is built
-    four times faster."""
+    """One prefill or verify stage inside a chunk; ``start_pos`` is the
+    offset into the chunk's flat token tensor."""
 
     req_id: object
     stage: Stage
@@ -73,13 +72,20 @@ class ChunkEntry(NamedTuple):
 
 @dataclass
 class Chunk:
-    """A chunk's entries in flat-token order; the first ``decodes`` of
-    them are its decode run."""
+    """A chunk's work in flat-token order: first its decode run, one
+    token per request, as columns (``decode_ids[i]``'s token sits at
+    flat position ``i`` and attends ``decode_kv[i]`` committed tokens),
+    then its prefill and verify ``entries``, which start at ``decodes``."""
 
     chunk_id: int
     entries: list[ChunkEntry]
     total_tokens: int
-    decodes: int = 0
+    decode_ids: list = field(default_factory=list)
+    decode_kv: list[int] = field(default_factory=list)
+
+    @property
+    def decodes(self) -> int:
+        return len(self.decode_ids)
 
 
 @dataclass
@@ -125,13 +131,15 @@ class TokenScheduler:
 
     def schedule_next(self) -> Chunk | None:
         """Build the next fixed-budget chunk, or None if queues are empty."""
-        entries: list[ChunkEntry] = []
-        for pos in range(min(len(self._decode), self.budget)):
-            req = self._decode.popleft()
-            entries.append(ChunkEntry(req.req_id, Stage.DECODE, pos, 1, req.kv_len))
+        queue = self._decode
+        run = [queue.popleft() for _ in range(min(len(queue), self.budget))]
+        decode_ids = [req.req_id for req in run]
+        decode_kv = [req.kv_len for req in run]
+        for req in run:
             req.kv_len += 1
-            self._in_flight.add(req.req_id)
-        used = decodes = len(entries)
+        self._in_flight.update(decode_ids)
+        entries: list[ChunkEntry] = []
+        used = len(run)
 
         while self._verify:
             spec_len = self._verify[0].spec_tree.spec_len
@@ -167,9 +175,9 @@ class TokenScheduler:
                 else:
                     break  # split: remainder stays at the queue head
 
-        if not entries:
+        if not used:
             return None
-        chunk = Chunk(self._next_chunk_id, entries, used, decodes)
+        chunk = Chunk(self._next_chunk_id, entries, used, decode_ids, decode_kv)
         self._next_chunk_id += 1
         return chunk
 
@@ -178,18 +186,31 @@ class TokenScheduler:
 
         ``results`` holds the outcome of each verify entry and each last
         prompt slice; the decode run needs none. Returns the ids of the
-        requests this chunk retired, in entry order.
+        requests this chunk retired, in flat-token order.
+
+        Raises:
+            UnknownRequest: naming the first request of the decode run
+                that is not in flight (or repeats in the run); nothing
+                has changed.
         """
+        ids = chunk.decode_ids
+        run = set(ids)
+        if len(run) < len(ids) or not run <= self._in_flight:
+            raise UnknownRequest(next(r for i, r in enumerate(ids) if r not in self._in_flight or r in ids[:i]))
+        self._in_flight -= run
         retired = []
-        for entry in chunk.entries[: chunk.decodes]:
-            req = self._land(entry.req_id)
+        requests, queue = self._requests, self._decode
+        for req_id in ids:
+            req = requests[req_id]
             req.generated += 1
             if req.generated >= req.output_len:
-                self._retire(req)
-                retired.append(req.req_id)
+                retired.append(req_id)
             else:
-                self._decode.append(req)
-        for entry in chunk.entries[chunk.decodes :]:
+                queue.append(req)
+        for req_id in retired:
+            del requests[req_id]
+        self._retired.update(retired)
+        for entry in chunk.entries:
             req = self._land(entry.req_id)
             result = results.get(entry.req_id, StageResult())
 

@@ -5,7 +5,8 @@ scheduler, proposer and profile methods, then re-prices every captured
 attention and linear task table for its ablations. A planner or engine
 change that breaks either breaks the benchmark's per-layer run, so this
 test replays a short trace through that path in both modes. It also pins
-that the engine's linear memo hides no ``simulate_linear`` call.
+that the engine's linear memo hides no ``simulate_linear`` call, and which
+public cache and scheduler methods the tracer leaves unwrapped.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from tileserve.engine import Engine, EngineRequest
 from tileserve.kv_cache import RadixKvCache
 from tileserve.oracle import ToyModel
 from tileserve.planner import LinearOp
+from tileserve.scheduler import TokenScheduler
 from tileserve.trace import gen_trace
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -70,9 +72,8 @@ def test_tracer_metrics_and_ablations_on_a_small_replay(numeric, monkeypatch):
     ablations = layers.ablations(tracer, engine)
     assert all(math.isfinite(v) for v in {**metrics, **ablations}.values())
     units = sum(
-        cfg.model.num_heads * -(-e.token_num // cfg.prefill_tile_size)
+        cfg.model.num_heads * (chunk.decodes + sum(-(-e.token_num // cfg.prefill_tile_size) for e in chunk.entries))
         for chunk in chunks
-        for e in chunk.entries
     )
     assert metrics["planner.tiles"] == units
     assert metrics["engine.chunks"] == len(chunks) == len(tracer.attention_calls)
@@ -89,3 +90,33 @@ def test_tracer_metrics_and_ablations_on_a_small_replay(numeric, monkeypatch):
         for _, linear_span in calls:
             span += linear_span
         assert span * cfg.model.num_layers == logged["ticks"]
+
+
+# Public methods that ``layers.METHODS`` does not wrap, so their self time
+# counts toward the caller's layer. The engine calls ``write_kv`` per stage
+# and layer and ``append_run`` once per chunk for its decode run; the rest
+# are reservations, set-up and accessors.
+UNWRAPPED = {
+    RadixKvCache: {
+        "append_run",
+        "cached_block_count",
+        "free_block_count",
+        "from_config",
+        "pool_partition",
+        "reachable_block_ids",
+        "reserve_blocks",
+        "write_kv",
+    },
+    TokenScheduler: set(),
+}
+
+
+def test_every_public_cache_and_scheduler_method_is_wrapped_or_listed(monkeypatch):
+    """A new public method of the cache or the scheduler is either traced
+    (added to ``METHODS`` in ``bench/layers.py``) or listed above, so its
+    time is not counted toward the engine unnoticed."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    layers = importlib.import_module("layers")
+    for cls, unwrapped in UNWRAPPED.items():
+        public = {name for name in vars(cls) if not name.startswith("_")}
+        assert public - set(layers.METHODS[cls][1]) == unwrapped, cls.__name__

@@ -191,6 +191,18 @@ class TestCommit:
         commit(small_cache, table, [4, 5], 3)
         assert small_cache.free_block_count() <= free_before
 
+    def test_release_frees_private_blocks_in_table_order(self, small_cache):
+        """Uncached blocks go back on the free list in table order; an
+        unreferenced cached leaf becomes evictable instead."""
+        table = small_cache.start_sequence("s0", [1, 2, 3, 4, 5])
+        commit(small_cache, table, [1, 2], 0)
+        commit(small_cache, table, [3, 4, 5], 2, cacheable=False)
+        cached, *private = table.blocks
+        free = list(small_cache._free)
+        small_cache.release_sequence(table)
+        assert small_cache._free == free + private
+        assert small_cache.evict(1) == 1 and small_cache._free[-1] == cached
+
 
 def pool_state(cache: RadixKvCache, tables: list) -> tuple:
     return [(list(t.blocks), t.total_tokens) for t in tables], list(cache.ref_count), list(cache._free)
@@ -456,17 +468,20 @@ def test_shared_prefix_reuse_is_real():
 def cache_state(cache: RadixKvCache, tables: dict) -> tuple:
     """What a commit may change: each table, the ref counts, the free
     list, the radix tree (content, block and recency of each node),
-    each sequence's tokens and the stats."""
+    each sequence's tokens, tree cursor and caching flag, and the stats."""
 
     def tree(node):
         return {key: (child.block_id, child.last_used, tree(child)) for key, child in node.children.items()}
+
+    def path(node):
+        return path(node.parent) + [node.block_id] if node.parent is not None else []
 
     return (
         {sid: (list(t.blocks), t.total_tokens) for sid, t in tables.items()},
         list(cache.ref_count),
         list(cache._free),
         tree(cache._root),
-        {sid: list(seq.tokens) for sid, seq in cache._seqs.items()},
+        {sid: (list(seq.tokens), path(seq.cursor), seq.caching_ok) for sid, seq in cache._seqs.items()},
         dict(cache.stats),
     )
 
@@ -515,6 +530,66 @@ def test_one_token_commits_leave_what_one_commit_of_the_run_leaves(data):
                     cache.evict(arg)
                 outcomes.append(None)
             except ValueError as exc:  # a truncation into the cached prefix
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert cache_state(caches[0], tables[0]) == cache_state(caches[1], tables[1]), (step, op)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_appending_a_run_leaves_what_one_commit_per_table_leaves(data):
+    """Two caches run the same operations, except that a decode-like run,
+    one token for each of several sequences, goes through one
+    ``commit_tokens`` call per table in the first and one ``append_run``
+    call in the second. Prompts share prefixes, so last blocks are partly
+    matched tree nodes; appends fill blocks; a small or zero cache cap
+    turns caching off for a sequence; multi-token and non-cacheable
+    commits, truncations, releases and evictions come in between; and the
+    pool is small enough that some appends run short, which both caches
+    must raise at the same table."""
+    bs = data.draw(st.integers(2, 4), label="block_size")
+    pool = data.draw(st.integers(8, 40), label="pool_blocks")
+    cap = data.draw(st.integers(0, 6), label="cache_cap_blocks")
+    caches = [RadixKvCache(bs, pool, cap, KV_HEADS, HEAD) for _ in range(2)]
+    tables: list[dict] = [{}, {}]
+    shared = [1, 2, 3, 1, 2, 3, 4, 5, 6, 7]
+    small = st.lists(st.integers(0, 3), max_size=6)
+    for step in range(data.draw(st.integers(1, 30), label="steps")):
+        live = sorted(tables[0])
+        ops = ["start", "append", "append", "append", "commit", "truncate", "release", "evict"]
+        op = data.draw(st.sampled_from(ops if live else ["start"]))
+        sid = f"s{step}" if op in ("start", "append") else data.draw(st.sampled_from(live))
+        if op == "start":
+            arg = shared[: data.draw(st.integers(0, len(shared)))] + data.draw(small) or [0]
+        elif op == "append":
+            sids = data.draw(st.lists(st.sampled_from(live), min_size=1, unique=True))
+            arg = sids, data.draw(st.lists(st.integers(0, 3), min_size=len(sids), max_size=len(sids)))
+        elif op == "commit":
+            arg = data.draw(small.filter(bool)), data.draw(st.booleans())
+        elif op == "truncate":
+            arg = data.draw(st.integers(0, tables[0][sid].total_tokens))
+        else:
+            arg = data.draw(st.integers(1, 3))
+        outcomes = []
+        for batched, (cache, table_of) in enumerate(zip(caches, tables)):
+            try:
+                if op == "start":
+                    table_of[sid] = cache.start_sequence(sid, arg)
+                elif op == "append" and batched:
+                    cache.append_run([table_of[s] for s in arg[0]], arg[1])
+                elif op == "append":
+                    for s, token in zip(*arg):
+                        cache.commit_tokens(table_of[s], [token])
+                elif op == "commit":
+                    cache.commit_tokens(table_of[sid], arg[0], cacheable=arg[1])
+                elif op == "truncate":
+                    cache.truncate_tokens(table_of[sid], arg)
+                elif op == "release":
+                    cache.release_sequence(table_of.pop(sid))
+                else:
+                    cache.evict(arg)
+                outcomes.append(None)
+            except (ValueError, PoolExhausted) as exc:  # a truncation into the cached prefix; a full pool
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
         assert cache_state(caches[0], tables[0]) == cache_state(caches[1], tables[1]), (step, op)

@@ -13,34 +13,38 @@ from tileserve.scheduler import Chunk, ChunkEntry, Stage
 
 @st.composite
 def chunks(draw) -> tuple[Chunk, int]:
-    """A chunk of prefill, decode and verify entries and its tile size.
+    """A chunk of a decode run, then prefill and verify entries, and its
+    tile size.
 
     Verify spans run past the tile size, so one entry gives several
     tiles of equal area and the sort falls back to its tie-breakers.
     """
     tile_size = draw(st.sampled_from((1, 4, 8)))
+    decodes = draw(st.integers(0, 10))
+    decode_kv = draw(st.lists(st.integers(0, 40), min_size=decodes, max_size=decodes))
     entries = []
-    start = 0
-    for _ in range(draw(st.integers(1, 10))):
-        stage = draw(st.sampled_from(Stage))
-        if stage is Stage.DECODE:
-            token_num = 1
-        else:
-            token_num = draw(st.integers(1, 3 * tile_size + 2))
+    start = decodes
+    for _ in range(draw(st.integers(0 if decodes else 1, 10))):
+        stage = draw(st.sampled_from((Stage.PREFILL, Stage.VERIFY)))
+        token_num = draw(st.integers(1, 3 * tile_size + 2))
         entries.append(ChunkEntry(len(entries), stage, start, token_num, draw(st.integers(0, 40))))
         start += token_num
-    return Chunk(chunk_id=0, entries=entries, total_tokens=start), tile_size
+    chunk = Chunk(chunk_id=0, entries=entries, total_tokens=start, decode_ids=list(range(decodes)), decode_kv=decode_kv)
+    return chunk, tile_size
 
 
 def reference_units(chunk: Chunk, heads: int, tile_size: int) -> list[TileUnit]:
-    """One unit per (entry, query tile, head), in that order."""
+    """One unit per (stage, query tile, head), in flat order: the decode
+    run's one-token stages, then the entries."""
+    stages = [(Stage.DECODE, 1, kv_len) for kv_len in chunk.decode_kv]
+    stages += [(e.stage, e.token_num, e.kv_len) for e in chunk.entries]
     units = []
-    for stage_id, e in enumerate(chunk.entries):
-        size = tile_size if e.stage is Stage.PREFILL else min(e.token_num, tile_size)
-        for q_start in range(0, e.token_num, size):
-            q_len = min(size, e.token_num - q_start)
+    for stage_id, (stage, token_num, kv_len) in enumerate(stages):
+        size = tile_size if stage is Stage.PREFILL else min(token_num, tile_size)
+        for q_start in range(0, token_num, size):
+            q_len = min(size, token_num - q_start)
             for head in range(heads):
-                units.append(TileUnit(stage_id, e.stage, head, q_start, q_len, e.kv_len, e.token_num))
+                units.append(TileUnit(stage_id, stage, head, q_start, q_len, kv_len, token_num))
     return units
 
 

@@ -1,13 +1,15 @@
 """TokenScheduler, driven directly: chunks stay within the budget and pack
 their entries back to back, every prompt token is scheduled exactly once,
 and every request retires, with random lengths, budgets, reserves, late
-arrivals and speculative trees."""
+arrivals and speculative trees; a decode run that names a request not in
+flight changes nothing."""
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from tileserve.scheduler import Request, Stage, StageResult, TokenScheduler
+from tileserve.scheduler import Chunk, Request, Stage, StageResult, TokenScheduler, UnknownRequest
 from tileserve.spec_decode import full_tree
 
 
@@ -63,8 +65,14 @@ def test_chunks_cover_every_prompt_token_once_and_every_request_retires(data):
         step += 1
 
         assert chunk.total_tokens <= budget
-        assert chunk.total_tokens == sum(e.token_num for e in chunk.entries)
-        pos = 0
+        assert chunk.total_tokens == chunk.decodes + sum(e.token_num for e in chunk.entries)
+        assert len(chunk.decode_kv) == chunk.decodes
+        for rid, kv_len in zip(chunk.decode_ids, chunk.decode_kv):
+            matched, prompt, *_ = reqs[rid]
+            assert next_pos[rid] == matched + prompt, "decode before the prompt is done"
+            assert kv_len == matched + prompt + generated[rid] - 1  # every token but the last picked
+            generated[rid] += 1
+        pos = chunk.decodes
         results = {}
         for e in chunk.entries:
             assert e.start_pos == pos
@@ -77,21 +85,44 @@ def test_chunks_cover_every_prompt_token_once_and_every_request_retires(data):
                     generated[e.req_id] = 1
                     results[e.req_id] = StageResult(next_token=1, next_tree=tree(e.req_id) if wd else None)
                 continue
-            assert next_pos[e.req_id] == matched + prompt, "decode or verify before the prompt is done"
-            if e.stage is Stage.DECODE:
-                generated[e.req_id] += 1
-                results[e.req_id] = StageResult(next_token=1)
-            else:
-                assert e.token_num == e.spec_tree.spec_len
-                accepted = data.draw(st.integers(1, wd[1]), label="accepted")
-                new = min(accepted, output_len - generated[e.req_id])
-                generated[e.req_id] += new
-                results[e.req_id] = StageResult(committed=accepted, new_tokens=new, next_tree=tree(e.req_id))
+            assert next_pos[e.req_id] == matched + prompt, "verify before the prompt is done"
+            assert e.stage is Stage.VERIFY and e.token_num == e.spec_tree.spec_len
+            accepted = data.draw(st.integers(1, wd[1]), label="accepted")
+            new = min(accepted, output_len - generated[e.req_id])
+            generated[e.req_id] += new
+            results[e.req_id] = StageResult(committed=accepted, new_tokens=new, next_tree=tree(e.req_id))
         retired.update(sched.complete_chunk(chunk, results))
-        for e in chunk.entries:
-            assert (e.req_id in retired) == (generated[e.req_id] >= reqs[e.req_id][2])
+        for rid in [*chunk.decode_ids, *(e.req_id for e in chunk.entries)]:
+            assert (rid in retired) == (generated[rid] >= reqs[rid][2])
     else:
         raise AssertionError("the scheduler did not drain its queues")
 
     assert retired == set(range(n))
     assert all(next_pos[rid] == matched + prompt for rid, (matched, prompt, *_) in enumerate(reqs))
+
+
+def test_a_decode_run_with_an_id_not_in_flight_changes_nothing():
+    """``complete_chunk`` checks the whole decode run before it retires or
+    requeues any of it, and names the first id that is not in flight."""
+    sched = TokenScheduler(budget=8)
+    for rid in "abc":
+        sched.add_request(Request(req_id=rid, prompt_tokens=[7, 7], output_len=3))
+    first = sched.schedule_next()  # the three prompts
+    assert first.decodes == 0
+    sched.complete_chunk(first, {rid: StageResult(next_token=1) for rid in "abc"})
+    run = sched.schedule_next()
+    assert run.decode_ids == ["a", "b", "c"] and not run.entries
+
+    def state():
+        queues = [[req.req_id for req in q] for q in (sched._prefill, sched._decode, sched._verify)]
+        return queues, set(sched._in_flight), {rid: req.generated for rid, req in sched._requests.items()}
+
+    before = state()
+    for ids, named in ((["a", "ghost", "b", "c", "spook"], "ghost"), (["a", "b", "a", "c"], "a")):
+        bad = Chunk(run.chunk_id, [], len(ids), decode_ids=ids, decode_kv=[2] * len(ids))
+        with pytest.raises(UnknownRequest) as err:
+            sched.complete_chunk(bad, {})
+        assert err.value.args == (named,)
+        assert state() == before
+    assert sched.complete_chunk(run, {}) == []
+    assert [req.req_id for req in sched._decode] == ["a", "b", "c"] and not sched._in_flight

@@ -60,3 +60,35 @@ def test_a_token_past_the_vocabulary_is_refused_on_its_line(tmp_path, capsys):
     assert err.value.line_no == 3
     assert cli.main(["run", "--trace", str(path), "--mode", "simulate"]) == 2
     assert capsys.readouterr().err.startswith("error: trace line 3: request r2: token id 128")
+
+
+def test_plot_csv_reads_the_arrivals_of_the_one_parse(tmp_path, monkeypatch):
+    """``run --plot-csv`` parses the trace once; each request's TTFT and
+    TBT rows sit at its arrival plus its TTFT, then qps and the skip
+    ratio at the makespan, in report order."""
+    rows = [
+        {"id": f"r{i}", "arrival": 700 * i, "prompt": [1 + i, 2, 3], "output_len": 1 + i, "spec": None}
+        for i in range(3)
+    ]
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    parses = []
+
+    def counted_parse(*args, **kwargs):
+        parses.append(args)
+        return parse_trace(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "parse_trace", counted_parse)
+    report_path, csv_path = tmp_path / "report.json", tmp_path / "plot.csv"
+    argv = ["run", "--trace", str(path), "--mode", "simulate", "--report", str(report_path), "--plot-csv", str(csv_path)]
+    assert cli.main(argv) == 0
+    assert len(parses) == 1
+    report = json.loads(report_path.read_text())
+    want = ["ts,metric,value"]
+    for row in rows:
+        stats = report["requests"][row["id"]]
+        ts = row["arrival"] + stats["ttft"]
+        want += [f"{ts!r},ttft.{row['id']},{stats['ttft']!r}", f"{ts!r},tbt.{row['id']},{stats['tbt']!r}"]
+    end = report["makespan_ticks"]
+    want += [f"{end!r},qps,{report['qps']!r}", f"{end!r},skip_ratio,{report['skip']['skip_ratio']!r}"]
+    assert csv_path.read_text() == "\n".join(want) + "\n"
