@@ -161,6 +161,7 @@ class Engine:
         self.skip_skipped = 0
         self._unit_busy = {"cube": 0.0, "vector": 0.0}  # ticks of one layer, over every priced chunk
         self._priced_span = 0.0  # their makespans, summed
+        self._op_span = dict.fromkeys(("attention", *(op.value for op in LinearOp)), 0.0)  # one layer's, by op
         if profile_linear:
             self._profile_linears()
 
@@ -169,6 +170,12 @@ class Engine:
     def submit(self, req: EngineRequest) -> None:
         if len(req.prompt) < 1:
             raise RejectedRequest(f"request {req.req_id!r}: prompt must be nonempty")
+        blocks = -(-len(req.prompt) // self.cfg.kv_block_size)
+        if blocks > self.cfg.kv_pool_blocks:
+            raise RejectedRequest(
+                f"request {req.req_id!r}: its prompt of {len(req.prompt)} tokens needs {blocks} K/V blocks, "
+                f"more than the pool of {self.cfg.kv_pool_blocks}"
+            )
         if req.spec is not None:
             width, depth = req.spec
             budget = self.sched.budget
@@ -502,8 +509,8 @@ class Engine:
         memoised table returns a stored result, because tracing counts
         linear ticks from the calls it sees."""
         hw = self.cfg.hw
-        traces = [
-            simulate_attention(
+        traces = {
+            "attention": simulate_attention(
                 plan.tasktable,
                 hw,
                 plan.schedule,
@@ -511,14 +518,16 @@ class Engine:
                 kv_block_size=self.cfg.kv_block_size,
                 kv_split_blocks=plan.split,
             )
-        ]
+        }
         m = chunk.total_tokens
         for op, (grid, table) in plan.linears.items():
             n, k, prim = self._linear_ops[op]
-            traces.append(simulate_linear(grid, table, hw, prim, m, n, k))
+            traces[op.value] = simulate_linear(grid, table, hw, prim, m, n, k)
         span = cube = vector = 0.0
-        for trace in traces:
+        op_span = self._op_span
+        for name, trace in traces.items():
             span += trace.makespan
+            op_span[name] += trace.makespan
             cube += trace.busy["cube"]
             vector += trace.busy["vector"]
         self._priced_span += span
@@ -555,9 +564,11 @@ class Engine:
         token; -1.0 when no token came) and mean TBT, with their p50 and
         p99 over the requests that have one (TBT needs two tokens); qps
         from the first arrival, chunk counts by stage mix (e.g. ``D27P5``:
-        27 decode, 5 prefill entries), skipped K/V blocks, cache counts,
-        and the cube and vector units' utilisation over every priced
-        attention and linear span, weighted by its ticks."""
+        27 decode, 5 prefill entries) and budget fill (the mean of chunk
+        tokens over the budget), skipped K/V blocks, cache counts, the
+        modelled ticks of each op (attention and the four linear ops)
+        over every layer, and the cube and vector units' utilisation over
+        every priced attention and linear span, weighted by its ticks."""
         requests = {}
         for rid, rt in sorted(self.runtimes.items(), key=lambda kv: str(kv[0])):
             ticks = rt.token_ticks
@@ -576,12 +587,19 @@ class Engine:
         first_arrival = min((rt.request.arrival for rt in self.runtimes.values()), default=0)
         span = self.ticks - first_arrival
         total_blocks = self.skip_computed + self.skip_skipped
+        chunks = len(self.chunk_log)
+        filled = sum(c["tokens"] for c in self.chunk_log)
+        layers = self.cfg.model.num_layers
         return {
             "requests": requests,
             "completed": completed,
             "makespan_ticks": self.ticks,
             "qps": completed / (span / 1e6) if span > 0 else 0.0,
-            "chunks": {"count": len(self.chunk_log), "composition": dict(sorted(composition.items()))},
+            "chunks": {
+                "count": chunks,
+                "composition": dict(sorted(composition.items())),
+                "budget_fill": filled / (chunks * self.cfg.budget) if chunks else 0.0,
+            },
             "skip": {
                 "computed_blocks": self.skip_computed,
                 "skipped_blocks": self.skip_skipped,
@@ -593,6 +611,7 @@ class Engine:
                 "e2e": _p50_p99([r["e2e"] for r in requests.values() if r["generated"]]),
             },
             "cache": dict(self.cache.stats),
+            "op_ticks": {op: span * layers for op, span in self._op_span.items()},
             "utilization": {
                 unit: busy / (self.cfg.hw.core_num * self._priced_span) if self._priced_span > 0 else 0.0
                 for unit, busy in self._unit_busy.items()

@@ -3,10 +3,15 @@
 Attention work is cut along the query dimension into fixed-size tile
 blocks, crossed with heads, weighted by the attended K/V area, sorted
 heaviest-first, and dealt to cores in snake order (1..k, k..1, ...).
-The units form a ``TileTable`` of int64 columns, cut from per-stage
-columns (the chunk's decode run is already columns; ``np.repeat`` only
-where an entry spans several tiles), so a chunk is cut, sorted, dealt
-and priced by a fixed number of NumPy calls.
+The units form a ``TileTable`` of int64 columns, built once per stage
+(the chunk's decode run is already columns; ``np.repeat`` only where an
+entry spans several tiles) and then once per head. The deal is one
+gather: the lexsort by area, composed with a cached permutation that
+depends only on the unit and core counts. A ``TaskTable`` keeps the
+result as it is, one core-major ``TileTable`` and each core's count,
+and the cost model prices that table directly; ``per_core`` slices it
+only for readers that want one core at a time. So a chunk is cut,
+sorted, dealt and priced by a fixed number of NumPy calls.
 Linear work is a 2-D grid over the padded result matrix whose visit
 order comes from the offline profile store. A ``GridTable`` holds that
 order as (row, col) int64 columns and deals cell c to core c mod k, so
@@ -22,6 +27,8 @@ and the cost model's unit costs all derive from it.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -33,6 +40,8 @@ from .profiles import ROW_MAJOR, MissingProfile, ProfileStore, grid_order
 from .scheduler import Chunk, Stage
 
 STAGES = tuple(Stage)  # a ``TileTable`` row's ``stage`` is an index into this
+_STAGE_CODE = {stage: code for code, stage in enumerate(STAGES)}
+_DECODE, _VERIFY = _STAGE_CODE[Stage.DECODE], _STAGE_CODE[Stage.VERIFY]
 
 
 class UnsupportedShape(ValueError):
@@ -86,12 +95,9 @@ class TileTable:
 
     @classmethod
     def of(cls, units: Sequence[TileUnit]) -> "TileTable":
-        rows = [(u.stage_id, STAGES.index(u.stage), u.head, u.q_start, u.q_len, u.kv_len, u.stage_tokens) for u in units]
-        return cls._with_reach(np.array(rows, dtype=np.int64).reshape(-1, 7).T)
-
-    @classmethod
-    def _with_reach(cls, cols: np.ndarray) -> "TileTable":
-        reach = tile_reach(cols[1] == STAGES.index(Stage.VERIFY), cols[5], cols[3], cols[4], cols[6])
+        rows = [(u.stage_id, _STAGE_CODE[u.stage], u.head, u.q_start, u.q_len, u.kv_len, u.stage_tokens) for u in units]
+        cols = np.array(rows, dtype=np.int64).reshape(-1, 7).T
+        reach = tile_reach(cols[1] == _VERIFY, cols[5], cols[3], cols[4], cols[6])
         return cls(np.vstack((cols, reach)))
 
     def __len__(self) -> int:
@@ -108,19 +114,40 @@ class TileTable:
         return -(-self.reach // kv_block_size)
 
 
-@dataclass(frozen=True)
 class TaskTable:
-    """Attention tiles per core, each core's in run order; every tile
-    appears exactly once. Linear ops use a ``GridTable``."""
+    """Attention tiles dealt to cores: ``tiles`` is one core-major
+    ``TileTable`` in which core c runs the next ``counts[c]`` rows, in
+    run order; every tile appears exactly once. ``TaskTable(per_core)``
+    builds that table once from each core's tiles, given as ``TileUnit``s
+    or as ``TileTable``s. Linear ops use a ``GridTable``."""
 
-    per_core: tuple[Sequence, ...]
+    __slots__ = ("tiles", "counts")
+
+    def __init__(self, per_core: Sequence[Sequence[TileUnit] | TileTable]):
+        cores = [core if isinstance(core, TileTable) else TileTable.of(core) for core in per_core]
+        self.tiles = TileTable(np.concatenate([core.cols for core in cores], axis=1)) if cores else TileTable.of(())
+        self.counts = tuple(len(core) for core in cores)
+
+    @classmethod
+    def dealt(cls, tiles: TileTable, counts: tuple[int, ...]) -> "TaskTable":
+        """The task table of a core-major ``tiles``, ``counts[c]`` rows
+        for core c."""
+        table = cls.__new__(cls)
+        table.tiles, table.counts = tiles, counts
+        return table
 
     @property
     def core_num(self) -> int:
-        return len(self.per_core)
+        return len(self.counts)
 
-    def all_items(self) -> list:
-        return [item for core in self.per_core for item in core]
+    @property
+    def per_core(self) -> tuple[TileTable, ...]:
+        """Each core's tiles, a slice of ``tiles``."""
+        ends = list(itertools.accumulate(self.counts))
+        return tuple(self.tiles[lo:hi] for lo, hi in zip([0, *ends], ends))
+
+    def all_items(self) -> list[TileUnit]:
+        return list(self.tiles)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,31 +185,46 @@ def decompose_attention(chunk: Chunk, head_num: int, cfg: ServeConfig) -> TileTa
     ``stage_id`` is its place in the chunk's flat order: decode ``i`` is
     stage ``i`` and ``entries[j]`` is stage ``decodes + j``.
 
-    Every stage cuts at ``cfg.prefill_tile_size``, so a stage no
-    longer than that is one tile, and the tiles follow from per-stage int
-    columns, the decode rows straight from ``decode_kv``; only a chunk
-    with an entry longer than one tile pays for the ``np.repeat`` that
-    cuts it."""
+    The columns are built once per stage, the decode rows straight from
+    ``decode_kv``. Every stage cuts at ``cfg.prefill_tile_size``; when
+    none is longer, each stage is one tile reaching ``kv_len +
+    stage_tokens``, so only a chunk with a longer entry pays for the
+    ``np.repeat`` that cuts it and for ``tile_reach``. The rows are
+    repeated per head last, with the head column from a cached table."""
     entries, d, size = chunk.entries, chunk.decodes, cfg.prefill_tile_size
     n = d + len(entries)
     if not n:
         raise ValueError("chunk must be nonempty")
-    cols = np.zeros((7, n), dtype=np.int64)  # the TileUnit fields
+    cols = np.zeros((8, n), dtype=np.int64)  # the TileUnit fields, then the reach
     cols[0] = np.arange(n)
-    cols[1, :d] = STAGES.index(Stage.DECODE)
-    cols[4, :d] = cols[6, :d] = 1
+    cols[1, :d] = _DECODE
+    cols[4, :d] = 1
     cols[5, :d] = chunk.decode_kv
-    cols[1, d:] = [STAGES.index(e.stage) for e in entries]
-    cols[4, d:] = cols[6, d:] = [e.token_num for e in entries]
-    cols[5, d:] = [e.kv_len for e in entries]
-    if cols[6].max() > size:
+    if entries:
+        rows = [(_STAGE_CODE[e.stage], e.token_num, e.kv_len) for e in entries]
+        cols[[1, 4, 5], d:] = np.array(rows).T  # the stage, q_len and kv_len rows
+    cols[6] = cols[4]  # a stage's tokens, its q_len until it is cut into tiles
+    if entries and cols[6].max() > size:
         tiles = -(-cols[6] // size)
         cols = np.repeat(cols, tiles, axis=1)
         cols[3] = (np.arange(cols.shape[1]) - np.repeat(np.cumsum(tiles) - tiles, tiles)) * size
         cols[4] = np.minimum(size, cols[6] - cols[3])
-    cols = np.repeat(TileTable._with_reach(cols).cols, head_num, axis=1)
-    cols[2] = np.arange(cols.shape[1]) % head_num
+        cols[7] = tile_reach(cols[1] == _VERIFY, cols[5], cols[3], cols[4], cols[6])
+    else:
+        cols[7] = cols[5] + cols[6]
+    if head_num > 1:
+        cols = np.repeat(cols, head_num, axis=1)
+        cols[2] = _head_column(head_num, cols.shape[1] // head_num)
     return TileTable(cols)
+
+
+@functools.lru_cache(maxsize=256)
+def _head_column(head_num: int, tiles: int) -> np.ndarray:
+    """Heads 0..head_num-1 for each of ``tiles`` query tiles in turn,
+    read-only."""
+    heads = np.tile(np.arange(head_num, dtype=np.int64), tiles)
+    heads.flags.writeable = False
+    return heads
 
 
 def contiguous_assign(items: list, core_num: int) -> list[list]:
@@ -193,18 +235,26 @@ def contiguous_assign(items: list, core_num: int) -> list[list]:
 
 def reorder_attention(tiles: TileTable | Sequence[TileUnit], core_num: int) -> TaskTable:
     """Sort by area (heaviest first, deterministic ties) and deal in snake
-    order; each core's table is a slice of one core-major table."""
+    order: one gather of the columns gives the core-major table."""
     if core_num < 1:
         raise ValueError("core_num must be >= 1")
     if not isinstance(tiles, TileTable):
         tiles = TileTable.of(tiles)
-    area = tiles.q_len * tiles.reach
-    order = np.lexsort((tiles.q_start, tiles.head, tiles.stage_id, -area))
-    turn = np.arange(len(order)) % (2 * core_num)
+    order = np.lexsort((tiles.q_start, tiles.head, tiles.stage_id, -(tiles.q_len * tiles.reach)))
+    deal, counts = _snake_deal(len(order), core_num)
+    return TaskTable.dealt(tiles[order[deal]], counts)
+
+
+@functools.lru_cache(maxsize=256)
+def _snake_deal(units: int, core_num: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The snake deal of ``units`` sorted units to cores 1..k, k..1, ...:
+    the read-only permutation that puts them core-major (each core's in
+    sort order), and each core's count."""
+    turn = np.arange(units) % (2 * core_num)
     core = np.minimum(turn, 2 * core_num - 1 - turn)
-    dealt = tiles[order[np.argsort(core, kind="stable")]]
-    ends = np.cumsum(np.bincount(core, minlength=core_num)).tolist()
-    return TaskTable(tuple(dealt[lo:hi] for lo, hi in zip([0, *ends], ends)))
+    deal = np.argsort(core, kind="stable")
+    deal.flags.writeable = False
+    return deal, tuple(np.bincount(core, minlength=core_num).tolist())
 
 
 def decompose_linear(

@@ -14,14 +14,15 @@ Because the rounds are rigid, a core's end time has a closed form: the
 running sum of its round durations (SEQ is the pattern of one op per
 round). ``simulate_attention`` prices a task table that way in one pass
 per chunk and builds no events: one cost matrix for every core's units,
-from the ``q_len`` and ``reach`` columns of the core-major ``TileTable``
-(plain ``TileUnit``s are read into one), and one gather through a cached
-table of every core's round slots. The tests hold its reference, which
-lays out one event per cube, vector and MTE op and whose makespan equals
-the closed form bit for bit. ``simulate_linear`` prices a linear grid tile by
-tile through a shared-L2 reuse model, where a panel's first touch pays
-the HBM rate and re-touches inside the working set pay the L2 rate; it
-builds no events either. It reads the ``GridTable``'s (row, col)
+from the ``q_len`` and ``reach`` columns of the ``TaskTable``'s
+core-major ``TileTable``, read as the planner dealt it, with its per-core
+counts, and one gather through a cached table of every core's round
+slots. The tests hold its reference, which lays out one event per cube,
+vector and MTE op and whose makespan equals the closed form bit for
+bit. ``simulate_linear`` prices a linear grid tile by tile through a
+shared-L2 reuse model, where a panel's first touch pays the HBM rate
+and re-touches inside the working set pay the L2 rate; it builds no
+events either. It reads the ``GridTable``'s (row, col)
 columns and per-row and per-column byte counts computed once, so its
 loop is plain int and float arithmetic around an LRU and a core heap.
 A table keeps its priced result, and the engine keeps one table per
@@ -228,15 +229,11 @@ def _dealt_table(
         raise ScheduleViolation(f"{schedule.value} runs unsplit K/V only")
     if kv_split_blocks is not None and kv_split_blocks < 1:
         raise ValueError("kv_split_blocks must be >= 1")
-    per_core = tasktable.per_core
-    if per_core and all(isinstance(t, TileTable) for t in per_core):
-        tiles = TileTable(np.concatenate([t.cols for t in per_core], axis=1))
-    else:
-        tiles = TileTable.of(tasktable.all_items())
+    tiles = tasktable.tiles
     if schedule is Schedule.DECODE_PIPE or (schedule is Schedule.SEQ and decode_fused):
         if (tiles.q_len != 1).any():
             raise ScheduleViolation("decode pipeline requires qTileLen == 1 everywhere")
-    return tiles, tuple(map(len, per_core))
+    return tiles, tasktable.counts
 
 
 def simulate_attention(

@@ -3,9 +3,9 @@ cache hygiene after a run in either mode, simulate mode at a 7B shape
 without weights or pools, one plan for the kernels and the cost model,
 requests no chunk can serve, a K/V pool that runs out (and leaves no
 chunk half committed), ``check`` without a model, the per-engine linear
-memo, the report's times, latency percentiles, cache counts, unit
-utilisation and chunk composition, and a recorded simulate-mode run of
-mixed chunks."""
+memo, the report's times, latency percentiles, cache counts, per-op
+ticks, budget fill, unit utilisation and chunk composition, and a
+recorded simulate-mode run of mixed chunks."""
 
 from __future__ import annotations
 
@@ -135,6 +135,31 @@ def test_linear_memo_holds_each_op_and_m_once_and_changes_no_result(cfg, numeric
     fresh = run_engine(cfg, numeric)
     assert json.dumps(fresh.chunk_log) == json.dumps(engine.chunk_log)
     assert json.dumps(fresh.report()) == json.dumps(engine.report())
+
+
+def test_report_op_ticks_split_the_chunk_ticks_and_budget_fill_is_their_mean_fill(cfg, monkeypatch):
+    """``op_ticks`` holds each op's priced makespans over every layer, and
+    its five values sum to the chunk log's ticks; ``budget_fill`` is the
+    mean of chunk tokens over the budget."""
+    attention = []
+    real_simulate_attention = engine_mod.simulate_attention
+
+    def simulate_attention(*args, **kwargs):
+        trace = real_simulate_attention(*args, **kwargs)
+        attention.append(trace.makespan)
+        return trace
+
+    monkeypatch.setattr(engine_mod, "simulate_attention", simulate_attention)
+    engine = run_engine(cfg, numeric=False)
+    report = engine.report()
+    op_ticks = report["op_ticks"]
+    assert list(op_ticks) == ["attention", "qkv", "o_proj", "gate_up", "down"]
+    assert math.isclose(op_ticks["attention"], math.fsum(attention) * cfg.model.num_layers, rel_tol=1e-12)
+    assert all(ticks > 0 for ticks in op_ticks.values())
+    assert math.isclose(sum(op_ticks.values()), sum(c["ticks"] for c in engine.chunk_log), rel_tol=1e-12)
+    fill = report["chunks"]["budget_fill"]
+    assert math.isclose(fill, sum(c["tokens"] / cfg.budget for c in engine.chunk_log) / len(engine.chunk_log))
+    assert 0 < fill <= 1
 
 
 def test_report_utilization_is_the_tick_weighted_busy_share(cfg, monkeypatch):
@@ -396,14 +421,28 @@ def test_a_chunk_that_runs_out_of_blocks_changes_no_table(monkeypatch):
 
 
 def test_cli_exits_4_when_the_pool_runs_out(tmp_path, capsys):
+    """Each prompt fills the two-block pool alone, so both pass ``submit``,
+    but the chunk that prefills them together needs four blocks."""
     trace = tmp_path / "t.jsonl"
-    write_trace([{"id": "big", "arrival": 0, "prompt": list(range(20)), "output_len": 2}], trace)
+    prompts = {"a": list(range(8)), "b": list(range(10, 18))}
+    write_trace([{"id": rid, "arrival": 0, "prompt": p, "output_len": 2} for rid, p in prompts.items()], trace)
     config = tmp_path / "t.cfg"
     config.write_text("kv.block_size = 4\nkv.pool_blocks = 2\nkv.cache_cap_blocks = 2\n")
     code = cli.main(["run", "--trace", str(trace), "--config", str(config), "--mode", "simulate"])
     assert code == 4
     err = capsys.readouterr().err
-    assert err == "error: chunk 0: sequence 'big' needs 5 K/V blocks for 20 tokens, 2 free of 2 after eviction\n"
+    assert err == "error: chunk 0: sequence 'b' needs 2 K/V blocks for 8 tokens, 0 free of 2 after eviction\n"
+
+
+def test_cli_exits_2_on_a_prompt_larger_than_the_pool(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    write_trace([{"id": "big", "arrival": 0, "prompt": list(range(20)), "output_len": 2}], trace)
+    config = tmp_path / "t.cfg"
+    config.write_text("kv.block_size = 4\nkv.pool_blocks = 2\nkv.cache_cap_blocks = 2\n")
+    code = cli.main(["run", "--trace", str(trace), "--config", str(config), "--mode", "simulate"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: request 'big': its prompt of 20 tokens needs 5 K/V blocks, more than the pool of 2\n"
 
 
 def mixed_simulate_trace() -> list[dict]:
@@ -431,6 +470,16 @@ def test_simulate_mode_repeats_a_recorded_run_of_mixed_chunks():
     assert sum(c["stages"].count("P") for c in engine.chunk_log) == 38  # slices of 20 prompts
     assert report["makespan_ticks"] == 50263.5
     assert engine.runtimes["longr00002"].outputs == [5, 127, 55, 14, 71, 15, 99, 41, 102, 40, 86, 45, 5, 21]
+    # The per-op ticks and the budget fill were added to the report after
+    # this run was recorded; without them it hashes as recorded.
+    assert report.pop("op_ticks") == {
+        "attention": 5813.0,
+        "qkv": 11794.5,
+        "o_proj": 6007.0,
+        "gate_up": 14854.5,
+        "down": 11794.5,
+    }
+    assert report["chunks"].pop("budget_fill") == 1348 / (58 * 64)
     outputs = {str(rid): rt.outputs for rid, rt in sorted(engine.runtimes.items(), key=lambda kv: str(kv[0]))}
     blob = json.dumps([outputs, engine.chunk_log, report], sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == "e5d4421692d4b2e21b5a68c83872c9d17573161ccc79c50cf68720234ebc9dac"
