@@ -1,7 +1,8 @@
 """Attention planner: the columnar tile table decomposes, sorts and deals
 exactly what a unit-by-unit reference does, and the one dealt table
-matches the planner it replaced (per-stage columns cut after the reach,
-dealt into per-core slices), down to the priced traces."""
+matches the planner it replaced (which took every tile's reach with
+``tile_reach`` and cut the deal into per-core slices), down to the
+priced traces."""
 
 from __future__ import annotations
 
