@@ -8,9 +8,14 @@ rule picks from the table's columns, each verify entry's tree mask,
 and each linear op's tile grid and profiled task table at the smoothed
 M; those depend only on (op, M), so the engine builds each once and
 its table keeps its priced result. The numeric kernels run that plan
-in every layer, one attention call per query tile covering all its
-heads; the cost model prices the (query tile x head) units of the same
-plan with the same split, so what runs is what is priced.
+in every layer: the decode run in one batched attention call, as
+PagedAttention runs every decode sequence in one launch, and each
+prefill or verify query tile in a call of its own, each call covering
+every head. What those calls read besides the layer's K/V, and the pool
+rows of the chunk's new K/V, are built once per chunk, before the layer
+loop, so a layer does only arithmetic. The cost model prices the (query
+tile x head) units of the same plan with the same split, so what runs
+is what is priced.
 
 One radix cache serves every transformer layer: each sequence has one
 block table, and each chunk reserves every stage's tokens once, after
@@ -21,16 +26,17 @@ tokens are picked, so each output is recorded with its tick where it is
 picked. A chunk's decodes are one run at its head, carried as columns
 (``Chunk.decode_ids`` and ``Chunk.decode_kv``) with no entry object per
 decode, and handled in one pass each for tokens, the cache append
-(``RadixKvCache.append_run``), the attention tiles, picks (one seeded
-draw call in simulate mode) and retirement; prefill and verify entries
-take the per-entry path. Numeric and simulate mode share that
-flow and the prefill/decode/verify bookkeeping; only the token source
-differs. Given a model (numeric mode), the engine runs it in fp32,
-writes each layer's K/V into the reserved rows, picks tokens by argmax
-and, with ``check``, verifies kept rows against a dense recompute.
-Without one (simulate mode) it reads only the ``ModelConfig``, holds no
-weights or pool rows, draws seeded tokens and cannot ``check``. Both
-modes price the work in model ticks.
+(``RadixKvCache.append_run``), the attention tiles and their kernel
+call, picks (one seeded draw call in simulate mode) and retirement;
+prefill and verify entries take the per-entry path. Numeric and
+simulate mode share that flow and the prefill/decode/verify
+bookkeeping; only the token source differs. Given a model (numeric
+mode), the engine runs it in fp32, writes each layer's K/V into the
+reserved rows with one scatter per pool (``RadixKvCache.kv_slots``),
+picks tokens by argmax and, with ``check``, verifies kept rows against
+a dense recompute. Without one (simulate mode) it reads only the
+``ModelConfig``, holds no weights or pool rows, draws seeded tokens and
+cannot ``check``. Both modes price the work in model ticks.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import run_tile, skip_plan
+from .attention import TileKv, run_tile, skip_plan
 from .config import ModelConfig, ServeConfig
 from .gemm import TilePrimitive, gemm_virtual_pad, fused_sv_write, smooth_shape
 from .kv_cache import BlockTable, PoolExhausted, RadixKvCache
@@ -98,8 +104,9 @@ class _ChunkPlan:
     layer and by the cost model.
 
     ``tiles`` holds the (query tile x head) units; the attention kernel
-    runs its head-0 units once for every head, and ``tasktable`` deals
-    them all to cores for the cost model. ``split`` is the K/V split in
+    runs its head-0 units for every head, the decode run's in one call
+    and each other query tile's in a call of its own, and ``tasktable``
+    deals them all to cores for the cost model. ``split`` is the K/V split in
     blocks (None when unsplit) that ``schedule`` runs with. ``masks``
     holds the tree mask of each verify entry, by stage id (its place in
     the chunk's flat order, after the decode run).
@@ -290,7 +297,8 @@ class Engine:
             )
         logits, spec_kv = None, {}
         if self.model is not None:
-            logits, spec_kv = self._forward_chunk(chunk, plan, tokens, positions)
+            tables = [rt.table for rt in run] + [rt.table for rt in rts]
+            logits, spec_kv = self._forward_chunk(chunk, plan, tokens, positions, tables)
         span = self._simulate_chunk(chunk, plan)
         self.ticks += span
         results = self._apply_logits(chunk, run, rts, logits, spec_kv)
@@ -342,65 +350,82 @@ class Engine:
         return tokens, positions
 
     def _forward_chunk(
-        self, chunk: Chunk, plan: _ChunkPlan, tokens: list[int], positions: list[int]
+        self, chunk: Chunk, plan: _ChunkPlan, tokens: list[int], positions: list[int], tables: list[BlockTable]
     ) -> tuple[np.ndarray, dict[int, list[tuple[np.ndarray, np.ndarray]]]]:
         """Run the toy model over the chunk's committed tokens, writing
-        each layer's K/V. Returns the logits and, per verify entry by
-        stage id, every layer's K/V of its tree tokens."""
+        each layer's K/V. ``tables`` holds each stage's block table, by
+        stage id. Returns the logits and, per verify entry by stage id,
+        every layer's K/V of its tree tokens.
+
+        What the kernels read besides the layer's rows is fixed for the
+        chunk and built before the layer loop: the attention calls with
+        their ``TileKv`` inputs, and the pool rows of the chunk's new K/V
+        (``RadixKvCache.kv_slots``), which each layer fills with one
+        scatter per pool."""
         cfg = self.cfg.model
+        heads, kv_heads, head_size = cfg.num_heads, cfg.num_kv_heads, cfg.head_size
         w = self._weights32
         n = len(tokens)
         x = w["embed"][np.asarray(tokens)] + w["pos"][np.asarray(positions)]
-        x = x.astype(np.float32)
-        scale = 1.0 / np.sqrt(cfg.head_size)
-        spec_kv: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-        qtiles = list(plan.tiles[plan.tiles.head == 0])  # one per (stage, query tile)
+        scale = 1.0 / np.sqrt(head_size)
+        calls = self._attention_calls(chunk, plan, tables)
         d = chunk.decodes
-        # By stage id: each stage's first row in the chunk, and its table.
-        starts = [*range(d), *(entry.start_pos for entry in chunk.entries)]
-        tables = [self.runtimes[req_id].table for req_id in (*chunk.decode_ids, *(e.req_id for e in chunk.entries))]
+        spans = [(table, kv_len, 1) for table, kv_len in zip(tables, chunk.decode_kv)]
+        spans += [(table, e.kv_len, e.token_num) for table, e in zip(tables[d:], chunk.entries)]
+        slots = self.cache.kv_slots(spans)
+        keys, values = self.cache.keys, self.cache.values
+        key_rows = keys.reshape(len(keys), -1, kv_heads, head_size)
+        value_rows = values.reshape(len(values), -1, kv_heads, head_size)
+        verify = {
+            ei: slice(e.start_pos, e.start_pos + e.token_num)
+            for ei, e in enumerate(chunk.entries, d)
+            if e.stage is Stage.VERIFY
+        }
+        spec_kv: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {ei: [] for ei in verify}
 
         for li, layer in enumerate(w["layers"]):
-            hidden = rms_norm(x, layer["norm1"]).astype(np.float32)
-            qkv2d = self._linear(plan, hidden, layer["wqkv"], LinearOp.QKV)
-            qkv = qkv2d.reshape(n, cfg.num_heads + 2 * cfg.num_kv_heads, cfg.head_size)
-            q = qkv[:, : cfg.num_heads, :]
-            k_rows = qkv[:, cfg.num_heads : cfg.num_heads + cfg.num_kv_heads, :]
-            v_rows = qkv[:, cfg.num_heads + cfg.num_kv_heads :, :]
-            views = []
-            for i, (table, kv_len) in enumerate(zip(tables, chunk.decode_kv)):
-                self.cache.write_kv(table, li, kv_len, k_rows[i : i + 1], v_rows[i : i + 1])
-                views.append(self.cache.kv_view(table, li))
-            for ei, entry in enumerate(chunk.entries, d):
-                rows = slice(entry.start_pos, entry.start_pos + entry.token_num)
-                new_k, new_v = k_rows[rows], v_rows[rows]
-                if entry.stage is Stage.VERIFY:
-                    spec_kv.setdefault(ei, []).append((new_k, new_v))
-                self.cache.write_kv(tables[ei], li, entry.kv_len, new_k, new_v)
-                views.append(self.cache.kv_view(tables[ei], li))
-            out = np.zeros((n, cfg.num_heads, cfg.head_size), dtype=np.float32)
-            # Query tiles write disjoint rows of ``out``, so their order changes no bits.
-            for tile in qtiles:
-                row = starts[tile.stage_id] + tile.q_start
-                o = run_tile(
-                    tile,
-                    q[row : row + tile.q_len],
-                    views[tile.stage_id],
-                    scale,
-                    plan.split,
-                    plan.masks.get(tile.stage_id),
-                )
+            hidden = rms_norm(x, layer["norm1"])
+            qkv = self._linear(plan, hidden, layer["wqkv"], LinearOp.QKV).reshape(n, heads + 2 * kv_heads, head_size)
+            q = qkv[:, :heads]
+            k_rows = qkv[:, heads : heads + kv_heads]
+            v_rows = qkv[:, heads + kv_heads :]
+            key_rows[li][slots] = k_rows
+            value_rows[li][slots] = v_rows
+            for ei, rows in verify.items():
+                spec_kv[ei].append((k_rows[rows], v_rows[rows]))
+            out = np.zeros((n, heads, head_size), dtype=np.float32)
+            # The calls write disjoint rows of ``out``, so their order changes no bits.
+            for tiles, row, rows, kv in calls:
+                o = run_tile(tiles, q[row : row + rows], keys[li], values[li], kv, scale, plan.split)
                 fused_sv_write(out, row, o)
-            attn = out.reshape(n, cfg.num_heads * cfg.head_size)
+            attn = out.reshape(n, heads * head_size)
             x = x + self._linear(plan, attn, layer["wo"], LinearOp.O_PROJ)
-            hidden = rms_norm(x, layer["norm2"]).astype(np.float32)
+            hidden = rms_norm(x, layer["norm2"])
             gu = self._linear(plan, hidden, layer["wgu"], LinearOp.GATE_UP)
             gate, up = np.split(gu, 2, axis=1)
-            act = (silu(gate) * up).astype(np.float32)
-            x = x + self._linear(plan, act, layer["wdown"], LinearOp.DOWN)
+            x = x + self._linear(plan, silu(gate) * up, layer["wdown"], LinearOp.DOWN)
 
-        logits = rms_norm(x, w["final_norm"]).astype(np.float32) @ w["lm_head"]
+        logits = rms_norm(x, w["final_norm"]) @ w["lm_head"]
         return logits, spec_kv
+
+    def _attention_calls(
+        self, chunk: Chunk, plan: _ChunkPlan, tables: list[BlockTable]
+    ) -> list[tuple[TileTable, int, int, TileKv]]:
+        """The chunk's attention calls, the same in every layer, each as
+        (tiles, first chunk row, rows, ``TileKv``): the decode run's tiles
+        as one batch, then each prefill or verify query tile alone."""
+        bs = self.cfg.kv_block_size
+        qtiles = plan.tiles[plan.tiles.head == 0]  # one per (stage, query tile), in stage order
+        d = chunk.decodes
+        calls = []
+        if d:
+            calls.append((qtiles[:d], 0, d, TileKv.of(qtiles[:d], tables[:d], bs)))
+        entries = chunk.entries
+        for i, (sid, q_start, q_len) in enumerate(qtiles.cols[[0, 3, 4], d:].T.tolist(), d):
+            tile = qtiles[i : i + 1]
+            kv = TileKv.of(tile, [tables[sid]], bs, plan.masks.get(sid))
+            calls.append((tile, entries[sid - d].start_pos + q_start, q_len, kv))
+        return calls
 
     def _linear(self, plan: _ChunkPlan, a: np.ndarray, b: np.ndarray, op: LinearOp) -> np.ndarray:
         return gemm_virtual_pad(a, b, self._linear_ops[op][2], plan.linears[op][1])
@@ -465,7 +490,7 @@ class Engine:
         if logits is None:
             path = list(range(int(self.rng.integers(1, tree.spec_len + 1))))
         else:
-            target_next = [int(np.argmax(logits[entry.start_pos + j])) for j in range(tree.spec_len)]
+            target_next = logits[entry.start_pos : entry.start_pos + tree.spec_len].argmax(axis=1).tolist()
             path = verify_accept(tree, target_next, rt.last_token)
             assert path, "engine roots trees at the previous target pick, so the root accepts"
         bonus = self._next_token(logits, entry.start_pos + path[-1])

@@ -8,9 +8,9 @@ padded data ever reaches the output. The host runs every tile of a K
 step as one matmul over the padded A: the task table decides which
 tiles exist and is checked to cover the grid, and since no tile's
 result depends on another's, the order the cores would run them in
-cannot change the output. Each query tile's attention output, every
-head at once, is written straight into the tensor the output
-projection reads, with no permuted copy.
+cannot change the output. Each attention call's output, every head of
+its query tiles at once, is written straight into the tensor the
+output projection reads, with no permuted copy.
 """
 
 from __future__ import annotations
@@ -58,7 +58,10 @@ def gemm_virtual_pad(a: np.ndarray, b: np.ndarray, prim: TilePrimitive, order: G
     A is (M x K) fp32 with arbitrary M; K must be a multiple of the
     primitive's tileK. ``order`` is the linear op's task table, and it
     decides which (row, col) grid tiles exist: they must cover the grid,
-    each tile once, or ``ShapeMismatch`` is raised. A is padded with
+    each tile once, or ``ShapeMismatch`` is raised. The check runs on a
+    table's first use with each grid, and the table remembers a grid it
+    passed (``GridTable.covers``), so the engine's per-(op, M) tables are
+    not checked again in every layer of every chunk. A is padded with
     zero rows to whole tiles, and one matmul per K step, over every
     tile at once, accumulates in fp32 in ascending K. The padded rows
     are dropped from the result, which is deterministic and does not
@@ -72,13 +75,15 @@ def gemm_virtual_pad(a: np.ndarray, b: np.ndarray, prim: TilePrimitive, order: G
         raise ShapeMismatch(f"K={k} must be a multiple of tileK={prim.tile_k}")
     rows = -(-m // prim.tile_m)
     cols = -(-n // prim.tile_n)
-    i, j = order.cells
-    outside = (i < 0) | (i >= rows) | (j < 0) | (j >= cols)
-    if outside.any():
-        at = outside.argmax()
-        raise ShapeMismatch(f"tile ({i[at]}, {j[at]}) outside grid {(rows, cols)}")
-    if not (np.bincount(i * cols + j, minlength=rows * cols) == 1).all():
-        raise ShapeMismatch(f"task table does not cover the {(rows, cols)} grid once")
+    if (rows, cols) not in order.covers:
+        i, j = order.cells
+        outside = (i < 0) | (i >= rows) | (j < 0) | (j >= cols)
+        if outside.any():
+            at = outside.argmax()
+            raise ShapeMismatch(f"tile ({i[at]}, {j[at]}) outside grid {(rows, cols)}")
+        if not (np.bincount(i * cols + j, minlength=rows * cols) == 1).all():
+            raise ShapeMismatch(f"task table does not cover the {(rows, cols)} grid once")
+        order.covers.add((rows, cols))
     a_pad = np.zeros((rows * prim.tile_m, k), dtype=np.float32)
     a_pad[:m] = a
     b = np.asarray(b, dtype=np.float32)
@@ -110,8 +115,8 @@ def smooth_shape(m: int, budget: int, grid: int | Sequence[int]) -> int:
 
 
 def fused_sv_write(o: np.ndarray, row_start: int, tile: np.ndarray) -> None:
-    """Write one query tile's attention output, [rows, heads, headSize]
-    with every head, straight into the [tokens, heads, headSize] tensor
+    """Write one attention call's output, [rows, heads, headSize] with
+    every head, straight into the [tokens, heads, headSize] tensor
     feeding the output projection."""
     if o.ndim != 3 or tile.shape[1:] != o.shape[1:]:
         raise ShapeMismatch(f"tile {tile.shape} does not match output tensor {o.shape}")

@@ -11,8 +11,10 @@ Appending is split in two. :meth:`RadixKvCache.commit_tokens` reserves:
 it records the tokens, allocates their blocks (all or nothing), copies
 every layer's rows on copy-on-write and caches full blocks in the tree,
 but writes no K/V. :meth:`RadixKvCache.write_kv` then fills one layer's
-rows of the reserved tokens. The pools hold only the layers a caller
-writes; the engine's simulate mode asks for none and never writes.
+rows of the reserved tokens, or :meth:`RadixKvCache.kv_slots` gives
+their pool rows for one scatter per layer. The pools hold only the
+layers a caller writes; the engine's simulate mode asks for none and
+never writes.
 :meth:`RadixKvCache.append_run` reserves one token for each of a run of
 sequences (a chunk's decodes) in one call, with the outcome of one
 one-token commit per sequence.
@@ -97,8 +99,11 @@ class PrefixMatch:
 
 @dataclass
 class KvView:
-    """Snapshot handed to attention kernels: one layer's pool arrays plus
-    the block list."""
+    """One sequence's K/V in one layer: the layer's pool arrays plus the
+    block list. The attention kernel reads block tables and pools
+    directly (``attention.TileKv``), so nothing in the package builds
+    one; :meth:`RadixKvCache.kv_view` stays because the benchmark's
+    tracer wraps it by name."""
 
     keys: np.ndarray  # [pool_blocks, block_size, kv_heads, head_size]
     values: np.ndarray
@@ -345,23 +350,42 @@ class RadixKvCache:
             ValueError: ``k`` and ``v`` differ in length, or the rows reach
                 outside the sequence's committed tokens.
         """
-        n = k.shape[0]
-        if v.shape[0] != n:
+        if v.shape[0] != k.shape[0]:
             raise ValueError("k and v must have the same number of rows")
-        if start < 0 or start + n > table.total_tokens:
-            raise ValueError(
-                f"sequence {table.seq_id!r}: rows {start}..{start + n - 1} are outside "
-                f"its {table.total_tokens} committed tokens"
-            )
+        slots = self.kv_slots([(table, start, k.shape[0])])
+        rows = self.keys.shape[3:]
+        self.keys[layer].reshape(-1, *rows)[slots] = k
+        self.values[layer].reshape(-1, *rows)[slots] = v
+
+    def kv_slots(self, spans) -> np.ndarray:
+        """The pool rows of sequence positions ``start .. start + n - 1``
+        for each (table, start, n) of ``spans``, in order, as int64 indices
+        into a layer's pool viewed as ``[pool_blocks * block_size,
+        kv_heads, head_size]`` (block id times the block size, plus the
+        offset). One block id names the same rows in every layer, so a
+        chunk computes its slots once and writes every layer's new K/V
+        with one scatter each, under :meth:`write_kv`'s rule.
+
+        Raises:
+            ValueError: a span reaches outside its sequence's committed
+                tokens.
+        """
         bs = self.block_size
-        pos = 0
-        while pos < n:
-            bid = table.blocks[(start + pos) // bs]
-            off = (start + pos) % bs
-            take = min(bs - off, n - pos)
-            self.keys[layer, bid, off : off + take] = k[pos : pos + take]
-            self.values[layer, bid, off : off + take] = v[pos : pos + take]
-            pos += take
+        slots: list[int] = []
+        for table, start, n in spans:
+            if start < 0 or start + n > table.total_tokens:
+                raise ValueError(
+                    f"sequence {table.seq_id!r}: rows {start}..{start + n - 1} are outside "
+                    f"its {table.total_tokens} committed tokens"
+                )
+            pos, end = start, start + n
+            while pos < end:
+                index, off = divmod(pos, bs)
+                take = min(bs - off, end - pos)
+                base = table.blocks[index] * bs + off
+                slots.extend(range(base, base + take))
+                pos += take
+        return np.array(slots, dtype=np.int64)
 
     def truncate_tokens(self, table: BlockTable, keep_total: int) -> None:
         """Drop the sequence's trailing tokens (speculative rollback):

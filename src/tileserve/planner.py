@@ -156,11 +156,13 @@ class GridTable:
     of (row, col) grid tiles in visit order, and cell c runs on core
     c mod ``core_num``. ``priced`` keeps the cost model's results for
     this table (see ``simulate_linear``), so pricing it again is a
-    lookup."""
+    lookup, and ``covers`` the (rows, cols) grids ``gemm_virtual_pad``
+    has checked it to cover once, so it checks each grid once."""
 
     cells: np.ndarray
     core_num: int
     priced: dict = field(default_factory=dict, repr=False)
+    covers: set = field(default_factory=set, repr=False)
 
     @property
     def per_core(self) -> tuple[np.ndarray, ...]:

@@ -1,4 +1,4 @@
-"""Shared helpers: deterministic K/V content and dense packing."""
+"""Shared helpers: deterministic K/V content and a small cache."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import functools
 import numpy as np
 import pytest
 
-from tileserve.kv_cache import KvView, RadixKvCache
+from tileserve.kv_cache import RadixKvCache
 
 
 @functools.lru_cache(maxsize=None)
@@ -36,26 +36,6 @@ def kv_rows(tokens: list[int], start_pos: int, kv_heads: int, head_size: int) ->
         ks.append(k)
         vs.append(v)
     return np.stack(ks), np.stack(vs)
-
-
-def pack_kv_view(k: np.ndarray, v: np.ndarray, block_size: int) -> KvView:
-    """Pack dense [tokens, kv_heads, head_size] K/V into a block view."""
-    tokens = k.shape[0]
-    n_blocks = -(-tokens // block_size) if tokens else 0
-    keys = np.zeros((max(1, n_blocks), block_size, k.shape[1], k.shape[2]), dtype=np.float32)
-    values = np.zeros_like(keys)
-    for b in range(n_blocks):
-        lo = b * block_size
-        hi = min(lo + block_size, tokens)
-        keys[b, : hi - lo] = k[lo:hi]
-        values[b, : hi - lo] = v[lo:hi]
-    return KvView(
-        keys=keys,
-        values=values,
-        block_ids=tuple(range(n_blocks)),
-        total_tokens=tokens,
-        block_size=block_size,
-    )
 
 
 @pytest.fixture

@@ -93,15 +93,16 @@ def test_tracer_metrics_and_ablations_on_a_small_replay(numeric, monkeypatch):
 
 
 # Public methods that ``layers.METHODS`` does not wrap, so their self time
-# counts toward the caller's layer. The engine calls ``write_kv`` per stage
-# and layer and ``append_run`` once per chunk for its decode run; the rest
-# are reservations, set-up and accessors.
+# counts toward the caller's layer. The engine calls ``append_run`` and, in
+# numeric mode, ``kv_slots`` once per chunk, and ``write_kv`` per accepted
+# verify path and layer; the rest are reservations, set-up and accessors.
 UNWRAPPED = {
     RadixKvCache: {
         "append_run",
         "cached_block_count",
         "free_block_count",
         "from_config",
+        "kv_slots",
         "pool_partition",
         "reachable_block_ids",
         "reserve_blocks",

@@ -24,7 +24,7 @@ from tileserve.config import HwConfig, ModelConfig, ServeConfig
 from tileserve.engine import CHECK_TOL, Engine, EngineRequest, RejectedRequest
 from tileserve.kv_cache import PoolExhausted
 from tileserve.oracle import ToyModel, dense_forward, dense_tree_forward
-from tileserve.planner import GridTable
+from tileserve.planner import STAGES, GridTable, TileTable
 from tileserve.scheduler import Stage
 from tileserve.simulator import simulate_linear
 from tileserve.trace import gen_trace, write_trace
@@ -33,6 +33,10 @@ from attention_events import trace_attention
 
 # Speculative requests whose output_len often cuts an accepted path short.
 TRACE = gen_trace("sharegpt_like", 4, 12, spec=(2, 3), mean_prompt=24, mean_output=8)
+# The same with plain requests among them, so chunks carry decode runs.
+MIXED_TRACE = TRACE + [
+    {**row, "id": f"plain{row['id']}"} for row in gen_trace("sharegpt_like", 5, 6, mean_prompt=24, mean_output=12)
+]
 
 CONFIGS = {
     "default": ServeConfig,
@@ -57,7 +61,7 @@ def run_engine(cfg: ServeConfig, numeric: bool, check: bool = False, trace: list
                 prompt=row["prompt"],
                 output_len=row["output_len"],
                 arrival=row["arrival"],
-                spec=(spec["width"], spec["depth"]),
+                spec=(spec["width"], spec["depth"]) if spec else None,
             )
         )
     engine.run()
@@ -65,8 +69,8 @@ def run_engine(cfg: ServeConfig, numeric: bool, check: bool = False, trace: list
 
 
 def test_numeric_check_passes_and_outputs_are_dense_argmax(cfg):
-    engine = run_engine(cfg, numeric=True, check=True)
-    assert len(engine.runtimes) == len(TRACE)
+    engine = run_engine(cfg, numeric=True, check=True, trace=MIXED_TRACE)
+    assert len(engine.runtimes) == len(MIXED_TRACE)
     for rid, rt in engine.runtimes.items():
         prompt = rt.request.prompt
         assert len(rt.outputs) == rt.request.output_len, rid
@@ -234,14 +238,15 @@ def test_check_needs_a_model(tmp_path, capsys):
 
 
 def test_kernels_run_the_split_the_cost_model_prices(monkeypatch):
-    """Every attention tile of a chunk runs the K/V split that the chunk's
-    pricing charges, so what runs is what is priced."""
+    """Every attention call of a chunk, the decode run's and each query
+    tile's, runs the K/V split that the chunk's pricing charges, so what
+    runs is what is priced."""
     ran: list[int | None] = []
     priced: list[tuple[int, int | None]] = []
 
-    def run_tile(tile, q, kv, scale, kv_split_blocks=None, spec_mask=None):
+    def run_tile(tiles, q, keys, values, kv, scale, kv_split_blocks=None):
         ran.append(kv_split_blocks)
-        return real_run_tile(tile, q, kv, scale, kv_split_blocks, spec_mask)
+        return real_run_tile(tiles, q, keys, values, kv, scale, kv_split_blocks)
 
     def simulate_attention(*args, **kwargs):
         priced.append((len(ran), kwargs["kv_split_blocks"]))
@@ -251,7 +256,7 @@ def test_kernels_run_the_split_the_cost_model_prices(monkeypatch):
     real_simulate_attention = engine_mod.simulate_attention
     monkeypatch.setattr(engine_mod, "run_tile", run_tile)
     monkeypatch.setattr(engine_mod, "simulate_attention", simulate_attention)
-    run_engine(CONFIGS["small_l2"](), numeric=True)
+    run_engine(CONFIGS["small_l2"](), numeric=True, trace=MIXED_TRACE)
     start = 0
     for end, split in priced:
         assert ran[start:end] and set(ran[start:end]) == {split}
@@ -260,27 +265,38 @@ def test_kernels_run_the_split_the_cost_model_prices(monkeypatch):
 
 
 def test_one_kernel_call_per_query_tile_and_layer(monkeypatch):
-    """Numeric mode runs the attention kernel once per (entry, query
-    tile) of a chunk in every layer; one call covers every head."""
-    per_chunk: list[list[int]] = []  # [query tiles, kernel calls] per chunk
+    """In every layer, numeric mode runs a chunk's decode run in one
+    attention call, and each prefill or verify query tile in a call of
+    its own; one call covers every head of its tiles. The serving loop
+    reads the tile columns and builds no ``TileUnit``."""
+    per_chunk: list[list[int]] = []  # [calls per layer, kernel calls] per chunk
 
     def decompose_attention(*args, **kwargs):
         tiles = real_decompose_attention(*args, **kwargs)
-        per_chunk.append([len({(t.stage_id, t.q_start) for t in tiles}), 0])
+        decode = tiles.stage == STAGES.index(Stage.DECODE)
+        others = set(zip(tiles.stage_id[~decode].tolist(), tiles.q_start[~decode].tolist()))
+        per_chunk.append([int(decode.any()) + len(others), 0])
         return tiles
 
-    def run_tile(*args, **kwargs):
+    def units(table):
+        raise AssertionError("the serving loop built TileUnits from a TileTable")
+
+    def run_tile(tiles, *args, **kwargs):
         per_chunk[-1][1] += 1
-        return real_run_tile(*args, **kwargs)
+        # A batch is the decode run: stages 0..d-1, one row each.
+        assert len(tiles) == 1 or ((tiles.q_len == 1).all() and (tiles.stage_id == np.arange(len(tiles))).all())
+        return real_run_tile(tiles, *args, **kwargs)
 
     real_decompose_attention = engine_mod.decompose_attention
     real_run_tile = engine_mod.run_tile
     monkeypatch.setattr(engine_mod, "decompose_attention", decompose_attention)
     monkeypatch.setattr(engine_mod, "run_tile", run_tile)
-    engine = run_engine(ServeConfig(), numeric=True)
+    monkeypatch.setattr(TileTable, "__iter__", units)
+    engine = run_engine(ServeConfig(), numeric=True, trace=MIXED_TRACE)
     layers = engine.cfg.model.num_layers
     assert len(per_chunk) == len(engine.chunk_log)
-    assert all(calls == layers * query_tiles for query_tiles, calls in per_chunk)
+    assert all(calls == layers * per_layer for per_layer, calls in per_chunk)
+    assert any(c["stages"].count("D") > 1 for c in engine.chunk_log)  # a batched run was exercised
 
 
 def test_report_times_from_arrival_and_plot_rows_at_the_first_token():

@@ -56,3 +56,25 @@ def test_a_table_that_misses_repeats_or_overruns_a_tile_is_refused():
     ):
         with pytest.raises(ShapeMismatch, match=message):
             gemm_virtual_pad(a, b, prim, deal_round_robin(cells, 2))
+
+
+def test_a_table_is_checked_once_per_grid_and_a_failing_one_every_time():
+    """A table that covers a grid remembers it and is not checked against
+    it again; one that fails is refused on its first use and on every
+    later one, and a new grid is checked on its first use."""
+    prim = TilePrimitive(tile_m=16, tile_n=16, tile_k=64)
+    b = np.ones((64, 32), dtype=np.float32)  # two tile columns
+    table = deal_round_robin(grid_order(ROW_MAJOR, 2, 2), 2)
+    assert not table.covers
+    gemm_virtual_pad(np.ones((20, 64), dtype=np.float32), b, prim, table)
+    assert table.covers == {(2, 2)}
+    gemm_virtual_pad(np.ones((32, 64), dtype=np.float32), b, prim, table)  # the same 2 x 2 grid
+    assert table.covers == {(2, 2)}
+    with pytest.raises(ShapeMismatch, match=r"tile \(1, 0\) outside grid \(1, 2\)"):
+        gemm_virtual_pad(np.ones((16, 64), dtype=np.float32), b, prim, table)
+    assert table.covers == {(2, 2)}
+    short = deal_round_robin(grid_order(ROW_MAJOR, 2, 2)[:, :3], 2)
+    for _ in range(2):
+        with pytest.raises(ShapeMismatch, match=r"does not cover the \(2, 2\) grid once"):
+            gemm_virtual_pad(np.ones((20, 64), dtype=np.float32), b, prim, short)
+    assert not short.covers

@@ -314,6 +314,51 @@ class TestWriteKv:
         assert not small_cache.keys.any()
 
 
+    def test_rows_outside_the_committed_tokens_have_no_slots(self, small_cache):
+        table = small_cache.start_sequence("s0", [1, 2, 3])
+        small_cache.commit_tokens(table, [1, 2, 3])
+        with pytest.raises(ValueError, match="sequence 's0': rows 2..3 are outside its 3 committed tokens"):
+            small_cache.kv_slots([(table, 0, 1), (table, 2, 2)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_one_scatter_per_layer_writes_what_write_kv_per_stage_writes(data):
+    """A chunk's new K/V, written through ``kv_slots`` with one scatter per
+    layer, leaves both pools byte-equal to one ``write_kv`` per stage and
+    layer. The stages share prefixes, so some commits copy on write."""
+    block_size = data.draw(st.sampled_from((1, 2, 4)), label="block_size")
+    caches = [
+        RadixKvCache(block_size, pool_blocks=64, cache_cap_blocks=32, kv_heads=2, head_size=HEAD, num_layers=2)
+        for _ in range(2)
+    ]
+    prompts = data.draw(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=9), min_size=1, max_size=5))
+    counts = [data.draw(st.integers(1, 7), label=f"new tokens {i}") for i in range(len(prompts))]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    spans = [[], []]
+    for cache, stage_spans in zip(caches, spans):
+        for i, (prompt, n) in enumerate(zip(prompts, counts)):
+            table = cache.start_sequence(i, prompt)
+            start = table.total_tokens
+            cache.commit_tokens(table, prompt[start:] + [3] * n)
+            stage_spans.append((table, start, table.total_tokens - start))
+    rows = sum(n for *_, n in spans[0])
+    k = rng.normal(size=(2, rows, 2, HEAD)).astype(np.float32)
+    v = rng.normal(size=(2, rows, 2, HEAD)).astype(np.float32)
+    per_stage, scattered = caches
+    slots = scattered.kv_slots(spans[1])
+    for layer in range(2):
+        row = 0
+        for table, start, n in spans[0]:
+            per_stage.write_kv(table, layer, start, k[layer, row : row + n], v[layer, row : row + n])
+            row += n
+        scattered.keys[layer].reshape(-1, 2, HEAD)[slots] = k[layer]
+        scattered.values[layer].reshape(-1, 2, HEAD)[slots] = v[layer]
+    assert len(set(slots.tolist())) == rows
+    assert per_stage.keys.tobytes() == scattered.keys.tobytes()
+    assert per_stage.values.tobytes() == scattered.values.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # evict
 # ---------------------------------------------------------------------------
