@@ -32,9 +32,11 @@ prefill and verify entries take the per-entry path. Numeric and
 simulate mode share that flow and the prefill/decode/verify
 bookkeeping; only the token source differs. Given a model (numeric
 mode), the engine runs it in fp32, writes each layer's K/V into the
-reserved rows with one scatter per pool (``RadixKvCache.kv_slots``),
-picks tokens by argmax and, with ``check``, verifies kept rows against
-a dense recompute. Without one (simulate mode) it reads only the
+reserved rows with one scatter per pool (``RadixKvCache.kv_slots`` and
+the cache's row views), picks tokens by argmax and, with ``check``,
+verifies kept rows against a dense recompute. A verify entry's tree K/V
+stays in the cache: ``RadixKvCache.keep_path`` rolls it back to the
+accepted path. Without one (simulate mode) it reads only the
 ``ModelConfig``, holds no weights or pool rows, draws seeded tokens and
 cannot ``check``. Both modes price the work in model ticks.
 """
@@ -162,6 +164,7 @@ class Engine:
         self._weights32 = self._cast_weights(model) if model is not None else None
         self.runtimes: dict[object, _Runtime] = {}
         self.pending: list[EngineRequest] = []
+        self._submitted: set = set()  # every accepted request id
         self.ticks = 0.0
         self.chunk_log: list[dict] = []
         self.skip_computed = 0
@@ -175,6 +178,8 @@ class Engine:
     # ------------------------------------------------------------------
 
     def submit(self, req: EngineRequest) -> None:
+        if req.req_id in self._submitted:
+            raise RejectedRequest(f"request {req.req_id!r}: its id was already submitted")
         if len(req.prompt) < 1:
             raise RejectedRequest(f"request {req.req_id!r}: prompt must be nonempty")
         blocks = -(-len(req.prompt) // self.cfg.kv_block_size)
@@ -196,6 +201,7 @@ class Engine:
                     f"request {req.req_id!r}: its speculative tree (width {width}, depth {depth}) "
                     f"has {at_least}{size} tokens, more than the chunk budget of {budget}"
                 )
+        self._submitted.add(req.req_id)
         bisect.insort(self.pending, req, key=lambda r: (r.arrival, str(r.req_id)))
 
     def run(self) -> dict:
@@ -295,13 +301,13 @@ class Engine:
                 tokens[entry.start_pos : entry.start_pos + entry.token_num],
                 cacheable=entry.stage is not Stage.VERIFY,
             )
-        logits, spec_kv = None, {}
+        logits = None
         if self.model is not None:
             tables = [rt.table for rt in run] + [rt.table for rt in rts]
-            logits, spec_kv = self._forward_chunk(chunk, plan, tokens, positions, tables)
+            logits = self._forward_chunk(chunk, plan, tokens, positions, tables)
         span = self._simulate_chunk(chunk, plan)
         self.ticks += span
-        results = self._apply_logits(chunk, run, rts, logits, spec_kv)
+        results = self._apply_logits(chunk, run, rts, logits)
         stages = Counter(entry.stage.value for entry in chunk.entries)
         self.chunk_log.append(
             {
@@ -351,17 +357,16 @@ class Engine:
 
     def _forward_chunk(
         self, chunk: Chunk, plan: _ChunkPlan, tokens: list[int], positions: list[int], tables: list[BlockTable]
-    ) -> tuple[np.ndarray, dict[int, list[tuple[np.ndarray, np.ndarray]]]]:
+    ) -> np.ndarray:
         """Run the toy model over the chunk's committed tokens, writing
-        each layer's K/V. ``tables`` holds each stage's block table, by
-        stage id. Returns the logits and, per verify entry by stage id,
-        every layer's K/V of its tree tokens.
+        each layer's K/V into the cache, and return the logits. ``tables``
+        holds each stage's block table, by stage id.
 
         What the kernels read besides the layer's rows is fixed for the
         chunk and built before the layer loop: the attention calls with
         their ``TileKv`` inputs, and the pool rows of the chunk's new K/V
         (``RadixKvCache.kv_slots``), which each layer fills with one
-        scatter per pool."""
+        scatter per pool through the cache's row views."""
         cfg = self.cfg.model
         heads, kv_heads, head_size = cfg.num_heads, cfg.num_kv_heads, cfg.head_size
         w = self._weights32
@@ -374,14 +379,7 @@ class Engine:
         spans += [(table, e.kv_len, e.token_num) for table, e in zip(tables[d:], chunk.entries)]
         slots = self.cache.kv_slots(spans)
         keys, values = self.cache.keys, self.cache.values
-        key_rows = keys.reshape(len(keys), -1, kv_heads, head_size)
-        value_rows = values.reshape(len(values), -1, kv_heads, head_size)
-        verify = {
-            ei: slice(e.start_pos, e.start_pos + e.token_num)
-            for ei, e in enumerate(chunk.entries, d)
-            if e.stage is Stage.VERIFY
-        }
-        spec_kv: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {ei: [] for ei in verify}
+        key_rows, value_rows = self.cache.key_rows, self.cache.value_rows
 
         for li, layer in enumerate(w["layers"]):
             hidden = rms_norm(x, layer["norm1"])
@@ -391,8 +389,6 @@ class Engine:
             v_rows = qkv[:, heads + kv_heads :]
             key_rows[li][slots] = k_rows
             value_rows[li][slots] = v_rows
-            for ei, rows in verify.items():
-                spec_kv[ei].append((k_rows[rows], v_rows[rows]))
             out = np.zeros((n, heads, head_size), dtype=np.float32)
             # The calls write disjoint rows of ``out``, so their order changes no bits.
             for tiles, row, rows, kv in calls:
@@ -405,8 +401,7 @@ class Engine:
             gate, up = np.split(gu, 2, axis=1)
             x = x + self._linear(plan, silu(gate) * up, layer["wdown"], LinearOp.DOWN)
 
-        logits = rms_norm(x, w["final_norm"]) @ w["lm_head"]
-        return logits, spec_kv
+        return rms_norm(x, w["final_norm"]) @ w["lm_head"]
 
     def _attention_calls(
         self, chunk: Chunk, plan: _ChunkPlan, tables: list[BlockTable]
@@ -436,7 +431,6 @@ class Engine:
         run: list[_Runtime],
         rts: list[_Runtime],
         logits: np.ndarray | None,
-        spec_kv: dict[int, list[tuple[np.ndarray, np.ndarray]]],
     ) -> dict[object, StageResult]:
         """Pick each stage's tokens and record them as outputs at the
         current tick; return the stage result of each entry that picks a
@@ -458,10 +452,10 @@ class Engine:
             rt.outputs.append(token)
             rt.token_ticks.append(ticks)
         results: dict[object, StageResult] = {}
-        for ei, (entry, rt) in enumerate(zip(chunk.entries, rts), d):
+        for entry, rt in zip(chunk.entries, rts):
             req = rt.request
             if entry.stage is Stage.VERIFY:
-                results[req.req_id] = self._accept_verify(entry, rt, logits, spec_kv.get(ei, []))
+                results[req.req_id] = self._accept_verify(entry, rt, logits)
                 continue
             if logits is not None:
                 for i in range(entry.token_num):
@@ -485,7 +479,7 @@ class Engine:
             return int(self.rng.integers(self.cfg.model.vocab_size))
         return int(np.argmax(logits[row]))
 
-    def _accept_verify(self, entry, rt: _Runtime, logits, layer_kv) -> StageResult:
+    def _accept_verify(self, entry, rt: _Runtime, logits) -> StageResult:
         tree: SpecTree = entry.spec_tree
         if logits is None:
             path = list(range(int(self.rng.integers(1, tree.spec_len + 1))))
@@ -494,11 +488,7 @@ class Engine:
             path = verify_accept(tree, target_next, rt.last_token)
             assert path, "engine roots trees at the previous target pick, so the root accepts"
         bonus = self._next_token(logits, entry.start_pos + path[-1])
-        # Roll the speculative tokens back to the accepted path.
-        self.cache.truncate_tokens(rt.table, entry.kv_len)
-        self.cache.commit_tokens(rt.table, [tree.tokens[j] for j in path], cacheable=True)
-        for li, (new_k, new_v) in enumerate(layer_kv):
-            self.cache.write_kv(rt.table, li, entry.kv_len, new_k[path], new_v[path])
+        self.cache.keep_path(rt.table, entry.kv_len, path)
         new_list = [tree.tokens[j] for j in path[1:]] + [bonus]
         remaining = rt.request.output_len - len(rt.outputs)
         delivered = new_list[: max(0, remaining)]

@@ -10,14 +10,16 @@ tables of PagedAttention do.
 Appending is split in two. :meth:`RadixKvCache.commit_tokens` reserves:
 it records the tokens, allocates their blocks (all or nothing), copies
 every layer's rows on copy-on-write and caches full blocks in the tree,
-but writes no K/V. :meth:`RadixKvCache.write_kv` then fills one layer's
-rows of the reserved tokens, or :meth:`RadixKvCache.kv_slots` gives
-their pool rows for one scatter per layer. The pools hold only the
-layers a caller writes; the engine's simulate mode asks for none and
-never writes.
+but writes no K/V. :meth:`RadixKvCache.kv_slots` then gives the reserved
+tokens' pool rows, and the caller fills every layer with one scatter per
+pool through ``key_rows``/``value_rows``, the pools viewed as
+``[num_layers, pool_blocks * block_size, kv_heads, head_size]``. The
+pools hold only the layers a caller writes; the engine's simulate mode
+asks for none and never writes.
 :meth:`RadixKvCache.append_run` reserves one token for each of a run of
 sequences (a chunk's decodes) in one call, with the outcome of one
-one-token commit per sequence.
+one-token commit per sequence. :meth:`RadixKvCache.keep_path` rolls a
+verified speculative tree back to its accepted path, K/V rows included.
 
 Ownership follows from the ref counts alone: a sequence appends in
 place into its last block exactly when it is the block's only holder
@@ -143,6 +145,11 @@ class RadixKvCache:
         shape = (num_layers, pool_blocks, block_size, kv_heads, head_size)
         self.keys = np.zeros(shape, dtype=np.float32)
         self.values = np.zeros(shape, dtype=np.float32)
+        # Slot-indexed views of the pools, the rows ``kv_slots`` names. The
+        # shape is explicit: with no layers, -1 could not be inferred.
+        rows = (num_layers, pool_blocks * block_size, kv_heads, head_size)
+        self.key_rows = self.keys.reshape(rows)
+        self.value_rows = self.values.reshape(rows)
         self.ref_count = [0] * pool_blocks
         self._free: list[int] = list(range(pool_blocks - 1, -1, -1))
         self._root = RadixNode(token_key=(), block_id=-1, parent=None)
@@ -244,7 +251,7 @@ class RadixKvCache:
         """Reserve K/V rows for ``new_tokens`` at the end of the sequence.
 
         Records the tokens and gives them blocks, but writes no K/V:
-        fill the reserved rows with :meth:`write_kv`, per layer. The
+        fill the reserved rows through :meth:`kv_slots`. The
         tokens fill the last block's room first, in place when the
         sequence owns that block and after copying every layer's rows
         (copy-on-write) when it does not, so other referents never
@@ -337,34 +344,18 @@ class RadixKvCache:
             else:
                 self.commit_tokens(table, [token])
 
-    def write_kv(self, table: BlockTable, layer: int, start: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Write layer ``layer``'s K/V rows for sequence positions
-        ``start .. start + len(k) - 1``.
+    def kv_slots(self, spans) -> np.ndarray:
+        """The pool rows of sequence positions ``start .. start + n - 1``
+        for each (table, start, n) of ``spans``, in order, as int64 indices
+        into the second axis of ``key_rows`` and ``value_rows`` (block id
+        times the block size, plus the offset). One block id names the
+        same rows in every layer, so a chunk computes its slots once and
+        writes every layer's new K/V with one scatter per pool.
 
         Write only rows that the latest :meth:`commit_tokens` or
         :meth:`append_run` reserved: no other sequence has read their
         blocks yet. Rewriting a shared prefix would change it under its
         other readers.
-
-        Raises:
-            ValueError: ``k`` and ``v`` differ in length, or the rows reach
-                outside the sequence's committed tokens.
-        """
-        if v.shape[0] != k.shape[0]:
-            raise ValueError("k and v must have the same number of rows")
-        slots = self.kv_slots([(table, start, k.shape[0])])
-        rows = self.keys.shape[3:]
-        self.keys[layer].reshape(-1, *rows)[slots] = k
-        self.values[layer].reshape(-1, *rows)[slots] = v
-
-    def kv_slots(self, spans) -> np.ndarray:
-        """The pool rows of sequence positions ``start .. start + n - 1``
-        for each (table, start, n) of ``spans``, in order, as int64 indices
-        into a layer's pool viewed as ``[pool_blocks * block_size,
-        kv_heads, head_size]`` (block id times the block size, plus the
-        offset). One block id names the same rows in every layer, so a
-        chunk computes its slots once and writes every layer's new K/V
-        with one scatter each, under :meth:`write_kv`'s rule.
 
         Raises:
             ValueError: a span reaches outside its sequence's committed
@@ -386,6 +377,29 @@ class RadixKvCache:
                 slots.extend(range(base, base + take))
                 pos += take
         return np.array(slots, dtype=np.int64)
+
+    def keep_path(self, table: BlockTable, start: int, path: list[int]) -> None:
+        """Roll the speculative tokens from ``start`` on back to the
+        accepted ``path``: positions ``start + path[j]`` move to ``start +
+        j``, K/V rows included, and the rest are dropped.
+
+        Every layer's rows of the path are read first, with one gather per
+        pool. The sequence is then truncated to ``start``, the path's
+        tokens are committed as cacheable, and the rows are scattered to
+        their new slots. The commit may take back the blocks the
+        truncation freed, so a new slot can be the old slot of a later row
+        of the path, which a row-by-row copy would overwrite before
+        reading it.
+        """
+        old = self.kv_slots([(table, start + j, 1) for j in path])
+        keys, values = self.key_rows[:, old], self.value_rows[:, old]
+        tokens = self._seqs[table.seq_id].tokens
+        kept = [tokens[start + j] for j in path]
+        self.truncate_tokens(table, start)
+        self.commit_tokens(table, kept, cacheable=True)
+        new = self.kv_slots([(table, start, len(path))])
+        self.key_rows[:, new] = keys
+        self.value_rows[:, new] = values
 
     def truncate_tokens(self, table: BlockTable, keep_total: int) -> None:
         """Drop the sequence's trailing tokens (speculative rollback):

@@ -122,9 +122,9 @@ class TokenScheduler:
     def add_request(self, req: Request) -> None:
         if req.req_id in self._requests or req.req_id in self._retired:
             raise ValueError(f"duplicate request id {req.req_id!r}")
-        self._requests[req.req_id] = req
         if not req.prompt_tokens:
             raise ValueError("request needs at least one uncached prompt token")
+        self._requests[req.req_id] = req
         self._prefill.append(req)
 
     # ------------------------------------------------------------------

@@ -47,7 +47,7 @@ import numpy as np
 
 from .config import HwConfig
 from .gemm import TilePrimitive
-from .planner import GridTable, TaskTable, TileTable, deal_round_robin
+from .planner import GridTable, TaskTable, deal_round_robin
 from .profiles import (
     CANDIDATE_ORDERINGS,
     OrderingDescriptor,
@@ -75,8 +75,6 @@ class SimTrace:
     events: list = field(default_factory=list)  # no pricing path builds events
     makespan: float = 0.0
     busy: dict[str, float] = field(default_factory=dict)
-    per_core_load: list[float] = field(default_factory=list)
-    utilization: dict[str, float] = field(default_factory=dict)
 
 
 def l2_kv_split_blocks(
@@ -140,39 +138,23 @@ def _rounds(schedule: Schedule, n: int, *, split: bool = False, fused: bool = Fa
     def slot(kind: str, idx: int) -> _Slot:
         return (kind, idx) if 1 <= idx <= n else None
 
-    if schedule is Schedule.PIPE4:
-        for r in range(2 * n + 2):
+    if schedule in (Schedule.PIPE3, Schedule.PIPE4):
+        # PIPE4 is PIPE3 plus the split's Update on odd rounds from 3 on,
+        # and one more round for the last Update.
+        update = schedule is Schedule.PIPE4
+        for r in range(2 * n + 1 + update):
             if r == 0:
                 cube = slot("QK", 1)
-            elif r == 1:
-                cube = slot("QK", 2)
-            elif r % 2 == 0:
-                cube = slot("SV", r // 2)
-            else:
-                cube = slot("QK", (r + 3) // 2)
-            if r == 0:
-                vec = None
-            elif r == 1:
-                vec = slot("Softmax", 1)
-            elif r % 2 == 0:
-                vec = slot("Softmax", r // 2 + 1)
-            else:
-                vec = slot("Update", (r - 1) // 2)
-            rounds.append((cube, vec))
-    elif schedule is Schedule.PIPE3:
-        for r in range(2 * n + 1):
-            if r == 0:
-                cube = slot("QK", 1)
-            elif r == 1:
-                cube = slot("QK", 2)
             elif r % 2 == 0:
                 cube = slot("SV", r // 2)
             else:
                 cube = slot("QK", (r + 3) // 2)
             if r == 1:
                 vec = slot("Softmax", 1)
-            elif r >= 2 and r % 2 == 0:
+            elif r and r % 2 == 0:
                 vec = slot("Softmax", r // 2 + 1)
+            elif r and update:
+                vec = slot("Update", (r - 1) // 2)
             else:
                 vec = None
             rounds.append((cube, vec))
@@ -218,22 +200,19 @@ def _slot_table(schedule: Schedule, split: bool, fused: bool, counts: tuple[int,
     return slots, groups
 
 
-def _dealt_table(
+def _check_schedule(
     tasktable: TaskTable, schedule: Schedule, kv_split_blocks: int | None, decode_fused: bool
-) -> tuple[TileTable, tuple[int, ...]]:
-    """The table's tiles as one core-major ``TileTable`` and each core's
-    tile count, once the schedule's preconditions hold."""
+) -> None:
+    """Raise unless the schedule's preconditions hold for the table."""
     if schedule is Schedule.PIPE4 and kv_split_blocks is None:
         raise ScheduleViolation("four-stage pipeline requires K/V splitting (L2 rule)")
     if schedule in (Schedule.PIPE3, Schedule.DECODE_PIPE) and kv_split_blocks is not None:
         raise ScheduleViolation(f"{schedule.value} runs unsplit K/V only")
     if kv_split_blocks is not None and kv_split_blocks < 1:
         raise ValueError("kv_split_blocks must be >= 1")
-    tiles = tasktable.tiles
     if schedule is Schedule.DECODE_PIPE or (schedule is Schedule.SEQ and decode_fused):
-        if (tiles.q_len != 1).any():
+        if (tasktable.tiles.q_len != 1).any():
             raise ScheduleViolation("decode pipeline requires qTileLen == 1 everywhere")
-    return tiles, tasktable.counts
 
 
 def simulate_attention(
@@ -255,11 +234,11 @@ def simulate_attention(
     max(cube op, vector op). MTE transfers are prefetch and write-back
     overlapped with compute (intermediates stay in L2), so they never
     stretch the makespan and are not modelled. The trace carries no
-    events; ``busy``, ``per_core_load`` and ``utilization`` cover the cube
-    and vector units. The tests' event-by-event reference gives the same
-    makespan to the last bit.
+    events; ``busy`` covers the cube and vector units. The tests'
+    event-by-event reference gives the same makespan to the last bit.
     """
-    tiles, counts = _dealt_table(tasktable, schedule, kv_split_blocks, decode_fused)
+    _check_schedule(tasktable, schedule, kv_split_blocks, decode_fused)
+    tiles, counts = tasktable.tiles, tasktable.counts
     q = tiles.q_len
     blocks = tiles.computed_blocks(kv_block_size)
     if kv_split_blocks is not None:
@@ -282,19 +261,10 @@ def simulate_attention(
     for rounds, cores in groups:
         busy[:, cores] = ops[:, cores, :rounds].sum(axis=-1)
     totals = {"cube": 0.0, "vector": 0.0}
-    per_core = []
     for cube, vector in zip(*busy.tolist()):
         totals["cube"] += cube
         totals["vector"] += vector
-        per_core.append(cube + vector)
-    makespan = float(end.max(initial=0.0))
-    denom = makespan * max(1, tasktable.core_num)
-    return SimTrace(
-        makespan=makespan,
-        busy=totals,
-        per_core_load=per_core,
-        utilization={u: (b / denom if denom > 0 else 0.0) for u, b in totals.items()},
-    )
+    return SimTrace(makespan=float(end.max(initial=0.0)), busy=totals)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +324,6 @@ def simulate_linear(
     lru: OrderedDict[int, int] = OrderedDict()
     lru_bytes = 0
     cube = mte = makespan = 0.0
-    per_core = [0.0] * core_num
     while heap:
         t, core = heap[0]
         c = cursor[core]
@@ -376,20 +345,13 @@ def simulate_linear(
         end = t + load + compute + store
         mte += load + store
         cube += compute
-        per_core[core] += compute
         if end > makespan:
             makespan = end
         if c + core_num < cell_num:
             heapq.heapreplace(heap, (end, core))
         else:
             heapq.heappop(heap)
-    denom = makespan * max(1, core_num)
-    trace = SimTrace(
-        makespan=makespan,
-        busy={"cube": cube, "vector": 0.0, "mte": mte},
-        per_core_load=per_core,
-        utilization={"cube": cube / denom if denom > 0 else 0.0},
-    )
+    trace = SimTrace(makespan=makespan, busy={"cube": cube, "vector": 0.0, "mte": mte})
     tasktable.priced[key] = trace
     return trace
 

@@ -20,7 +20,7 @@ from tileserve.simulator import (
     BYTES,
     Schedule,
     SimTrace,
-    _dealt_table,
+    _check_schedule,
     _op_costs,
     _rounds,
 )
@@ -90,11 +90,10 @@ def trace_attention(
     but never stretch the makespan. Same arguments and checks as
     ``simulate_attention``.
     """
-    _dealt_table(tasktable, schedule, kv_split_blocks, decode_fused)
+    _check_schedule(tasktable, schedule, kv_split_blocks, decode_fused)
     has_update = kv_split_blocks is not None
     trace = SimTrace()
     busy = {"cube": 0.0, "vector": 0.0, "mte": 0.0}
-    per_core = []
     makespan = 0.0
     for core, tiles in enumerate(tasktable.per_core):
         units = _tile_units(list(tiles), head_size, kv_block_size, kv_split_blocks, hw)
@@ -103,23 +102,15 @@ def trace_attention(
             if schedule is Schedule.SEQ
             else _run_rounds(core, units, schedule)
         )
-        core_busy = 0.0
         core_end = 0.0
         for e in events:
             trace.events.append(e)
             busy[e.unit] += e.end - e.start
-            core_busy += e.end - e.start
             core_end = max(core_end, e.end)
         trace.events.extend(_mte_events(core, units, events, hw, busy))
-        per_core.append(core_busy)
         makespan = max(makespan, core_end)
     trace.makespan = makespan
     trace.busy = busy
-    trace.per_core_load = per_core
-    denom = makespan * max(1, tasktable.core_num)
-    trace.utilization = {
-        u: (b / denom if denom > 0 else 0.0) for u, b in busy.items() if u != "mte"
-    }
     trace.events.sort(key=lambda e: (e.core, e.unit, e.start, e.kind, e.tile))
     return trace
 

@@ -94,19 +94,21 @@ def test_tracer_metrics_and_ablations_on_a_small_replay(numeric, monkeypatch):
 
 # Public methods that ``layers.METHODS`` does not wrap, so their self time
 # counts toward the caller's layer. The engine calls ``append_run`` and, in
-# numeric mode, ``kv_slots`` once per chunk, and ``write_kv`` per accepted
-# verify path and layer; the rest are reservations, set-up and accessors.
+# numeric mode, ``kv_slots`` once per chunk, and ``keep_path`` per verify
+# entry; ``keep_path``'s own truncation and commit are wrapped, so the
+# tracer still counts each commit. The rest are reservations, set-up and
+# accessors.
 UNWRAPPED = {
     RadixKvCache: {
         "append_run",
         "cached_block_count",
         "free_block_count",
         "from_config",
+        "keep_path",
         "kv_slots",
         "pool_partition",
         "reachable_block_ids",
         "reserve_blocks",
-        "write_kv",
     },
     TokenScheduler: set(),
 }

@@ -87,11 +87,11 @@ def test_verify_rows_match_dense_tree_forward(cfg, monkeypatch):
     verified = []  # (req_id, kv_len, tree, logits rows) per verify entry
 
     def forward_chunk(engine, chunk, *args):
-        logits, spec_kv = real_forward_chunk(engine, chunk, *args)
+        logits = real_forward_chunk(engine, chunk, *args)
         for e in chunk.entries:
             if e.stage is Stage.VERIFY:
                 verified.append((e.req_id, e.kv_len, e.spec_tree, logits[e.start_pos : e.start_pos + e.token_num]))
-        return logits, spec_kv
+        return logits
 
     real_forward_chunk = Engine._forward_chunk
     monkeypatch.setattr(Engine, "_forward_chunk", forward_chunk)
@@ -393,6 +393,20 @@ def test_submit_rejects_a_tree_larger_than_the_budget():
     with pytest.raises(RejectedRequest, match=r"'chain'.* at least 17 tokens.* budget of 16"):
         engine.submit(EngineRequest(req_id="chain", prompt=[1, 2], output_len=4, spec=(1, 17)))
     assert [r.req_id for r in engine.pending] == ["fits"]
+
+
+def test_submit_rejects_an_id_already_submitted():
+    """A repeated id is refused at ``submit``, naming it, whether the first
+    request is still pending or already served; the first is kept."""
+    engine = Engine(ServeConfig())
+    engine.submit(EngineRequest(req_id="a", prompt=[1, 2], output_len=2))
+    with pytest.raises(RejectedRequest, match="'a': its id was already submitted"):
+        engine.submit(EngineRequest(req_id="a", prompt=[3], output_len=1, arrival=5))
+    assert [(r.req_id, r.prompt) for r in engine.pending] == [("a", [1, 2])]
+    engine.run()
+    with pytest.raises(RejectedRequest, match="'a': its id was already submitted"):
+        engine.submit(EngineRequest(req_id="a", prompt=[3], output_len=1))
+    assert not engine.pending and len(engine.runtimes["a"].outputs) == 2
 
 
 def test_cli_exits_2_on_a_tree_larger_than_the_budget(tmp_path, capsys):

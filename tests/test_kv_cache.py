@@ -1,5 +1,6 @@
 """Radix K/V cache: prefix matching, copy-on-write, batch reservations,
-LRU eviction, and one-token commits against one commit of the same run."""
+LRU eviction, one-token commits against one commit of the same run, and
+rolling a speculative tree back to its accepted path."""
 
 from __future__ import annotations
 
@@ -15,10 +16,19 @@ KV_HEADS = 1
 HEAD = 4
 
 
+def write_rows(cache: RadixKvCache, table, start: int, k: np.ndarray, v: np.ndarray) -> None:
+    """Write the rows of positions ``start ..`` of ``table`` with one scatter
+    per pool through the slot views; ``k`` and ``v`` are [layers, n, kv_heads,
+    head_size], or [n, kv_heads, head_size] for every layer alike."""
+    slots = cache.kv_slots([(table, start, k.shape[-3])])
+    cache.key_rows[:, slots] = k
+    cache.value_rows[:, slots] = v
+
+
 def commit(cache: RadixKvCache, table, tokens: list[int], start_pos: int, **kw):
     k, v = kv_rows(tokens, start_pos, KV_HEADS, HEAD)
     cache.commit_tokens(table, tokens, **kw)
-    cache.write_kv(table, 0, start_pos, k, v)
+    write_rows(cache, table, start_pos, k, v)
     return table
 
 
@@ -248,7 +258,7 @@ class TestReserveBlocks:
 
 
 # ---------------------------------------------------------------------------
-# write_kv: one pool slice per layer
+# Writing K/V: one block table for every layer
 # ---------------------------------------------------------------------------
 
 
@@ -261,26 +271,11 @@ def two_layer_cache() -> RadixKvCache:
 def write_layers(cache: RadixKvCache, table, tokens: list[int], start_pos: int) -> None:
     """Layer ``l`` gets the rows of ``kv_rows`` plus ``l``."""
     k, v = kv_rows(tokens, start_pos, KV_HEADS, HEAD)
-    for layer in range(2):
-        cache.write_kv(table, layer, start_pos, k + layer, v + layer)
+    layers = np.arange(2, dtype=np.float32)[:, None, None, None]
+    write_rows(cache, table, start_pos, k + layers, v + layers)
 
 
 class TestWriteKv:
-    def test_layer_one_leaves_layer_zero_unchanged(self):
-        cache = two_layer_cache()
-        table = cache.start_sequence("s0", [1, 2, 3])
-        cache.commit_tokens(table, [1, 2, 3])
-        k, v = kv_rows([1, 2, 3], 0, KV_HEADS, HEAD)
-        cache.write_kv(table, 0, 0, k, v)
-        before = cache.keys[0].copy(), cache.values[0].copy()
-        cache.write_kv(table, 1, 0, k + 1, v + 1)
-        np.testing.assert_array_equal(cache.keys[0], before[0])
-        np.testing.assert_array_equal(cache.values[0], before[1])
-        pos = np.arange(3)
-        blocks = np.asarray(table.blocks)[pos // 2]
-        np.testing.assert_array_equal(cache.keys[1, blocks, pos % 2], k + 1)
-        np.testing.assert_array_equal(cache.values[1, blocks, pos % 2], v + 1)
-
     def test_cow_copies_every_layer(self):
         cache = two_layer_cache()
         t0 = cache.start_sequence("s0", [10, 11, 12, 13])
@@ -303,17 +298,6 @@ class TestWriteKv:
             np.testing.assert_array_equal(cache.keys[layer, own, 1], k[0] + layer)
             np.testing.assert_array_equal(cache.values[layer, own, 1], v[0] + layer)
 
-    def test_rows_outside_the_committed_tokens_raise(self, small_cache):
-        table = small_cache.start_sequence("s0", [1, 2, 3])
-        small_cache.commit_tokens(table, [1, 2, 3])
-        k, v = kv_rows([3, 4], 2, KV_HEADS, HEAD)
-        with pytest.raises(ValueError, match="outside"):
-            small_cache.write_kv(table, 0, 2, k, v)
-        with pytest.raises(ValueError, match="outside"):
-            small_cache.write_kv(table, 0, -1, k, v)
-        assert not small_cache.keys.any()
-
-
     def test_rows_outside_the_committed_tokens_have_no_slots(self, small_cache):
         table = small_cache.start_sequence("s0", [1, 2, 3])
         small_cache.commit_tokens(table, [1, 2, 3])
@@ -324,9 +308,10 @@ class TestWriteKv:
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_one_scatter_per_layer_writes_what_write_kv_per_stage_writes(data):
-    """A chunk's new K/V, written through ``kv_slots`` with one scatter per
-    layer, leaves both pools byte-equal to one ``write_kv`` per stage and
-    layer. The stages share prefixes, so some commits copy on write."""
+    """A chunk's new K/V, written through one ``kv_slots`` call with one
+    scatter per layer, leaves both pools byte-equal to one write per stage,
+    each through its own ``kv_slots`` call. The stages share prefixes, so
+    some commits copy on write."""
     block_size = data.draw(st.sampled_from((1, 2, 4)), label="block_size")
     caches = [
         RadixKvCache(block_size, pool_blocks=64, cache_cap_blocks=32, kv_heads=2, head_size=HEAD, num_layers=2)
@@ -347,13 +332,13 @@ def test_one_scatter_per_layer_writes_what_write_kv_per_stage_writes(data):
     v = rng.normal(size=(2, rows, 2, HEAD)).astype(np.float32)
     per_stage, scattered = caches
     slots = scattered.kv_slots(spans[1])
+    row = 0
+    for table, start, n in spans[0]:
+        write_rows(per_stage, table, start, k[:, row : row + n], v[:, row : row + n])
+        row += n
     for layer in range(2):
-        row = 0
-        for table, start, n in spans[0]:
-            per_stage.write_kv(table, layer, start, k[layer, row : row + n], v[layer, row : row + n])
-            row += n
-        scattered.keys[layer].reshape(-1, 2, HEAD)[slots] = k[layer]
-        scattered.values[layer].reshape(-1, 2, HEAD)[slots] = v[layer]
+        scattered.key_rows[layer, slots] = k[layer]
+        scattered.value_rows[layer, slots] = v[layer]
     assert len(set(slots.tolist())) == rows
     assert per_stage.keys.tobytes() == scattered.keys.tobytes()
     assert per_stage.values.tobytes() == scattered.values.tobytes()
@@ -683,3 +668,74 @@ def test_a_commit_copies_the_last_block_exactly_when_it_is_shared(data):
         else:
             cache.evict(data.draw(st.integers(1, 3)))
     release_all(cache, {sid: (t, None) for sid, t in tables.items()})
+
+
+def keep_path_reference(cache: RadixKvCache, table, start: int, path: list[int]) -> None:
+    """``keep_path`` step by step: truncate, commit the path's tokens, then
+    copy its rows one by one, by block and offset, from copies of the pools
+    taken first."""
+    bs = cache.block_size
+    keys, values = cache.keys.copy(), cache.values.copy()
+    old = [(table.blocks[(start + j) // bs], (start + j) % bs) for j in path]
+    tokens = cache._seqs[table.seq_id].tokens
+    kept = [tokens[start + j] for j in path]
+    cache.truncate_tokens(table, start)
+    cache.commit_tokens(table, kept, cacheable=True)
+    for i, (bid, off) in enumerate(old):
+        new_bid, new_off = table.blocks[(start + i) // bs], (start + i) % bs
+        cache.keys[:, new_bid, new_off] = keys[:, bid, off]
+        cache.values[:, new_bid, new_off] = values[:, bid, off]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_keeping_a_path_leaves_what_truncating_committing_and_copying_leaves(data):
+    """Two caches run the same commits, each writing the same random rows,
+    commit a speculative tree to one sequence, as a verify does, and keep a
+    path of it: the first through ``keep_path``, the second through the
+    reference. Prompts share prefixes through the tree, so commits copy on
+    write; paths need not be chains, or even in order; a filler sequence
+    leaves at most two blocks free, so the path's commit takes back blocks
+    that the truncation freed; and a small cache cap evicts as blocks fill.
+    Pools, tables, free lists and tree paths end equal."""
+    bs = data.draw(st.sampled_from((1, 2, 4)), label="block_size")
+    cap = data.draw(st.integers(0, 6), label="cache_cap_blocks")
+    caches = [RadixKvCache(bs, 96 // bs + 8, cap, kv_heads=2, head_size=HEAD, num_layers=2) for _ in range(2)]
+    tables: list[dict] = [{}, {}]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    shared = [1, 2, 3, 1, 2, 3, 4, 5, 6, 7]
+    small = st.lists(st.integers(0, 3), max_size=4)
+
+    def start_and_commit(sid, prompt: list[int], tokens: list[int], cacheable: bool = True) -> int:
+        """Start ``sid`` unless it is live, then commit the prompt's
+        unmatched tail and ``tokens``, writing the same rows to both
+        caches. Returns where the commit starts."""
+        for cache, table_of in zip(caches, tables):
+            if sid not in table_of:
+                table_of[sid] = cache.start_sequence(sid, prompt)
+        start = tables[0][sid].total_tokens
+        tokens = prompt[start:] + tokens
+        k, v = rng.normal(size=(2, 2, len(tokens), 2, HEAD)).astype(np.float32)
+        for cache, table_of in zip(caches, tables):
+            cache.commit_tokens(table_of[sid], tokens, cacheable=cacheable)
+            write_rows(cache, table_of[sid], start, k, v)
+        return start
+
+    sequences = data.draw(st.integers(1, 4), label="sequences")
+    for sid in range(sequences):
+        prompt = shared[: data.draw(st.integers(0, len(shared)))] + data.draw(small) or [0]
+        start_and_commit(sid, prompt, data.draw(small))
+    target = data.draw(st.integers(0, sequences - 1), label="target")
+    tree = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=7), label="tree")
+    start = start_and_commit(target, [], tree, cacheable=False)
+    fill = caches[0].free_block_count() - data.draw(st.integers(0, 2), label="free blocks left")
+    if fill > 0:
+        start_and_commit("filler", [9], [9] * (fill * bs - 1), cacheable=False)
+    assert caches[0].free_block_count() == caches[1].free_block_count() <= 2
+
+    path = data.draw(st.lists(st.integers(0, len(tree) - 1), min_size=1, max_size=len(tree), unique=True), label="path")
+    caches[0].keep_path(tables[0][target], start, path)
+    keep_path_reference(caches[1], tables[1][target], start, path)
+    assert cache_state(caches[0], tables[0]) == cache_state(caches[1], tables[1])
+    assert caches[0].keys.tobytes() == caches[1].keys.tobytes()
+    assert caches[0].values.tobytes() == caches[1].values.tobytes()

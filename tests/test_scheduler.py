@@ -126,3 +126,14 @@ def test_a_decode_run_with_an_id_not_in_flight_changes_nothing():
         assert state() == before
     assert sched.complete_chunk(run, {}) == []
     assert [req.req_id for req in sched._decode] == ["a", "b", "c"] and not sched._in_flight
+
+
+def test_a_refused_request_leaves_its_id_free():
+    """A request with no uncached prompt token is refused before it is
+    registered, so its id can be added again."""
+    sched = TokenScheduler(budget=8)
+    with pytest.raises(ValueError, match="at least one uncached prompt token"):
+        sched.add_request(Request(req_id="a", prompt_tokens=[], output_len=1))
+    sched.add_request(Request(req_id="a", prompt_tokens=[7], output_len=1))
+    chunk = sched.schedule_next()
+    assert [e.req_id for e in chunk.entries] == ["a"]

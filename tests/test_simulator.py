@@ -142,10 +142,6 @@ def test_closed_form_matches_event_reference(table, split, head_size, kv_block_s
         assert fast.events == []
         for unit in ("cube", "vector"):
             assert math.isclose(fast.busy[unit], ref.busy[unit], rel_tol=1e-12)
-            assert math.isclose(fast.utilization[unit], ref.utilization[unit], rel_tol=1e-12)
-        assert len(fast.per_core_load) == len(ref.per_core_load) == table.core_num
-        for a, b in zip(fast.per_core_load, ref.per_core_load):
-            assert math.isclose(a, b, rel_tol=1e-12)
         assert_timeline_is_legal(ref, op_order(schedule, kw))
 
 
@@ -177,6 +173,26 @@ def test_schedule_violations_raise(simulate, q_len, schedule, kwargs, message):
     table = TaskTable(((_prefill_tile(q_len),),))
     with pytest.raises(ScheduleViolation, match=message):
         simulate(table, HwConfig(), schedule, head_size=8, kv_block_size=4, **kwargs)
+
+
+def test_round_patterns_of_two_units():
+    """The slot patterns themselves, which the closed form and both
+    references all read through ``_rounds``: PIPE4 is PIPE3 plus the
+    split's Update on odd rounds from 3 on, and one more round."""
+    qk, sm, sv, up, qks = (lambda i, kind=kind: (kind, i) for kind in _KINDS)
+    assert _rounds(Schedule.SEQ, 2) == [
+        (qk(1), None), (None, sm(1)), (sv(1), None), (qk(2), None), (None, sm(2)), (sv(2), None)
+    ]
+    assert _rounds(Schedule.SEQ, 2, split=True) == [
+        (qk(1), None), (None, sm(1)), (sv(1), None), (None, up(1)),
+        (qk(2), None), (None, sm(2)), (sv(2), None), (None, up(2)),
+    ]
+    assert _rounds(Schedule.SEQ, 2, fused=True) == [(None, qks(1)), (sv(1), None), (None, qks(2)), (sv(2), None)]
+    assert _rounds(Schedule.PIPE3, 2) == [(qk(1), None), (qk(2), sm(1)), (sv(1), sm(2)), (None, None), (sv(2), None)]
+    assert _rounds(Schedule.PIPE4, 2) == [
+        (qk(1), None), (qk(2), sm(1)), (sv(1), sm(2)), (None, up(1)), (sv(2), None), (None, up(2))
+    ]
+    assert _rounds(Schedule.DECODE_PIPE, 2) == [(None, qks(1)), (sv(1), qks(2)), (sv(2), None)]
 
 
 # -- one-pass attention pricing against the per-core loop ----------------------
@@ -212,7 +228,6 @@ def per_core_attention(
     tables = [t if isinstance(t, TileTable) else TileTable.of(t) for t in tasktable.per_core]
     kinds = op_order(schedule, {"kv_split_blocks": kv_split_blocks, "decode_fused": decode_fused})
     busy = {"cube": 0.0, "vector": 0.0}
-    per_core = []
     makespan = 0.0
     for tiles in tables:
         costs = _core_costs(tiles, head_size, kv_block_size, kv_split_blocks, hw)
@@ -235,15 +250,8 @@ def per_core_attention(
             end = float(np.cumsum(np.maximum(cube_ops, vec_ops))[-1])
         busy["cube"] += cube
         busy["vector"] += vector
-        per_core.append(cube + vector)
         makespan = max(makespan, end)
-    denom = makespan * max(1, tasktable.core_num)
-    return SimTrace(
-        makespan=makespan,
-        busy=busy,
-        per_core_load=per_core,
-        utilization={u: (b / denom if denom > 0 else 0.0) for u, b in busy.items()},
-    )
+    return SimTrace(makespan=makespan, busy=busy)
 
 
 @st.composite
@@ -282,9 +290,6 @@ def test_one_pass_pricing_equals_the_per_core_loop(table, split, head_size, kv_b
             continue
         for unit in ("cube", "vector"):
             assert math.isclose(fast.busy[unit], ref.busy[unit], rel_tol=1e-12)
-        assert len(fast.per_core_load) == len(ref.per_core_load)
-        for a, b in zip(fast.per_core_load, ref.per_core_load):
-            assert math.isclose(a, b, rel_tol=1e-12)
 
 
 def test_slot_tables_are_cached_per_pattern_and_core_counts():
@@ -376,7 +381,6 @@ def reference_simulate_linear(grid, order, core_num, hw, prim, m, n, k) -> dict:
     lru = OrderedDict()
     lru_bytes = evictions = 0
     busy = {"cube": 0.0, "vector": 0.0, "mte": 0.0}
-    per_core = [0.0] * core_num
     makespan = 0.0
 
     def touch(panel, nbytes):
@@ -405,11 +409,10 @@ def reference_simulate_linear(grid, order, core_num, hw, prim, m, n, k) -> dict:
         end = t + load + compute + store
         busy["mte"] += load + store
         busy["cube"] += compute
-        per_core[core] += compute
         makespan = max(makespan, end)
         if queues[core]:
             heapq.heappush(heap, (end, core))
-    return {"makespan": makespan, "busy": busy, "per_core_load": per_core, "evictions": evictions}
+    return {"makespan": makespan, "busy": busy, "evictions": evictions}
 
 
 def assert_prices_like_the_reference(desc, grid, core_num, hw, prim, m, n, k) -> dict:
@@ -423,7 +426,6 @@ def assert_prices_like_the_reference(desc, grid, core_num, hw, prim, m, n, k) ->
     ref = reference_simulate_linear(grid, reference_grid_order(desc, *grid), core_num, hw, prim, m, n, k)
     assert trace.makespan == ref["makespan"]
     assert trace.busy == ref["busy"]
-    assert trace.per_core_load == ref["per_core_load"]
     assert simulate_linear(grid, table, hw, prim, m, n, k) is trace
     # The stored result is keyed by every argument: other rates price afresh.
     slower = dataclasses.replace(hw, hbm_bytes_per_tick=hw.hbm_bytes_per_tick / 2)
