@@ -13,10 +13,12 @@ built once, before the layer loop, as a ``TileKv``: each tile's block
 ids (a [tiles, blocks] matrix, so one ``take`` per pool gathers the
 whole call's K/V), how many K/V columns each tile reads, and one
 additive bias. How far a tile attends is ``tile_reach``, decided in the
-planner. A lone tile reads exactly its reach and is biased only on its
-stage columns: a causal triangle for a prefill tile, the tree mask for
-a verify tile. A batch reads every tile's blocks up to the longest
-reach, and its bias also masks each row's columns past its own limit.
+planner. One rule builds that input for a lone tile and a batch alike:
+the call reads every tile's blocks up to the longest reach, and the bias
+covers only the columns that some row may not attend. For causal tiles
+those start at the smallest row limit: the last row of a lone prefill
+tile's causal triangle, each row's own reach in a decode run. A verify
+tile, which runs alone, is biased by its tree mask over its stage columns.
 Masked scores sit at a large negative sentinel before the exponentials,
 so they carry zero probability mass. Long K/V ranges are folded in
 block-aligned splits through the running-max online-softmax update;
@@ -25,7 +27,6 @@ scaling, masking and the exponentials run in place.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -112,10 +113,11 @@ class TileKv:
 
     ``block_ids`` is [tiles, blocks]: each tile's K/V blocks, in order,
     with block 0 padding a tile that needs fewer than the longest.
-    Each tile reads the first ``width`` K/V columns of its blocks.
-    ``bias`` is None or a float32 [tiles, qTileLen, w] array, 0 where a
-    row may attend and ``NEG_INF`` where it may not, added to the last
-    w of those columns."""
+    Each tile reads the first ``width`` K/V columns of its blocks, the
+    longest reach. ``bias`` is None or a float32 [tiles, qTileLen, w]
+    array, 0 where a row may attend and ``NEG_INF`` where it may not,
+    added to the last w of those columns; None when every row attends
+    every column."""
 
     block_ids: np.ndarray
     width: int
@@ -130,9 +132,7 @@ class TileKv:
         spec_mask: np.ndarray | None = None,
     ) -> "TileKv":
         """The input of ``tiles``, one tile or a batch of causal tiles of
-        one query length, whose K/V sits in ``tables[i]`` for tile i. A
-        lone tile reads up to its reach, so only its stage columns can be
-        masked; a batch reads every tile's blocks up to the longest reach.
+        one query length, whose K/V sits in ``tables[i]`` for tile i.
         ``spec_mask`` is the verify stage's tree mask and must be given
         exactly for a verify tile.
 
@@ -144,36 +144,30 @@ class TileKv:
         n = len(tiles)
         if n < 1 or len(tables) != n:
             raise DimensionMismatch(f"{n} tiles need as many block tables, not {len(tables)}")
-        if n == 1:
-            return cls._lone(tiles.cols[:, 0].tolist(), tables[0], block_size, spec_mask)
-        q_len = int(tiles.q_len[0])
-        if (tiles.q_len != q_len).any() or (tiles.stage == _VERIFY).any() or spec_mask is not None:
+        _, stage, _, q_start, q_len, _, stage_tokens, _ = tiles.cols[:, 0].tolist()
+        if n > 1 and ((tiles.q_len != q_len).any() or (tiles.stage == _VERIFY).any() or spec_mask is not None):
             raise DimensionMismatch("a batch runs causal tiles of one query length")
-        reach = tiles.reach.tolist()
-        needs = [_covered_blocks(table, r, block_size) for table, r in zip(tables, reach)]
-        block_ids = np.zeros((n, max(needs)), dtype=np.int64)
-        for row, table, need in zip(block_ids, tables, needs):
-            row[:need] = table.blocks[:need]
-        # Each causal row sees one column less than the row after it.
-        width = block_ids.shape[1] * block_size
-        limit = tiles.reach[:, None] - q_len + 1 + np.arange(q_len)
-        bias = np.where(np.arange(width) < limit[..., None], np.float32(0), NEG_INF)
-        return cls(block_ids, width, bias)
-
-    @classmethod
-    def _lone(cls, cols: list[int], table: BlockTable, block_size: int, spec_mask: np.ndarray | None) -> "TileKv":
-        """The input of one tile, given as its ``TileTable`` column. It
-        reads up to its reach, so only its stage columns can be masked."""
-        _, stage, _, q_start, q_len, _, stage_tokens, reach = cols
         if (stage == _VERIFY) != (spec_mask is not None):
             raise DimensionMismatch("spec_mask must be present iff the tile is a verify stage")
-        block_ids = np.array([table.blocks[: _covered_blocks(table, reach, block_size)]], dtype=np.int64)
-        if spec_mask is None:
-            return cls(block_ids, reach, _causal_bias(q_len) if q_len > 1 else None)
-        if spec_mask.shape != (stage_tokens, stage_tokens):
-            raise DimensionMismatch("spec mask must be specLen x specLen for the verify stage")
-        bias = np.where(spec_mask[q_start : q_start + q_len], np.float32(0), NEG_INF)
-        return cls(block_ids, reach, bias[None])
+        reach = tiles.reach.tolist()
+        needs = [_covered_blocks(table, r, block_size) for table, r in zip(tables, reach)]
+        longest = max(needs)
+        block_ids = np.array(
+            [table.blocks[:need] + [0] * (longest - need) for table, need in zip(tables, needs)], dtype=np.int64
+        )
+        width = max(reach)
+        if spec_mask is not None:
+            if spec_mask.shape != (stage_tokens, stage_tokens):
+                raise DimensionMismatch("spec mask must be specLen x specLen for the verify stage")
+            bias = np.where(spec_mask[q_start : q_start + q_len], np.float32(0), NEG_INF)
+            return cls(block_ids, width, bias[None])
+        # Row r of tile t attends its first reach[t] - q_len + 1 + r
+        # columns, so every row attends the columns before ``start``.
+        start = min(reach) - q_len + 1
+        if start == width:
+            return cls(block_ids, width, None)
+        limit = tiles.reach[:, None] - q_len + 1 + np.arange(q_len)
+        return cls(block_ids, width, np.where(np.arange(start, width) < limit[..., None], np.float32(0), NEG_INF))
 
 
 def _covered_blocks(table: BlockTable, reach: int, block_size: int) -> int:
@@ -183,20 +177,6 @@ def _covered_blocks(table: BlockTable, reach: int, block_size: int) -> int:
             f"sequence {table.seq_id!r}: block table covers {table.total_tokens} tokens, tile needs {reach}"
         )
     return -(-reach // block_size)
-
-
-def _causal_bias(q_len: int) -> np.ndarray:
-    """Read-only [1, q_len, q_len] bias of a causal tile over its own
-    rows' columns, row r attending columns 0..r: the corner of a cached
-    triangle of the next power-of-two size."""
-    return _triangle(1 << (q_len - 1).bit_length())[:, :q_len, :q_len]
-
-
-@functools.lru_cache(maxsize=16)
-def _triangle(size: int) -> np.ndarray:
-    bias = np.triu(np.full((size, size), NEG_INF, dtype=np.float32), 1)[None]
-    bias.flags.writeable = False
-    return bias
 
 
 def run_tile(

@@ -91,6 +91,8 @@ def main(argv: list[str] | None = None) -> int:
     gen_p.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)
+    if args.seed < 0:  # NumPy seeds its generators from ints >= 0
+        parser.error(f"argument --seed: must be >= 0, not {args.seed}")
 
     if args.command == "gen-trace":
         spec = (args.spec_width, args.spec_depth) if args.spec_width and args.spec_depth else None

@@ -10,6 +10,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 
+#: Rows and columns of the linear ops come in multiples of this: a chunk's
+#: M is padded up to it, and every weight's N must be a multiple of it.
+QUANTUM = 16
+
+
 class ConfigError(ValueError):
     """Bad or unknown configuration; carries the offending key."""
 
@@ -65,6 +70,9 @@ class ModelConfig:
     intermediate_size: int = 128
 
     def validate(self) -> None:
+        for name, value in vars(self).items():
+            if value < 1:
+                raise ConfigError(f"model.{name}", "must be >= 1")
         if self.num_heads * self.head_size != self.hidden_size:
             raise ConfigError("model.hidden_size", "must equal num_heads * head_size")
         if self.num_heads % self.num_kv_heads != 0:
@@ -72,6 +80,10 @@ class ModelConfig:
         if self.hidden_size % 64 != 0 or self.intermediate_size % 64 != 0:
             raise ConfigError(
                 "model.hidden_size", "hidden and intermediate sizes must be multiples of 64"
+            )
+        if self.qkv_out % QUANTUM != 0:
+            raise ConfigError(
+                "model.head_size", f"the QKV width (num_heads + 2 * num_kv_heads) * head_size must be a multiple of {QUANTUM}"
             )
 
     @property
@@ -92,7 +104,6 @@ class ServeConfig:
     kv_cache_cap_blocks: int = 512
     # attention tiling
     prefill_tile_size: int = 128
-    quantum: int = 16
     # nested
     hw: HwConfig = field(default_factory=HwConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -122,7 +133,6 @@ _KEYMAP: dict[str, tuple[str, type]] = {
     "kv.pool_blocks": ("kv_pool_blocks", int),
     "kv.cache_cap_blocks": ("kv_cache_cap_blocks", int),
     "tile.prefill_tile_size": ("prefill_tile_size", int),
-    "tile.quantum": ("quantum", int),
     "hw.core_num": ("hw.core_num", int),
     "hw.cube_flops_per_tick": ("hw.cube_flops_per_tick", float),
     "hw.vector_elems_per_tick": ("hw.vector_elems_per_tick", float),

@@ -50,8 +50,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import TileKv, run_tile, skip_plan
-from .config import ModelConfig, ServeConfig
-from .gemm import TilePrimitive, gemm_virtual_pad, fused_sv_write, smooth_shape
+from .config import QUANTUM, ModelConfig, ServeConfig
+from .gemm import SUPPORTED_TILE_MN, TilePrimitive, gemm_virtual_pad, fused_sv_write, smooth_shape
 from .kv_cache import BlockTable, PoolExhausted, RadixKvCache
 from .oracle import ToyModel, dense_forward, rms_norm, silu
 from .planner import (
@@ -126,17 +126,19 @@ class _ChunkPlan:
 
 def _linear_ops(mcfg: ModelConfig) -> dict[LinearOp, tuple[int, int, TilePrimitive]]:
     """(N, K) of each linear op's weight and the GEMM tile it runs on:
-    16 rows, up to 128 columns, and K steps of 128 where K allows."""
+    16 rows, the widest supported column count up to min(128, N), and K
+    steps of 128 where K allows."""
     dims = {
         LinearOp.QKV: (mcfg.qkv_out, mcfg.hidden_size),
         LinearOp.O_PROJ: (mcfg.hidden_size, mcfg.num_heads * mcfg.head_size),
         LinearOp.GATE_UP: (2 * mcfg.intermediate_size, mcfg.hidden_size),
         LinearOp.DOWN: (mcfg.hidden_size, mcfg.intermediate_size),
     }
-    return {
-        op: (n, k, TilePrimitive(tile_m=16, tile_n=min(128, n), tile_k=128 if k % 128 == 0 else 64))
-        for op, (n, k) in dims.items()
-    }
+    ops = {}
+    for op, (n, k) in dims.items():
+        tile_n = max(t for t in SUPPORTED_TILE_MN if t <= min(128, n))
+        ops[op] = n, k, TilePrimitive(tile_m=16, tile_n=tile_n, tile_k=128 if k % 128 == 0 else 64)
+    return ops
 
 
 class Engine:
@@ -231,7 +233,6 @@ class Engine:
                     req_id=req.req_id,
                     prompt_tokens=req.prompt[matched:],
                     output_len=req.output_len,
-                    arrival=req.arrival,
                     kv_len=matched,
                     spec=req.spec,
                 )
@@ -270,8 +271,8 @@ class Engine:
         if linears is None:
             linears = {}
             for op, (n, k, prim) in self._linear_ops.items():
-                grid = decompose_linear(chunk, n, prim.tile_m, prim.tile_n, self.cfg.quantum)
-                sizes = self.store.profiled_ms(op.value, n, k) or self.cfg.quantum
+                grid = decompose_linear(chunk, n, prim.tile_m, prim.tile_n)
+                sizes = self.store.profiled_ms(op.value, n, k) or QUANTUM
                 smoothed = smooth_shape(m, self.cfg.budget, sizes)
                 linears[op] = grid, lookup_linear_tasktable(self.store, op, (smoothed, n, k), self.cfg.hw.core_num, grid)
             self._linear_plans[m] = linears
@@ -408,7 +409,8 @@ class Engine:
     ) -> list[tuple[TileTable, int, int, TileKv]]:
         """The chunk's attention calls, the same in every layer, each as
         (tiles, first chunk row, rows, ``TileKv``): the decode run's tiles
-        as one batch, then each prefill or verify query tile alone."""
+        as one batch, then each prefill or verify query tile alone. One
+        rule, ``TileKv.of``, builds the input of a batch and a lone tile."""
         bs = self.cfg.kv_block_size
         qtiles = plan.tiles[plan.tiles.head == 0]  # one per (stage, query tile), in stage order
         d = chunk.decodes
@@ -552,7 +554,7 @@ class Engine:
 
     def _profile_linears(self) -> None:
         sizes = []
-        m = self.cfg.quantum
+        m = QUANTUM
         while m < self.cfg.budget:
             sizes.append(m)
             m *= 2

@@ -35,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .config import ServeConfig
+from .config import QUANTUM, ServeConfig
 from .profiles import ROW_MAJOR, MissingProfile, ProfileStore, grid_order
 from .scheduler import Chunk, Stage
 
@@ -264,19 +264,18 @@ def decompose_linear(
     n_len: int,
     tile_m: int,
     tile_n: int,
-    quantum: int = 16,
 ) -> tuple[int, int]:
     """(row, col) tile counts of the (tokenNum x nLen) result matrix of
     a linear op.
 
-    The M dimension is rounded up to the quantum; virtual padding
-    covers the remainder.
+    The M dimension is rounded up to ``QUANTUM``; virtual padding covers
+    the remainder.
     """
     if chunk.total_tokens < 1:
         raise ValueError("chunk must be nonempty")
-    if n_len % quantum != 0:
-        raise UnsupportedShape(f"nLen={n_len} is not a multiple of the quantum {quantum}")
-    padded_m = _ceil_div(chunk.total_tokens, quantum) * quantum
+    if n_len % QUANTUM != 0:
+        raise UnsupportedShape(f"nLen={n_len} is not a multiple of the quantum {QUANTUM}")
+    padded_m = _ceil_div(chunk.total_tokens, QUANTUM) * QUANTUM
     return _ceil_div(padded_m, tile_m), _ceil_div(n_len, tile_n)
 
 

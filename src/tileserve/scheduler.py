@@ -46,7 +46,6 @@ class Request:
     req_id: object
     prompt_tokens: list[int]
     output_len: int
-    arrival: int = 0
     kv_len: int = 0
     spec: tuple[int, int] | None = None  # (width, depth) or None
     spec_tree: SpecTree | None = None

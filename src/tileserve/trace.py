@@ -30,6 +30,11 @@ PREFILL_HEAVY_LENS = (462, 16)
 DECODE_HEAVY_LENS = (462, 256)
 
 
+def _is_int_at_least(value, least: int) -> bool:
+    """Whether a parsed JSON value is an int >= ``least``, not a bool."""
+    return type(value) is int and value >= least
+
+
 def _is_token_ids(prompt) -> bool:
     """Whether a parsed JSON value is a nonempty list of ints >= 0, not
     bools, in two C-level passes instead of a Python test per token."""
@@ -49,6 +54,8 @@ def parse_trace(path: str | Path, vocab_size: int | None = None) -> list[EngineR
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(line_no, f"invalid JSON: {exc.msg}")
+        if not isinstance(obj, dict):
+            raise ParseError(line_no, "expected a JSON object")
         for key in ("id", "arrival", "prompt", "output_len"):
             if key not in obj:
                 raise ParseError(line_no, f"missing field {key!r}")
@@ -61,23 +68,21 @@ def parse_trace(path: str | Path, vocab_size: int | None = None) -> list[EngineR
             raise ParseError(line_no, "prompt must be a nonempty list of token ids")
         if vocab_size is not None and max(prompt) >= vocab_size:
             raise ParseError(line_no, f"request {req_id}: token id {max(prompt)} beyond model.vocab_size {vocab_size}")
-        if not isinstance(obj["output_len"], int) or obj["output_len"] < 1:
+        if not _is_int_at_least(obj["arrival"], 0):
+            raise ParseError(line_no, "arrival must be a non-negative integer")
+        if not _is_int_at_least(obj["output_len"], 1):
             raise ParseError(line_no, "output_len must be a positive integer")
         spec = obj.get("spec")
         spec_cfg = None
         if spec is not None:
             if not isinstance(spec, dict) or "width" not in spec or "depth" not in spec:
                 raise ParseError(line_no, 'spec must be {"width", "depth"} or null')
-            spec_cfg = (int(spec["width"]), int(spec["depth"]))
-            if spec_cfg[0] < 1 or spec_cfg[1] < 1:
-                raise ParseError(line_no, "spec width and depth must be >= 1")
+            spec_cfg = (spec["width"], spec["depth"])
+            if not (_is_int_at_least(spec_cfg[0], 1) and _is_int_at_least(spec_cfg[1], 1)):
+                raise ParseError(line_no, "spec width and depth must be positive integers")
         requests.append(
             EngineRequest(
-                req_id=req_id,
-                prompt=prompt,
-                output_len=int(obj["output_len"]),
-                arrival=int(obj["arrival"]),
-                spec=spec_cfg,
+                req_id=req_id, prompt=prompt, output_len=obj["output_len"], arrival=obj["arrival"], spec=spec_cfg
             )
         )
     return requests

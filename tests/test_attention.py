@@ -1,6 +1,6 @@
 """Attention kernel: ``run_tile`` against the dense fp64 oracle, for one
-query tile of any stage and for a batched decode run, and the block
-table checks of its ``TileKv`` input."""
+query tile of any stage, for a batched decode run and for a batch of
+prefill tiles, and the block table checks of its ``TileKv`` input."""
 
 from __future__ import annotations
 
@@ -158,6 +158,54 @@ def test_a_decode_run_in_one_call_and_tile_by_tile_matches_dense_attention(run):
         alone = run_tile(tile, q[i : i + 1], keys, values, TileKv.of(tile, tables[i : i + 1], block_size), scale, split)
         for got in (batched[i : i + 1], alone):
             assert_matches_dense(got, q[i : i + 1], k, v, None, scale)
+
+
+@st.composite
+def prefill_batches(draw):
+    """Causal prefill tiles of one query length > 1, each with its own
+    history, stage length and place in its stage, with the pool's block
+    size, the K/V and query head counts, and the K/V split."""
+    q_len = draw(st.integers(2, 6))
+    tiles = []
+    for i in range(draw(st.integers(1, 5))):
+        q_start = draw(st.integers(0, 8))
+        stage_tokens = q_start + q_len + draw(st.integers(0, 4))
+        tiles.append(TileUnit(i, Stage.PREFILL, 0, q_start, q_len, draw(st.integers(0, 30)), stage_tokens))
+    block_size = draw(st.sampled_from((1, 4, 8, 16)))
+    kv_heads = draw(st.sampled_from((1, 2)))
+    heads = kv_heads * draw(st.sampled_from((1, 2)))
+    longest = -(-max(tile.reach for tile in tiles) // block_size)
+    split = draw(st.none() | st.integers(1, longest + 1))
+    return tiles, block_size, heads, kv_heads, split, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(prefill_batches())
+def test_a_prefill_batch_in_one_call_and_tile_by_tile_matches_dense_attention(batch):
+    """Prefill tiles batched in one call, whose rows stop at different
+    columns, and each tile in a call of its own both give every row its
+    dense causal attention over its own sequence."""
+    units, block_size, heads, kv_heads, split, seed = batch
+    q_len = units[0].q_len
+    rng = np.random.default_rng(seed)
+    kvs = [
+        (rng.normal(size=(u.kv_len + u.stage_tokens, kv_heads, HEAD_SIZE)).astype(np.float32),
+         rng.normal(size=(u.kv_len + u.stage_tokens, kv_heads, HEAD_SIZE)).astype(np.float32))
+        for u in units
+    ]
+    q = rng.normal(size=(len(units) * q_len, heads, HEAD_SIZE)).astype(np.float32)
+    scale = 1.0 / np.sqrt(HEAD_SIZE)
+    keys, values, tables = pack_sequences(kvs, block_size, seed)
+    tiles = TileTable.of(units)
+
+    batched = run_tile(tiles, q, keys, values, TileKv.of(tiles, tables, block_size), scale, split)
+    for i, (unit, (k, v)) in enumerate(zip(units, kvs)):
+        rows = slice(i * q_len, (i + 1) * q_len)
+        tile = tiles[i : i + 1]
+        alone = run_tile(tile, q[rows], keys, values, TileKv.of(tile, tables[i : i + 1], block_size), scale, split)
+        mask = dense_mask(unit, [], k.shape[0])
+        for got in (batched[rows], alone):
+            assert_matches_dense(got, q[rows], k, v, mask, scale)
 
 
 def test_a_short_table_inside_a_batch_is_refused():

@@ -24,7 +24,7 @@ from tileserve.config import HwConfig, ModelConfig, ServeConfig
 from tileserve.engine import CHECK_TOL, Engine, EngineRequest, RejectedRequest
 from tileserve.kv_cache import PoolExhausted
 from tileserve.oracle import ToyModel, dense_forward, dense_tree_forward
-from tileserve.planner import STAGES, GridTable, TileTable
+from tileserve.planner import STAGES, GridTable, LinearOp, TileTable
 from tileserve.scheduler import Stage
 from tileserve.simulator import simulate_linear
 from tileserve.trace import gen_trace, write_trace
@@ -462,6 +462,24 @@ def test_cli_exits_4_when_the_pool_runs_out(tmp_path, capsys):
     assert code == 4
     err = capsys.readouterr().err
     assert err == "error: chunk 0: sequence 'b' needs 2 K/V blocks for 8 tokens, 0 free of 2 after eviction\n"
+
+
+@pytest.mark.parametrize("mode", ["numeric", "simulate"])
+def test_one_kv_head_serves_in_both_modes(tmp_path, mode):
+    """With one K/V head the QKV weight is 96 columns wide, which no
+    128-column tile fits; its GEMM runs on 64-column tiles, and numeric
+    mode passes the oracle check."""
+    n, _, prim = engine_mod._linear_ops(ModelConfig(num_kv_heads=1))[LinearOp.QKV]
+    assert (n, prim.tile_n) == (96, 64)
+    trace = tmp_path / "t.jsonl"
+    write_trace(MIXED_TRACE, trace)
+    config = tmp_path / "t.cfg"
+    config.write_text("model.num_kv_heads = 1\n")
+    check = ["--check"] if mode == "numeric" else []
+    report = tmp_path / "report.json"
+    args = ["run", "--trace", str(trace), "--config", str(config), "--mode", mode, "--report", str(report)]
+    assert cli.main(args + check) == 0
+    assert json.loads(report.read_text())["completed"] == len(MIXED_TRACE)
 
 
 def test_cli_exits_2_on_a_prompt_larger_than_the_pool(tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""Trace parsing: which prompts ``parse_trace`` accepts, and where a
-token id past the vocabulary is refused."""
+"""Trace parsing: which prompts ``parse_trace`` accepts, where a token id
+past the vocabulary or a malformed line is refused, and the CLI's seed."""
 
 from __future__ import annotations
 
@@ -45,6 +45,58 @@ def test_prompt_must_be_a_nonempty_list_of_token_ids(tmp_path, prompt, accepted)
     else:
         with pytest.raises(ParseError, match="line 1: prompt must be a nonempty list of token ids"):
             parse_trace(path)
+
+
+GOOD_ROW = {"id": "r0", "arrival": 0, "prompt": [1, 2], "output_len": 2, "spec": None}
+NEXT_ROW = {**GOOD_ROW, "id": "r1"}  # the row after it, with one field edited
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("5", "expected a JSON object"),
+        ("[1, 2]", "expected a JSON object"),
+        ('"r0"', "expected a JSON object"),
+        ("null", "expected a JSON object"),
+        *[
+            (json.dumps({**NEXT_ROW, "arrival": arrival}), "arrival must be a non-negative integer")
+            for arrival in ("x", 1.7, 1.0, -3, True, None, [0])
+        ],
+        *[
+            (json.dumps({**NEXT_ROW, "output_len": output_len}), "output_len must be a positive integer")
+            for output_len in (True, 0, 2.0, "2")
+        ],
+        *[
+            (json.dumps({**NEXT_ROW, "spec": spec}), "spec width and depth must be positive integers")
+            for spec in (
+                {"width": "q", "depth": 3},
+                {"width": 2.9, "depth": 3},
+                {"width": 2, "depth": 0},
+                {"width": 2, "depth": True},
+                {"width": -1, "depth": 3},
+            )
+        ],
+    ],
+)
+def test_a_malformed_line_is_refused_on_its_line(tmp_path, capsys, line, message):
+    """A line that is not an object, or whose arrival, output_len or spec
+    sizes are not ints in range, is a ``ParseError`` naming the line, and
+    ``run`` exits 2."""
+    path = tmp_path / "trace.jsonl"
+    path.write_text(json.dumps(GOOD_ROW) + "\n" + line + "\n")
+    with pytest.raises(ParseError, match=f"^trace line 2: {message}$"):
+        parse_trace(path)
+    assert cli.main(["run", "--trace", str(path), "--mode", "simulate"]) == 2
+    assert capsys.readouterr().err == f"error: trace line 2: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["run", "gen-trace"])
+def test_a_negative_seed_is_a_usage_error(capsys, command):
+    args = ["--trace", "t.jsonl"] if command == "run" else ["--profile", "sharegpt_like", "--count", "1", "--out", "t.jsonl"]
+    with pytest.raises(SystemExit) as err:
+        cli.main([command, *args, "--seed", "-1"])
+    assert err.value.code == 2
+    assert "argument --seed: must be >= 0, not -1" in capsys.readouterr().err
 
 
 def test_a_token_past_the_vocabulary_is_refused_on_its_line(tmp_path, capsys):
