@@ -9,22 +9,22 @@ deterministic discrete-event model of a cube/vector/MTE accelerator.
 
 from .config import ConfigError, HwConfig, ModelConfig, ServeConfig, load_config
 from .kv_cache import BlockTable, PoolExhausted, RadixKvCache
-from .scheduler import Chunk, Request, Stage, StageResult, TokenScheduler, UnknownRequest
+from .scheduler import Chunk, EngineRequest, RequestState, Stage, TokenScheduler, UnknownRequest
 from .spec_decode import SpecTree, full_tree, tree_mask, verify_accept
 
 __all__ = [
     "BlockTable",
     "Chunk",
     "ConfigError",
+    "EngineRequest",
     "HwConfig",
     "ModelConfig",
     "PoolExhausted",
     "RadixKvCache",
-    "Request",
+    "RequestState",
     "ServeConfig",
     "SpecTree",
     "Stage",
-    "StageResult",
     "TokenScheduler",
     "UnknownRequest",
     "full_tree",

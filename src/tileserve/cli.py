@@ -86,8 +86,8 @@ def main(argv: list[str] | None = None) -> int:
     gen_p.add_argument("--seed", type=int, default=0)
     gen_p.add_argument("--count", type=int, required=True)
     gen_p.add_argument("--vocab", type=int, default=128)
-    gen_p.add_argument("--spec-width", type=int, default=0)
-    gen_p.add_argument("--spec-depth", type=int, default=0)
+    gen_p.add_argument("--spec-width", type=int, help="speculative tree width (with --spec-depth)")
+    gen_p.add_argument("--spec-depth", type=int, help="speculative tree depth (with --spec-width)")
     gen_p.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)
@@ -95,7 +95,13 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"argument --seed: must be >= 0, not {args.seed}")
 
     if args.command == "gen-trace":
-        spec = (args.spec_width, args.spec_depth) if args.spec_width and args.spec_depth else None
+        spec = args.spec_width, args.spec_depth
+        if spec == (None, None):
+            spec = None
+        elif None in spec:
+            gen_p.error("arguments --spec-width and --spec-depth: give both or neither")
+        elif min(spec) < 1:
+            gen_p.error(f"arguments --spec-width and --spec-depth: must be >= 1, not {spec[0]} and {spec[1]}")
         try:
             rows = gen_trace(args.profile, args.seed, args.count, vocab_size=args.vocab, spec=spec)
         except ValueError as exc:

@@ -17,14 +17,19 @@ loop, so a layer does only arithmetic. The cost model prices the (query
 tile x head) units of the same plan with the same split, so what runs
 is what is priced.
 
-One radix cache serves every transformer layer: each sequence has one
-block table, and each chunk reserves every stage's tokens once, after
-the cache has made room for all of them (``RadixKvCache.reserve_blocks``,
-skipped when the free blocks cover every token of the chunk), so a chunk
-that does not fit changes no table. The chunk is priced before its
-tokens are picked, so each output is recorded with its tick where it is
-picked. A chunk's decodes are one run at its head, carried as columns
-(``Chunk.decode_ids`` and ``Chunk.decode_kv``) with no entry object per
+Each admitted request is one ``scheduler.RequestState``: the record the
+scheduler queues, the chunk hands to the engine, and ``runtimes`` maps
+its id to. It holds the request's block table, and the engine writes
+each pick, its tick and a speculative request's next tree onto it, so
+the scheduler reads a chunk's outcome off the records. One radix cache
+serves every transformer layer: each sequence has one block table, and
+each chunk reserves every stage's tokens once, after the cache has made
+room for all of them (``RadixKvCache.reserve_blocks``, skipped when the
+free blocks cover every token of the chunk), so a chunk that does not
+fit changes no table. The chunk is priced before its tokens are picked,
+so each output is recorded with its tick where it is picked. A chunk's
+decodes are one run at its head, carried as columns
+(``Chunk.decode_run`` and ``Chunk.decode_kv``) with no entry object per
 decode, and handled in one pass each for tokens, the cache append
 (``RadixKvCache.append_run``), the attention tiles and their kernel
 call, picks (one seeded draw call in simulate mode) and retirement;
@@ -45,7 +50,7 @@ from __future__ import annotations
 
 import bisect
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +70,7 @@ from .planner import (
     reorder_attention,
 )
 from .profiles import ProfileStore
-from .scheduler import Chunk, Request, Stage, StageResult, TokenScheduler
+from .scheduler import Chunk, ChunkEntry, EngineRequest, RequestState, Stage, TokenScheduler
 from .simulator import Schedule, l2_kv_split_blocks, profile_swizzle, simulate_attention, simulate_linear
 from .spec_decode import SeededProposer, SpecTree, tree_mask, verify_accept
 
@@ -78,26 +83,6 @@ class OracleCheckFailure(AssertionError):
 
 class RejectedRequest(ValueError):
     """A submitted request that no chunk could ever serve."""
-
-
-@dataclass
-class EngineRequest:
-    req_id: object
-    prompt: list[int]
-    output_len: int
-    arrival: int = 0
-    spec: tuple[int, int] | None = None  # (width, depth)
-
-
-@dataclass
-class _Runtime:
-    request: EngineRequest
-    table: BlockTable
-    last_token: int | None = None
-    outputs: list[int] = field(default_factory=list)
-    logits_rows: dict[int, np.ndarray] = field(default_factory=dict)
-    token_ticks: list[float] = field(default_factory=list)
-    done: bool = False
 
 
 @dataclass(frozen=True)
@@ -164,7 +149,7 @@ class Engine:
         self._linear_ops = _linear_ops(cfg.model)
         self._linear_plans: dict[int, dict[LinearOp, tuple[tuple[int, int], GridTable]]] = {}  # by chunk M
         self._weights32 = self._cast_weights(model) if model is not None else None
-        self.runtimes: dict[object, _Runtime] = {}
+        self.runtimes: dict[object, RequestState] = {}
         self.pending: list[EngineRequest] = []
         self._submitted: set = set()  # every accepted request id
         self.ticks = 0.0
@@ -226,17 +211,8 @@ class Engine:
         while self.pending and self.pending[0].arrival <= self.ticks:
             req = self.pending.pop(0)
             table = self.cache.start_sequence(req.req_id, req.prompt, max_match=len(req.prompt) - 1)
-            matched = table.total_tokens
-            self.runtimes[req.req_id] = _Runtime(request=req, table=table)
-            self.sched.add_request(
-                Request(
-                    req_id=req.req_id,
-                    prompt_tokens=req.prompt[matched:],
-                    output_len=req.output_len,
-                    kv_len=matched,
-                    spec=req.spec,
-                )
-            )
+            self.runtimes[req.req_id] = rs = RequestState(req, table, kv_len=table.total_tokens)
+            self.sched.add_request(rs)
 
     def _plan_chunk(self, chunk: Chunk) -> _ChunkPlan:
         hw = self.cfg.hw
@@ -284,31 +260,28 @@ class Engine:
         self.skip_computed += int(computed.sum())
         self.skip_skipped += int(skipped.sum())
         d = chunk.decodes
-        runtimes = self.runtimes
-        run = [runtimes[req_id] for req_id in chunk.decode_ids]
-        rts = [runtimes[entry.req_id] for entry in chunk.entries]
-        tokens, positions = self._chunk_tokens_positions(chunk, run, rts)
+        tables = [rs.table for rs in chunk.decode_run] + [entry.req.table for entry in chunk.entries]
+        tokens, positions = self._chunk_tokens_positions(chunk)
         if chunk.total_tokens > self.cache.free_block_count():
-            commits = [(rt.table, 1) for rt in run]
-            commits += [(rt.table, entry.token_num) for entry, rt in zip(chunk.entries, rts)]
+            commits = [(table, 1) for table in tables[:d]]
+            commits += [(table, entry.token_num) for table, entry in zip(tables[d:], chunk.entries)]
             try:
                 self.cache.reserve_blocks(commits)
             except PoolExhausted as exc:
                 raise PoolExhausted(f"chunk {chunk.chunk_id}: {exc}") from None
-        self.cache.append_run([rt.table for rt in run], tokens[:d])
-        for entry, rt in zip(chunk.entries, rts):
+        self.cache.append_run(tables[:d], tokens[:d])
+        for table, entry in zip(tables[d:], chunk.entries):
             self.cache.commit_tokens(
-                rt.table,
+                table,
                 tokens[entry.start_pos : entry.start_pos + entry.token_num],
                 cacheable=entry.stage is not Stage.VERIFY,
             )
         logits = None
         if self.model is not None:
-            tables = [rt.table for rt in run] + [rt.table for rt in rts]
             logits = self._forward_chunk(chunk, plan, tokens, positions, tables)
         span = self._simulate_chunk(chunk, plan)
         self.ticks += span
-        results = self._apply_logits(chunk, run, rts, logits)
+        self._apply_logits(chunk, logits)
         stages = Counter(entry.stage.value for entry in chunk.entries)
         self.chunk_log.append(
             {
@@ -318,10 +291,8 @@ class Engine:
                 "ticks": span,
             }
         )
-        for req_id in self.sched.complete_chunk(chunk, results):
-            rt = self.runtimes[req_id]
-            rt.done = True
-            self.cache.release_sequence(rt.table)
+        for rs in self.sched.complete_chunk(chunk):
+            self.cache.release_sequence(rs.table)
 
     # ------------------------------------------------------------------
     # Numeric forward
@@ -339,16 +310,15 @@ class Engine:
             w32["layers"].append({k: v.astype(np.float32) for k, v in layer.items()})
         return w32
 
-    def _chunk_tokens_positions(
-        self, chunk: Chunk, run: list[_Runtime], rts: list[_Runtime]
-    ) -> tuple[list[int], list[int]]:
-        """The chunk's tokens and their sequence positions in flat order;
-        ``run`` holds the decode run's runtimes and ``rts`` the entries'."""
-        tokens = [rt.last_token for rt in run]
+    def _chunk_tokens_positions(self, chunk: Chunk) -> tuple[list[int], list[int]]:
+        """The chunk's tokens and their sequence positions in flat order:
+        a decode feeds its last pick, a prefill slice its prompt tokens and
+        a verify entry its tree."""
+        tokens = [rs.outputs[-1] for rs in chunk.decode_run]
         positions = list(chunk.decode_kv)
-        for entry, rt in zip(chunk.entries, rts):
+        for entry in chunk.entries:
             if entry.stage is Stage.PREFILL:
-                tokens.extend(rt.request.prompt[entry.kv_len : entry.kv_len + entry.token_num])
+                tokens.extend(entry.req.request.prompt[entry.kv_len : entry.kv_len + entry.token_num])
                 positions.extend(range(entry.kv_len, entry.kv_len + entry.token_num))
             else:
                 tree = entry.spec_tree
@@ -427,52 +397,39 @@ class Engine:
     def _linear(self, plan: _ChunkPlan, a: np.ndarray, b: np.ndarray, op: LinearOp) -> np.ndarray:
         return gemm_virtual_pad(a, b, self._linear_ops[op][2], plan.linears[op][1])
 
-    def _apply_logits(
-        self,
-        chunk: Chunk,
-        run: list[_Runtime],
-        rts: list[_Runtime],
-        logits: np.ndarray | None,
-    ) -> dict[object, StageResult]:
-        """Pick each stage's tokens and record them as outputs at the
-        current tick; return the stage result of each entry that picks a
-        token. ``run`` holds the decode run's runtimes and ``rts`` the
-        entries'. ``logits`` is None in simulate mode, where seeded draws
-        stand in for the argmax and no rows are kept; the decode run
-        draws first, in one call, which gives the same stream as one
-        draw per decode."""
+    def _apply_logits(self, chunk: Chunk, logits: np.ndarray | None) -> None:
+        """Pick each stage's tokens and record them on its request at the
+        current tick, with a speculative request's next tree. ``logits``
+        is None in simulate mode, where seeded draws stand in for the
+        argmax and no rows are kept; the decode run draws first, in one
+        call, which gives the same stream as one draw per decode."""
         d = chunk.decodes
+        run = chunk.decode_run
         if logits is None:
             picks = self.rng.integers(self.cfg.model.vocab_size, size=d).tolist() if d else []
         else:
             picks = logits[:d].argmax(axis=1).tolist()
-            for i, (kv_len, rt) in enumerate(zip(chunk.decode_kv, run)):
-                rt.logits_rows[kv_len] = logits[i].copy()
+            for i, (kv_len, rs) in enumerate(zip(chunk.decode_kv, run)):
+                rs.logits_rows[kv_len] = logits[i].copy()
         ticks = self.ticks
-        for rt, token in zip(run, picks):
-            rt.last_token = token
-            rt.outputs.append(token)
-            rt.token_ticks.append(ticks)
-        results: dict[object, StageResult] = {}
-        for entry, rt in zip(chunk.entries, rts):
-            req = rt.request
+        for rs, token in zip(run, picks):
+            rs.outputs.append(token)
+            rs.token_ticks.append(ticks)
+        for entry in chunk.entries:
             if entry.stage is Stage.VERIFY:
-                results[req.req_id] = self._accept_verify(entry, rt, logits)
+                self._accept_verify(entry, logits)
                 continue
+            rs = entry.req
             if logits is not None:
                 for i in range(entry.token_num):
-                    rt.logits_rows[entry.kv_len + i] = logits[entry.start_pos + i].copy()
-            if entry.kv_len + entry.token_num < len(req.prompt):
+                    rs.logits_rows[entry.kv_len + i] = logits[entry.start_pos + i].copy()
+            if entry.kv_len + entry.token_num < len(rs.request.prompt):
                 continue  # a prompt slice that is not the last one
             next_token = self._next_token(logits, entry.start_pos + entry.token_num - 1)
-            rt.last_token = next_token
-            results[req.req_id] = StageResult(
-                next_token=next_token,
-                next_tree=self._propose(rt, next_token) if req.spec else None,
-            )
-            rt.outputs.append(next_token)
-            rt.token_ticks.append(self.ticks)
-        return results
+            if rs.request.spec:
+                rs.spec_tree = self._propose(rs, next_token)
+            rs.outputs.append(next_token)
+            rs.token_ticks.append(ticks)
 
     def _next_token(self, logits: np.ndarray | None, row: int) -> int:
         """The target's pick after chunk row ``row``: the argmax in numeric
@@ -481,38 +438,33 @@ class Engine:
             return int(self.rng.integers(self.cfg.model.vocab_size))
         return int(np.argmax(logits[row]))
 
-    def _accept_verify(self, entry, rt: _Runtime, logits) -> StageResult:
-        tree: SpecTree = entry.spec_tree
+    def _accept_verify(self, entry: ChunkEntry, logits: np.ndarray | None) -> None:
+        rs, tree = entry.req, entry.spec_tree
         if logits is None:
             path = list(range(int(self.rng.integers(1, tree.spec_len + 1))))
         else:
             target_next = logits[entry.start_pos : entry.start_pos + tree.spec_len].argmax(axis=1).tolist()
-            path = verify_accept(tree, target_next, rt.last_token)
+            path = verify_accept(tree, target_next, rs.outputs[-1])
             assert path, "engine roots trees at the previous target pick, so the root accepts"
         bonus = self._next_token(logits, entry.start_pos + path[-1])
-        self.cache.keep_path(rt.table, entry.kv_len, path)
+        self.cache.keep_path(rs.table, entry.kv_len, path)
         new_list = [tree.tokens[j] for j in path[1:]] + [bonus]
-        remaining = rt.request.output_len - len(rt.outputs)
-        delivered = new_list[: max(0, remaining)]
+        delivered = new_list[: rs.request.output_len - len(rs.outputs)]
         if logits is not None:
             # Keep only the rows that picked a delivered token.
             for j, node in enumerate(path[: len(delivered)]):
-                rt.logits_rows[entry.kv_len + j] = logits[entry.start_pos + node].copy()
-        rt.last_token = bonus
-        continuing = len(rt.outputs) + len(delivered) < rt.request.output_len
-        result = StageResult(
-            committed=len(path),
-            new_tokens=len(delivered),
-            next_tree=self._propose(rt, bonus) if continuing else None,
-        )
-        rt.outputs.extend(delivered)
-        rt.token_ticks.extend([self.ticks] * len(delivered))
-        return result
+                rs.logits_rows[entry.kv_len + j] = logits[entry.start_pos + node].copy()
+        if len(rs.outputs) + len(delivered) < rs.request.output_len:
+            rs.spec_tree = self._propose(rs, bonus)
+        rs.outputs.extend(delivered)
+        rs.token_ticks.extend([self.ticks] * len(delivered))
 
-    def _propose(self, rt: _Runtime, root_token: int) -> SpecTree:
-        width, depth = rt.request.spec
+    def _propose(self, rs: RequestState, root_token: int) -> SpecTree:
+        """The next tree of ``rs``, rooted at its newest pick
+        ``root_token`` and proposed from the tokens before it."""
+        width, depth = rs.request.spec
         proposer = SeededProposer(width, depth, self.cfg.model.vocab_size, seed=17)
-        context = rt.request.prompt + rt.outputs
+        context = rs.request.prompt + rs.outputs
         return proposer.propose(context, root_token)
 
     # ------------------------------------------------------------------
@@ -564,16 +516,16 @@ class Engine:
                 profile_swizzle(op.value, (sm, n, k), self.cfg.hw, prim, store=self.store)
 
     def _run_checks(self) -> None:
-        for rt in self.runtimes.values():
-            seq = rt.request.prompt + rt.outputs
+        for rs in self.runtimes.values():
+            seq = rs.request.prompt + rs.outputs
             if len(seq) < 2:
                 continue
             ref = dense_forward(self.model, seq[:-1])
-            for pos, row in sorted(rt.logits_rows.items()):
+            for pos, row in sorted(rs.logits_rows.items()):
                 err = float(np.max(np.abs(row - ref[pos])))
                 if err > CHECK_TOL:
                     raise OracleCheckFailure(
-                        f"request {rt.request.req_id!r} position {pos}: max abs err {err:.2e}"
+                        f"request {rs.request.req_id!r} position {pos}: max abs err {err:.2e}"
                     )
 
     def report(self) -> dict:
@@ -587,21 +539,21 @@ class Engine:
         over every layer, and the cube and vector units' utilisation over
         every priced attention and linear span, weighted by its ticks."""
         requests = {}
-        for rid, rt in sorted(self.runtimes.items(), key=lambda kv: str(kv[0])):
-            ticks = rt.token_ticks
+        for rid, rs in sorted(self.runtimes.items(), key=lambda kv: str(kv[0])):
+            ticks = rs.token_ticks
             requests[str(rid)] = {
-                "ttft": ticks[0] - rt.request.arrival if ticks else -1.0,
+                "ttft": ticks[0] - rs.request.arrival if ticks else -1.0,
                 "tbt": (ticks[-1] - ticks[0]) / (len(ticks) - 1) if len(ticks) > 1 else 0.0,
-                "e2e": ticks[-1] - rt.request.arrival if ticks else -1.0,
-                "generated": len(rt.outputs),
-                "done": rt.done,
+                "e2e": ticks[-1] - rs.request.arrival if ticks else -1.0,
+                "generated": len(rs.outputs),
+                "done": rs.done,
             }
         composition = Counter(
             "".join(f"{stage}{n}" for stage, n in sorted(Counter(c["stages"]).items()))
             for c in self.chunk_log
         )
         completed = sum(1 for r in requests.values() if r["done"])
-        first_arrival = min((rt.request.arrival for rt in self.runtimes.values()), default=0)
+        first_arrival = min((rs.request.arrival for rs in self.runtimes.values()), default=0)
         span = self.ticks - first_arrival
         total_blocks = self.skip_computed + self.skip_skipped
         chunks = len(self.chunk_log)

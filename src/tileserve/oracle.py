@@ -140,7 +140,7 @@ def _sinusoidal(max_positions: int, dim: int) -> np.ndarray:
 
 
 def rms_norm(x: np.ndarray, weight: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    scale = 1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + eps)
+    scale = 1.0 / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + eps)
     return x * scale * weight
 
 

@@ -7,11 +7,16 @@ prompt whose remainder does not fit. While decode or verify tokens are
 queued, a slice of the budget is held back for them, so prefill-only
 chunks appear only when those queues are empty.
 
-Decodes therefore form one run at the head of each chunk, carried as
-two columns, ``Chunk.decode_ids`` and ``Chunk.decode_kv``, with no
-object per decode. ``complete_chunk`` checks that the whole run is in
-flight and then retires or requeues it in one pass: a decode always
-delivers exactly one token, so it needs no ``StageResult``.
+A request is one ``RequestState`` from admission to retirement, as vLLM
+keeps one ``Sequence`` per request: the scheduler queues it and advances
+its ``kv_len`` as it hands tokens out, and the engine fills in its picked
+tokens and its next speculative tree. ``complete_chunk`` reads both off
+the record, so a chunk's outcome needs no message of its own.
+
+Decodes form one run at the head of each chunk, carried as two columns,
+``Chunk.decode_run`` and ``Chunk.decode_kv``, with no entry object per
+decode. ``complete_chunk`` checks that the whole run is in flight and
+then retires or requeues it in one pass.
 """
 
 from __future__ import annotations
@@ -21,6 +26,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
+import numpy as np
+
+from .kv_cache import BlockTable
 from .spec_decode import SpecTree
 
 
@@ -35,33 +43,51 @@ class Stage(Enum):
 
 
 @dataclass
-class Request:
-    """One serving request as the scheduler sees it.
-
-    ``prompt_tokens`` holds only the uncached suffix; ``kv_len`` starts
-    at the matched-prefix length and then tracks how many of this
-    request's tokens have K/V committed.
-    """
+class EngineRequest:
+    """A request as submitted."""
 
     req_id: object
-    prompt_tokens: list[int]
+    prompt: list[int]
     output_len: int
-    kv_len: int = 0
-    spec: tuple[int, int] | None = None  # (width, depth) or None
-    spec_tree: SpecTree | None = None
-    # progress
-    scheduled: int = 0  # prompt tokens handed out so far
-    generated: int = 0
+    arrival: int = 0
+    spec: tuple[int, int] | None = None  # (width, depth)
 
-    def remaining_prompt(self) -> int:
-        return len(self.prompt_tokens) - self.scheduled
+
+@dataclass(eq=False)
+class RequestState:
+    """One admitted request: what was submitted, its block table, and its
+    progress.
+
+    ``kv_len`` counts the tokens handed to chunks, which between chunks
+    is the table's ``total_tokens``: during prefill it is the next prompt
+    position, and after it every output but the last has K/V.
+    ``spec_tree`` is the tree the next verify entry checks. ``outputs``
+    holds the picked tokens, ``token_ticks`` the tick each was picked at,
+    and ``logits_rows`` (numeric mode) each kept logits row by position.
+    Records compare by identity, so the scheduler keeps the ones in
+    flight in a set.
+    """
+
+    request: EngineRequest
+    table: BlockTable
+    kv_len: int = 0
+    spec_tree: SpecTree | None = None
+    outputs: list[int] = field(default_factory=list)
+    token_ticks: list[float] = field(default_factory=list)
+    logits_rows: dict[int, np.ndarray] = field(default_factory=dict)
+
+    @property
+    def done(self) -> bool:
+        """Every output is picked; the chunk that picks the last retires it."""
+        return len(self.outputs) >= self.request.output_len
 
 
 class ChunkEntry(NamedTuple):
     """One prefill or verify stage inside a chunk; ``start_pos`` is the
-    offset into the chunk's flat token tensor."""
+    offset into the chunk's flat token tensor, and ``spec_tree`` the tree
+    a verify entry checks (the record's moves on to the next one)."""
 
-    req_id: object
+    req: RequestState
     stage: Stage
     start_pos: int
     token_num: int
@@ -72,29 +98,19 @@ class ChunkEntry(NamedTuple):
 @dataclass
 class Chunk:
     """A chunk's work in flat-token order: first its decode run, one
-    token per request, as columns (``decode_ids[i]``'s token sits at
+    token per request, as columns (``decode_run[i]``'s token sits at
     flat position ``i`` and attends ``decode_kv[i]`` committed tokens),
     then its prefill and verify ``entries``, which start at ``decodes``."""
 
     chunk_id: int
     entries: list[ChunkEntry]
     total_tokens: int
-    decode_ids: list = field(default_factory=list)
+    decode_run: list[RequestState] = field(default_factory=list)
     decode_kv: list[int] = field(default_factory=list)
 
     @property
     def decodes(self) -> int:
-        return len(self.decode_ids)
-
-
-@dataclass
-class StageResult:
-    """Per-request outcome the driver reports back after running a chunk."""
-
-    next_token: int | None = None  # prefill-final
-    committed: int = 0  # verify: tokens whose K/V was kept
-    new_tokens: int = 0  # verify: tokens added to the output this round
-    next_tree: SpecTree | None = None  # verify continuation (and prefill->verify)
+        return len(self.decode_run)
 
 
 class TokenScheduler:
@@ -108,22 +124,17 @@ class TokenScheduler:
         self.reserve = budget // 4 if reserve is None else reserve
         if not 0 <= self.reserve < budget:
             raise ValueError("reserve must satisfy 0 <= reserve < budget")
-        self._prefill: deque[Request] = deque()
-        self._decode: deque[Request] = deque()
-        self._verify: deque[Request] = deque()
-        self._requests: dict[object, Request] = {}
-        self._in_flight: set[object] = set()  # requests with an entry in the open chunk
-        self._retired: set[object] = set()  # ids, for the duplicate check
+        self._prefill: deque[RequestState] = deque()
+        self._decode: deque[RequestState] = deque()
+        self._verify: deque[RequestState] = deque()
+        self._in_flight: set[RequestState] = set()  # requests with an entry in the open chunk
         self._next_chunk_id = 0
 
     # ------------------------------------------------------------------
 
-    def add_request(self, req: Request) -> None:
-        if req.req_id in self._requests or req.req_id in self._retired:
-            raise ValueError(f"duplicate request id {req.req_id!r}")
-        if not req.prompt_tokens:
+    def add_request(self, req: RequestState) -> None:
+        if req.kv_len >= len(req.request.prompt):
             raise ValueError("request needs at least one uncached prompt token")
-        self._requests[req.req_id] = req
         self._prefill.append(req)
 
     # ------------------------------------------------------------------
@@ -132,11 +143,10 @@ class TokenScheduler:
         """Build the next fixed-budget chunk, or None if queues are empty."""
         queue = self._decode
         run = [queue.popleft() for _ in range(min(len(queue), self.budget))]
-        decode_ids = [req.req_id for req in run]
         decode_kv = [req.kv_len for req in run]
         for req in run:
             req.kv_len += 1
-        self._in_flight.update(decode_ids)
+        self._in_flight.update(run)
         entries: list[ChunkEntry] = []
         used = len(run)
 
@@ -145,11 +155,9 @@ class TokenScheduler:
             if used + spec_len > self.budget:
                 break  # verify trees are atomic; FIFO head blocks
             req = self._verify.popleft()
-            entries.append(
-                ChunkEntry(req.req_id, Stage.VERIFY, used, spec_len, req.kv_len, req.spec_tree)
-            )
+            entries.append(ChunkEntry(req, Stage.VERIFY, used, spec_len, req.kv_len, req.spec_tree))
             used += spec_len
-            self._in_flight.add(req.req_id)
+            self._in_flight.add(req)
 
         dv = used
         if self._prefill:
@@ -160,90 +168,63 @@ class TokenScheduler:
             room = max(0, cap - (used - dv))
             while self._prefill and room > 0:
                 req = self._prefill[0]
-                take = min(req.remaining_prompt(), room)
-                if take == 0:
-                    break
-                entries.append(ChunkEntry(req.req_id, Stage.PREFILL, used, take, req.kv_len))
+                take = min(len(req.request.prompt) - req.kv_len, room)
+                entries.append(ChunkEntry(req, Stage.PREFILL, used, take, req.kv_len))
                 req.kv_len += take
-                req.scheduled += take
                 used += take
                 room -= take
-                self._in_flight.add(req.req_id)
-                if req.remaining_prompt() == 0:
+                self._in_flight.add(req)
+                if req.kv_len == len(req.request.prompt):
                     self._prefill.popleft()
                 else:
                     break  # split: remainder stays at the queue head
 
         if not used:
             return None
-        chunk = Chunk(self._next_chunk_id, entries, used, decode_ids, decode_kv)
+        chunk = Chunk(self._next_chunk_id, entries, used, run, decode_kv)
         self._next_chunk_id += 1
         return chunk
 
-    def complete_chunk(self, chunk: Chunk, results: dict[object, StageResult]) -> list[object]:
-        """Apply a finished chunk: advance, re-enqueue, or retire requests.
-
-        ``results`` holds the outcome of each verify entry and each last
-        prompt slice; the decode run needs none. Returns the ids of the
-        requests this chunk retired, in flat-token order.
+    def complete_chunk(self, chunk: Chunk) -> list[RequestState]:
+        """Apply a finished chunk whose picked tokens (and each continuing
+        speculative request's next tree) are on its records: advance,
+        re-enqueue, or retire requests. Returns the requests this chunk
+        retired, in flat-token order.
 
         Raises:
             UnknownRequest: naming the first request of the decode run
                 that is not in flight (or repeats in the run); nothing
                 has changed.
         """
-        ids = chunk.decode_ids
-        run = set(ids)
-        if len(run) < len(ids) or not run <= self._in_flight:
-            raise UnknownRequest(next(r for i, r in enumerate(ids) if r not in self._in_flight or r in ids[:i]))
-        self._in_flight -= run
+        run = chunk.decode_run
+        in_run = set(run)
+        if len(in_run) < len(run) or not in_run <= self._in_flight:
+            raise UnknownRequest(
+                next(r.request.req_id for i, r in enumerate(run) if r not in self._in_flight or r in run[:i])
+            )
+        self._in_flight -= in_run
         retired = []
-        requests, queue = self._requests, self._decode
-        for req_id in ids:
-            req = requests[req_id]
-            req.generated += 1
-            if req.generated >= req.output_len:
-                retired.append(req_id)
+        queue = self._decode
+        for req in run:
+            if req.done:
+                retired.append(req)
             else:
                 queue.append(req)
-        for req_id in retired:
-            del requests[req_id]
-        self._retired.update(retired)
         for entry in chunk.entries:
-            req = self._land(entry.req_id)
-            result = results.get(entry.req_id, StageResult())
-
+            req = entry.req
+            if req not in self._in_flight:
+                raise UnknownRequest(req.request.req_id)
+            self._in_flight.remove(req)
+            prompt = len(req.request.prompt)
             if entry.stage is Stage.PREFILL:
-                final = entry.kv_len + entry.token_num == req.kv_len and req.remaining_prompt() == 0
-                if not final:
+                if entry.kv_len + entry.token_num < prompt:
                     continue  # split continuation is already queued
-                if result.next_token is None:
-                    raise ValueError(f"prefill completion for {req.req_id!r} needs next_token")
-                req.generated = 1
-            else:  # VERIFY
-                req.kv_len += result.committed
-                req.generated += result.new_tokens
-            if req.generated >= req.output_len:
-                self._retire(req)
-                retired.append(req.req_id)
-            elif req.spec is None:
+            else:  # VERIFY: the kept root and path leave every output but the last with K/V
+                req.kv_len = prompt + len(req.outputs) - 1
+            if req.done:
+                retired.append(req)
+            elif req.request.spec is None:
                 self._decode.append(req)
-            elif result.next_tree is None:
-                raise ValueError(f"speculative request {req.req_id!r} needs next_tree to continue")
             else:
-                req.spec_tree = result.next_tree
                 self._verify.append(req)
         return retired
-
-    # ------------------------------------------------------------------
-
-    def _land(self, req_id) -> Request:
-        """Take ``req_id``'s entry of the open chunk off the books."""
-        if req_id not in self._in_flight:
-            raise UnknownRequest(req_id)
-        self._in_flight.remove(req_id)
-        return self._requests[req_id]
-
-    def _retire(self, req: Request) -> None:
-        del self._requests[req.req_id]
-        self._retired.add(req.req_id)

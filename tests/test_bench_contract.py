@@ -5,8 +5,9 @@ scheduler, proposer and profile methods, then re-prices every captured
 attention and linear task table for its ablations. A planner or engine
 change that breaks either breaks the benchmark's per-layer run, so this
 test replays a short trace through that path in both modes. It also pins
-that the engine's linear memo hides no ``simulate_linear`` call, and which
-public cache and scheduler methods the tracer leaves unwrapped.
+that the engine's linear memo hides no ``simulate_linear`` call, which
+public cache and scheduler methods the tracer leaves unwrapped, and what
+``bench/replay.py`` and ``bench/stats.py`` read from a replay's engine.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from tileserve.kv_cache import RadixKvCache
 from tileserve.oracle import ToyModel
 from tileserve.planner import LinearOp
 from tileserve.scheduler import TokenScheduler
-from tileserve.trace import gen_trace
+from tileserve.trace import gen_trace, write_trace
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -123,3 +124,35 @@ def test_every_public_cache_and_scheduler_method_is_wrapped_or_listed(monkeypatc
     for cls, unwrapped in UNWRAPPED.items():
         public = {name for name in vars(cls) if not name.startswith("_")}
         assert public - set(layers.METHODS[cls][1]) == unwrapped, cls.__name__
+
+
+@pytest.mark.parametrize("workload", ["prefix_churn", "mixed_numeric"], ids=["simulate", "numeric"])
+def test_the_bench_reads_each_request_record_of_a_replay(workload, tmp_path, monkeypatch):
+    """``bench/replay.py`` and ``bench/stats.py`` read each request through
+    ``engine.runtimes``: its request's prompt, arrival and output length,
+    its outputs and token ticks, and in numeric mode its kept logits rows.
+    A replay of a small trace through the bench's own runner, with its
+    request rows, model digest and output gate, breaks here when a record
+    stops giving them."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    replay_mod = importlib.import_module("replay")
+    stats = importlib.import_module("stats")
+    trace = tmp_path / "t.jsonl"
+    write_trace(TRACE, trace)
+    config = tmp_path / "t.cfg"
+    config.write_text("")
+    runner = replay_mod.Runner(workload, [trace], config)
+    replay = runner.replay(0)
+    engine = replay.engine
+    assert replay.error is None and replay.failed == 0
+    gate = runner.gate(replay)
+    assert gate.problems == []
+    rows = stats.request_rows(engine)
+    assert rows == replay.rows
+    assert [row[:3] for row in rows] == sorted((r["id"], r["arrival"], r["output_len"]) for r in TRACE)
+    for rid, _, output_len, ticks in rows:
+        assert ticks == engine.runtimes[rid].token_ticks and len(ticks) == output_len
+    assert replay.digest == stats.model_digest(rows, engine.chunk_log)
+    assert replay.tokens == sum(len(r["prompt"]) + r["output_len"] for r in TRACE)
+    if workload == "mixed_numeric":
+        assert gate.check_s > 0 and all(rs.logits_rows for rs in engine.runtimes.values())

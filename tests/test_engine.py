@@ -90,7 +90,7 @@ def test_verify_rows_match_dense_tree_forward(cfg, monkeypatch):
         logits = real_forward_chunk(engine, chunk, *args)
         for e in chunk.entries:
             if e.stage is Stage.VERIFY:
-                verified.append((e.req_id, e.kv_len, e.spec_tree, logits[e.start_pos : e.start_pos + e.token_num]))
+                verified.append((e.req.request.req_id, e.kv_len, e.spec_tree, logits[e.start_pos : e.start_pos + e.token_num]))
         return logits
 
     real_forward_chunk = Engine._forward_chunk

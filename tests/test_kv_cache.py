@@ -313,8 +313,10 @@ def test_one_scatter_per_layer_writes_what_write_kv_per_stage_writes(data):
     each through its own ``kv_slots`` call. The stages share prefixes, so
     some commits copy on write."""
     block_size = data.draw(st.sampled_from((1, 2, 4)), label="block_size")
+    # Every sequence stays live, so the pool holds the worst case: five
+    # sequences of 9 + 7 tokens that share nothing, a block per token.
     caches = [
-        RadixKvCache(block_size, pool_blocks=64, cache_cap_blocks=32, kv_heads=2, head_size=HEAD, num_layers=2)
+        RadixKvCache(block_size, pool_blocks=5 * (9 + 7), cache_cap_blocks=32, kv_heads=2, head_size=HEAD, num_layers=2)
         for _ in range(2)
     ]
     prompts = data.draw(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=9), min_size=1, max_size=5))

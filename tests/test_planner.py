@@ -34,7 +34,7 @@ def chunks(draw) -> tuple[Chunk, int]:
         token_num = draw(st.integers(1, 3 * tile_size + 2))
         entries.append(ChunkEntry(len(entries), stage, start, token_num, draw(st.integers(0, 40))))
         start += token_num
-    chunk = Chunk(chunk_id=0, entries=entries, total_tokens=start, decode_ids=list(range(decodes)), decode_kv=decode_kv)
+    chunk = Chunk(chunk_id=0, entries=entries, total_tokens=start, decode_run=list(range(decodes)), decode_kv=decode_kv)
     return chunk, tile_size
 
 
@@ -150,7 +150,7 @@ def long_chunks(draw) -> tuple[Chunk, int]:
         token_num = draw(st.integers(1, 4 * tile_size + 3))
         entries.append(ChunkEntry(len(entries), stage, start, token_num, draw(st.integers(0, 300))))
         start += token_num
-    chunk = Chunk(chunk_id=0, entries=entries, total_tokens=start, decode_ids=list(range(decodes)), decode_kv=decode_kv)
+    chunk = Chunk(chunk_id=0, entries=entries, total_tokens=start, decode_run=list(range(decodes)), decode_kv=decode_kv)
     return chunk, tile_size
 
 

@@ -1,0 +1,91 @@
+"""The one per-request record, ``scheduler.RequestState``, checked after
+every chunk while ``Engine`` serves small mixed prefill/decode/verify
+traces in both modes: its ``kv_len`` is its table's token count, its
+outputs and their ticks line up, the cache holds exactly its prompt and
+outputs, it waits in the one queue its progress names, and a retired
+record holds no blocks."""
+
+from __future__ import annotations
+
+import functools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tileserve.config import ServeConfig
+from tileserve.engine import Engine, EngineRequest
+from tileserve.oracle import ToyModel
+
+
+@functools.lru_cache(maxsize=None)
+def toy_model() -> ToyModel:
+    return ToyModel.seeded(ServeConfig().model, seed=0)
+
+
+def check_records(engine: Engine) -> None:
+    sched = engine.sched
+    assert not sched._in_flight
+    queued = {}
+    for name, queue in (("prefill", sched._prefill), ("decode", sched._decode), ("verify", sched._verify)):
+        for rs in queue:
+            assert id(rs) not in queued, rs.request.req_id
+            queued[id(rs)] = name
+    for rid, rs in engine.runtimes.items():
+        prompt, outputs = rs.request.prompt, rs.outputs
+        assert len(rs.token_ticks) == len(outputs) <= rs.request.output_len
+        if rs.done:
+            assert not rs.table.blocks and rid not in engine.cache._seqs and id(rs) not in queued
+            continue
+        total = rs.table.total_tokens
+        assert rs.kv_len == total
+        assert engine.cache._seqs[rid].tokens == (prompt + outputs)[:total]
+        if rs.kv_len < len(prompt):
+            assert not outputs and queued[id(rs)] == "prefill"
+            continue
+        assert rs.kv_len == len(prompt) + len(outputs) - 1  # every output but the last has K/V
+        if rs.request.spec is None:
+            assert queued[id(rs)] == "decode"
+        else:
+            assert queued[id(rs)] == "verify" and rs.spec_tree.tokens[0] == outputs[-1]
+
+
+class CheckedEngine(Engine):
+    """An engine that checks every record after each chunk."""
+
+    def _execute_chunk(self, chunk) -> None:
+        super()._execute_chunk(chunk)
+        check_records(self)
+
+
+# Prompts over four token ids, so prefixes repeat and hit the cache.
+REQUESTS = st.lists(
+    st.tuples(
+        st.lists(st.integers(0, 3), min_size=1, max_size=20),
+        st.integers(1, 8),  # output_len
+        st.integers(0, 4000),  # arrival
+        st.none() | st.tuples(st.integers(1, 2), st.integers(1, 3)),  # at most 7 tree tokens
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@pytest.mark.parametrize("numeric", [True, False], ids=["numeric", "simulate"])
+@settings(max_examples=40, deadline=None)
+@given(
+    requests=REQUESTS,
+    budget=st.integers(8, 24),
+    block_size=st.sampled_from((1, 2, 4)),
+    cache_cap=st.integers(0, 8),
+)
+def test_every_live_record_agrees_with_its_table_and_the_cache_after_every_chunk(
+    numeric, requests, budget, block_size, cache_cap
+):
+    cfg = ServeConfig(budget=budget, kv_block_size=block_size, kv_cache_cap_blocks=cache_cap)
+    engine = CheckedEngine(cfg, toy_model() if numeric else None)
+    for i, (prompt, output_len, arrival, spec) in enumerate(requests):
+        engine.submit(EngineRequest(f"r{i}", prompt, output_len, arrival, spec))
+    report = engine.run()
+    assert report["completed"] == len(requests)
+    for rid, rs in engine.runtimes.items():
+        assert report["requests"][rid]["generated"] == len(rs.outputs) == rs.request.output_len

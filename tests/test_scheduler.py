@@ -2,15 +2,26 @@
 their entries back to back, every prompt token is scheduled exactly once,
 and every request retires, with random lengths, budgets, reserves, late
 arrivals and speculative trees; a decode run that names a request not in
-flight changes nothing."""
+flight changes nothing. As the engine does, each test hands a chunk's
+outcome back on the records: the picked tokens and the next tree."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tileserve.scheduler import Chunk, Request, Stage, StageResult, TokenScheduler, UnknownRequest
+from tileserve.kv_cache import BlockTable
+from tileserve.scheduler import Chunk, EngineRequest, RequestState, Stage, TokenScheduler, UnknownRequest
 from tileserve.spec_decode import full_tree
+
+
+def record(rid, prompt: int, output_len: int, kv_len: int = 0, spec=None) -> RequestState:
+    """A request of ``prompt`` tokens whose first ``kv_len`` are cached."""
+    return RequestState(EngineRequest(rid, [7] * prompt, output_len, spec=spec), BlockTable(rid), kv_len=kv_len)
+
+
+def ids(records) -> list:
+    return [r.request.req_id for r in records]
 
 
 def tree_size(width: int, depth: int) -> int:
@@ -38,6 +49,7 @@ def test_chunks_cover_every_prompt_token_once_and_every_request_retires(data):
         for _ in range(n)
     ]
     next_pos = {rid: matched for rid, (matched, *_) in enumerate(reqs)}  # next prompt position due
+    records = {rid: record(rid, m + p, o, m, wd) for rid, (m, p, o, wd, _) in enumerate(reqs)}
     generated = dict.fromkeys(range(n), 0)
     added: set[int] = set()
     retired: set[int] = set()
@@ -52,9 +64,7 @@ def test_chunks_cover_every_prompt_token_once_and_every_request_retires(data):
         for rid, (matched, prompt, output_len, wd, join) in enumerate(reqs):
             if rid not in added and join <= step:
                 added.add(rid)
-                sched.add_request(
-                    Request(req_id=rid, prompt_tokens=[7] * prompt, output_len=output_len, kv_len=matched, spec=wd)
-                )
+                sched.add_request(records[rid])
         chunk = sched.schedule_next()
         if chunk is None:
             assert added <= retired, "no chunk while a request is in flight"
@@ -67,32 +77,36 @@ def test_chunks_cover_every_prompt_token_once_and_every_request_retires(data):
         assert chunk.total_tokens <= budget
         assert chunk.total_tokens == chunk.decodes + sum(e.token_num for e in chunk.entries)
         assert len(chunk.decode_kv) == chunk.decodes
-        for rid, kv_len in zip(chunk.decode_ids, chunk.decode_kv):
+        for rid, kv_len in zip(ids(chunk.decode_run), chunk.decode_kv):
             matched, prompt, *_ = reqs[rid]
             assert next_pos[rid] == matched + prompt, "decode before the prompt is done"
             assert kv_len == matched + prompt + generated[rid] - 1  # every token but the last picked
             generated[rid] += 1
+            records[rid].outputs.append(1)
         pos = chunk.decodes
-        results = {}
         for e in chunk.entries:
             assert e.start_pos == pos
             pos += e.token_num
-            matched, prompt, output_len, wd, _ = reqs[e.req_id]
+            rid = e.req.request.req_id
+            matched, prompt, output_len, wd, _ = reqs[rid]
             if e.stage is Stage.PREFILL:
-                assert e.kv_len == next_pos[e.req_id]
-                next_pos[e.req_id] += e.token_num
-                if next_pos[e.req_id] == matched + prompt:
-                    generated[e.req_id] = 1
-                    results[e.req_id] = StageResult(next_token=1, next_tree=tree(e.req_id) if wd else None)
+                assert e.kv_len == next_pos[rid]
+                next_pos[rid] += e.token_num
+                if next_pos[rid] == matched + prompt:
+                    generated[rid] = 1
+                    e.req.outputs.append(1)
+                    e.req.spec_tree = tree(rid) if wd else None
                 continue
-            assert next_pos[e.req_id] == matched + prompt, "verify before the prompt is done"
+            assert next_pos[rid] == matched + prompt, "verify before the prompt is done"
             assert e.stage is Stage.VERIFY and e.token_num == e.spec_tree.spec_len
+            assert e.kv_len == matched + prompt + generated[rid] - 1  # the root is the last pick
             accepted = data.draw(st.integers(1, wd[1]), label="accepted")
-            new = min(accepted, output_len - generated[e.req_id])
-            generated[e.req_id] += new
-            results[e.req_id] = StageResult(committed=accepted, new_tokens=new, next_tree=tree(e.req_id))
-        retired.update(sched.complete_chunk(chunk, results))
-        for rid in [*chunk.decode_ids, *(e.req_id for e in chunk.entries)]:
+            new = min(accepted, output_len - generated[rid])
+            generated[rid] += new
+            e.req.outputs.extend([1] * new)
+            e.req.spec_tree = tree(rid)
+        retired.update(ids(sched.complete_chunk(chunk)))
+        for rid in [*ids(chunk.decode_run), *(e.req.request.req_id for e in chunk.entries)]:
             assert (rid in retired) == (generated[rid] >= reqs[rid][2])
     else:
         raise AssertionError("the scheduler did not drain its queues")
@@ -105,27 +119,33 @@ def test_a_decode_run_with_an_id_not_in_flight_changes_nothing():
     """``complete_chunk`` checks the whole decode run before it retires or
     requeues any of it, and names the first id that is not in flight."""
     sched = TokenScheduler(budget=8)
-    for rid in "abc":
-        sched.add_request(Request(req_id=rid, prompt_tokens=[7, 7], output_len=3))
+    records = {rid: record(rid, 2, 3) for rid in "abc"}
+    for req in records.values():
+        sched.add_request(req)
     first = sched.schedule_next()  # the three prompts
     assert first.decodes == 0
-    sched.complete_chunk(first, {rid: StageResult(next_token=1) for rid in "abc"})
+    for req in records.values():
+        req.outputs.append(1)
+    sched.complete_chunk(first)
     run = sched.schedule_next()
-    assert run.decode_ids == ["a", "b", "c"] and not run.entries
+    assert ids(run.decode_run) == ["a", "b", "c"] and not run.entries
 
     def state():
-        queues = [[req.req_id for req in q] for q in (sched._prefill, sched._decode, sched._verify)]
-        return queues, set(sched._in_flight), {rid: req.generated for rid, req in sched._requests.items()}
+        queues = [ids(q) for q in (sched._prefill, sched._decode, sched._verify)]
+        return queues, set(sched._in_flight), {rid: (req.kv_len, len(req.outputs)) for rid, req in records.items()}
 
     before = state()
-    for ids, named in ((["a", "ghost", "b", "c", "spook"], "ghost"), (["a", "b", "a", "c"], "a")):
-        bad = Chunk(run.chunk_id, [], len(ids), decode_ids=ids, decode_kv=[2] * len(ids))
+    for bad_ids, named in ((["a", "ghost", "b", "c", "spook"], "ghost"), (["a", "b", "a", "c"], "a")):
+        bad_run = [records[rid] if rid in records else record(rid, 2, 3) for rid in bad_ids]
+        bad = Chunk(run.chunk_id, [], len(bad_ids), decode_run=bad_run, decode_kv=[2] * len(bad_ids))
         with pytest.raises(UnknownRequest) as err:
-            sched.complete_chunk(bad, {})
+            sched.complete_chunk(bad)
         assert err.value.args == (named,)
         assert state() == before
-    assert sched.complete_chunk(run, {}) == []
-    assert [req.req_id for req in sched._decode] == ["a", "b", "c"] and not sched._in_flight
+    for req in run.decode_run:
+        req.outputs.append(1)
+    assert sched.complete_chunk(run) == []
+    assert ids(sched._decode) == ["a", "b", "c"] and not sched._in_flight
 
 
 def test_a_refused_request_leaves_its_id_free():
@@ -133,7 +153,7 @@ def test_a_refused_request_leaves_its_id_free():
     registered, so its id can be added again."""
     sched = TokenScheduler(budget=8)
     with pytest.raises(ValueError, match="at least one uncached prompt token"):
-        sched.add_request(Request(req_id="a", prompt_tokens=[], output_len=1))
-    sched.add_request(Request(req_id="a", prompt_tokens=[7], output_len=1))
+        sched.add_request(record("a", 1, 1, kv_len=1))
+    sched.add_request(record("a", 1, 1))
     chunk = sched.schedule_next()
-    assert [e.req_id for e in chunk.entries] == ["a"]
+    assert ids(e.req for e in chunk.entries) == ["a"]

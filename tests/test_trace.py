@@ -1,5 +1,6 @@
 """Trace parsing: which prompts ``parse_trace`` accepts, where a token id
-past the vocabulary or a malformed line is refused, and the CLI's seed."""
+past the vocabulary or a malformed line is refused, the CLI's seed, and
+the speculation ``gen-trace`` writes."""
 
 from __future__ import annotations
 
@@ -97,6 +98,35 @@ def test_a_negative_seed_is_a_usage_error(capsys, command):
         cli.main([command, *args, "--seed", "-1"])
     assert err.value.code == 2
     assert "argument --seed: must be >= 0, not -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec_args, message",
+    [
+        (["--spec-width", "-2", "--spec-depth", "3"], "must be >= 1, not -2 and 3"),
+        (["--spec-width", "2", "--spec-depth", "0"], "must be >= 1, not 2 and 0"),
+        (["--spec-width", "2"], "give both or neither"),
+        (["--spec-depth", "3"], "give both or neither"),
+    ],
+)
+def test_gen_trace_refuses_a_spec_that_run_would_refuse_or_drop(tmp_path, capsys, spec_args, message):
+    """A non-positive width or depth would write a trace that ``run``
+    refuses, and one of the two alone a trace without speculation; both
+    are usage errors, and no trace is written."""
+    out = tmp_path / "t.jsonl"
+    with pytest.raises(SystemExit) as err:
+        cli.main(["gen-trace", "--profile", "sharegpt_like", "--count", "2", "--out", str(out), *spec_args])
+    assert err.value.code == 2
+    assert f"arguments --spec-width and --spec-depth: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec_args, spec", [(["--spec-width", "2", "--spec-depth", "3"], (2, 3)), ([], None)])
+def test_gen_trace_writes_a_spec_that_run_serves(tmp_path, spec_args, spec):
+    out = tmp_path / "t.jsonl"
+    assert cli.main(["gen-trace", "--profile", "sharegpt_like", "--count", "2", "--out", str(out), *spec_args]) == 0
+    assert [req.spec for req in parse_trace(out)] == [spec, spec]
+    assert cli.main(["run", "--trace", str(out), "--mode", "simulate", "--report", str(tmp_path / "r.json")]) == 0
 
 
 def test_a_token_past_the_vocabulary_is_refused_on_its_line(tmp_path, capsys):
