@@ -43,7 +43,12 @@ verifies kept rows against a dense recompute. A verify entry's tree K/V
 stays in the cache: ``RadixKvCache.keep_path`` rolls it back to the
 accepted path. Without one (simulate mode) it reads only the
 ``ModelConfig``, holds no weights or pool rows, draws seeded tokens and
-cannot ``check``. Both modes price the work in model ticks.
+cannot ``check``; its seeded draws pick a verify's accepted depth and
+then one branch per level, so in both modes the kept path is a chain
+from the root. A speculative request's next tree is drafted once the
+tokens a chunk delivered are on its record, by prompt lookup over its
+prompt and outputs (``SeededProposer``). Both modes price the work in
+model ticks.
 """
 
 from __future__ import annotations
@@ -425,11 +430,10 @@ class Engine:
                     rs.logits_rows[entry.kv_len + i] = logits[entry.start_pos + i].copy()
             if entry.kv_len + entry.token_num < len(rs.request.prompt):
                 continue  # a prompt slice that is not the last one
-            next_token = self._next_token(logits, entry.start_pos + entry.token_num - 1)
-            if rs.request.spec:
-                rs.spec_tree = self._propose(rs, next_token)
-            rs.outputs.append(next_token)
+            rs.outputs.append(self._next_token(logits, entry.start_pos + entry.token_num - 1))
             rs.token_ticks.append(ticks)
+            if rs.request.spec:
+                rs.spec_tree = self._propose(rs)
 
     def _next_token(self, logits: np.ndarray | None, row: int) -> int:
         """The target's pick after chunk row ``row``: the argmax in numeric
@@ -439,9 +443,16 @@ class Engine:
         return int(np.argmax(logits[row]))
 
     def _accept_verify(self, entry: ChunkEntry, logits: np.ndarray | None) -> None:
+        """Keep the accepted root path of a verify entry's tree in the
+        cache and deliver its tokens and the bonus pick. In simulate mode
+        seeded draws pick the path: its depth, then one branch per level,
+        so it is a chain from the root as in numeric mode."""
         rs, tree = entry.req, entry.spec_tree
         if logits is None:
-            path = list(range(int(self.rng.integers(1, tree.spec_len + 1))))
+            width, depth = rs.request.spec
+            path = [0]
+            for branch in self.rng.integers(width, size=int(self.rng.integers(depth))).tolist():
+                path.append(tree.children(path[-1])[branch])
         else:
             target_next = logits[entry.start_pos : entry.start_pos + tree.spec_len].argmax(axis=1).tolist()
             path = verify_accept(tree, target_next, rs.outputs[-1])
@@ -454,18 +465,17 @@ class Engine:
             # Keep only the rows that picked a delivered token.
             for j, node in enumerate(path[: len(delivered)]):
                 rs.logits_rows[entry.kv_len + j] = logits[entry.start_pos + node].copy()
-        if len(rs.outputs) + len(delivered) < rs.request.output_len:
-            rs.spec_tree = self._propose(rs, bonus)
         rs.outputs.extend(delivered)
         rs.token_ticks.extend([self.ticks] * len(delivered))
+        if not rs.done:
+            rs.spec_tree = self._propose(rs)
 
-    def _propose(self, rs: RequestState, root_token: int) -> SpecTree:
-        """The next tree of ``rs``, rooted at its newest pick
-        ``root_token`` and proposed from the tokens before it."""
+    def _propose(self, rs: RequestState) -> SpecTree:
+        """The next tree of ``rs``, rooted at its newest pick and drafted
+        from its prompt and the outputs before that pick."""
         width, depth = rs.request.spec
         proposer = SeededProposer(width, depth, self.cfg.model.vocab_size, seed=17)
-        context = rs.request.prompt + rs.outputs
-        return proposer.propose(context, root_token)
+        return proposer.propose(rs.request.prompt + rs.outputs[:-1], rs.outputs[-1])
 
     # ------------------------------------------------------------------
     # Timing, metrics, checks

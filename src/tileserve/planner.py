@@ -155,13 +155,14 @@ class GridTable:
     """A linear op's task table: ``cells`` is an int64 [2, cells] array
     of (row, col) grid tiles in visit order, and cell c runs on core
     c mod ``core_num``. ``priced`` keeps the cost model's results for
-    this table (see ``simulate_linear``), so pricing it again is a
-    lookup, and ``covers`` the (rows, cols) grids ``gemm_virtual_pad``
-    has checked it to cover once, so it checks each grid once."""
+    this table with their arguments (see ``simulate_linear``), so
+    pricing it again is a lookup, and ``covers`` the (rows, cols) grids
+    ``gemm_virtual_pad`` has checked it to cover once, so it checks each
+    grid once."""
 
     cells: np.ndarray
     core_num: int
-    priced: dict = field(default_factory=dict, repr=False)
+    priced: list = field(default_factory=list, repr=False)
     covers: set = field(default_factory=set, repr=False)
 
     @property

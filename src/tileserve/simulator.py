@@ -104,22 +104,38 @@ _IDLE_COST = np.zeros(1)  # appended to a cost matrix, for idle slots to read
 _Slot = tuple[str, int] | None  # (op kind, 1-based unit index) or idle
 
 
-def _op_costs(q_len, tokens, head_size: int, hw: HwConfig) -> tuple:
-    """Ticks of each op of a (tile, split) unit, in ``_KINDS`` order.
+def _op_costs(q_len, tokens, head_size: int, hw: HwConfig, kinds: tuple[str, ...] = _KINDS) -> tuple:
+    """Ticks of each op of ``kinds`` of a (tile, split) unit, in that order.
 
     ``q_len`` and ``tokens`` are ints or equal-length int64 arrays; both
     evaluate the same expressions in the same order, so a unit costs the
-    same to the last bit on either path.
+    same to the last bit on either path, whichever kinds are asked for.
     """
     two_q = 2.0 * q_len
-    two_q_tokens = two_q * tokens  # SV's and QKSoftmax's left operand
-    return (
-        two_q * head_size * tokens / hw.cube_flops_per_tick,
-        q_len * tokens / hw.vector_elems_per_tick,
-        two_q_tokens * head_size / hw.cube_flops_per_tick,
-        q_len * (head_size + 2) / hw.vector_elems_per_tick,
-        (tokens * head_size + two_q_tokens) / hw.vector_elems_per_tick,
-    )
+    two_q_tokens = two_q * tokens  # SV's and QKSoftmax's left operand; every discipline runs SV
+    cube, vector = hw.cube_flops_per_tick, hw.vector_elems_per_tick
+    rows = []
+    for kind in kinds:
+        if kind == "QK":
+            rows.append(two_q * head_size * tokens / cube)
+        elif kind == "Softmax":
+            rows.append(q_len * tokens / vector)
+        elif kind == "SV":
+            rows.append(two_q_tokens * head_size / cube)
+        elif kind == "Update":
+            rows.append(q_len * (head_size + 2) / vector)
+        else:
+            rows.append((tokens * head_size + two_q_tokens) / vector)
+    return tuple(rows)
+
+
+def _kinds_read(schedule: Schedule, split: bool, fused: bool) -> tuple[str, ...]:
+    """The op kinds a discipline's rounds read, in ``_KINDS`` order: the
+    decode pipeline and fused SEQ run QK+Softmax as one op, and a split
+    adds the Update (PIPE4 always splits, PIPE3 never does)."""
+    if fused or schedule is Schedule.DECODE_PIPE:
+        return ("SV", "QKSoftmax")
+    return _KINDS[: 3 + split]
 
 
 def _rounds(schedule: Schedule, n: int, *, split: bool = False, fused: bool = False) -> list[tuple[_Slot, _Slot]]:
@@ -172,17 +188,23 @@ def _rounds(schedule: Schedule, n: int, *, split: bool = False, fused: bool = Fa
 
 
 @functools.lru_cache(maxsize=256)
-def _slot_table(schedule: Schedule, split: bool, fused: bool, counts: tuple[int, ...]) -> tuple[np.ndarray, tuple]:
+def _slot_table(
+    schedule: Schedule, split: bool, fused: bool, counts: tuple[int, ...]
+) -> tuple[tuple[str, ...], np.ndarray, tuple]:
     """Every core's ``_rounds`` as flat indices into a chunk's raveled
-    cost matrix, for cores of ``counts`` units each: slot (kind, i) of a
-    core whose units start at ``offset`` is ``row(kind) * units + offset
-    + i - 1``. Idle slots, and rounds past a core's last, read
-    ``len(_KINDS) * units``, where the caller appends a zero cost.
-    Returns the read-only [2, cores, rounds] (cube, vector) table and a
-    (rounds, cores) pair per round count, ``cores`` a slice when all have
-    it. Snake dealing keeps counts within one, so keys repeat."""
+    cost matrix, for cores of ``counts`` units each. The matrix has one
+    row per kind of ``_kinds_read``, the discipline's ``kinds``: slot
+    (kind, i) of a core whose units start at ``offset`` is
+    ``kinds.index(kind) * units + offset + i - 1``. Idle slots, and
+    rounds past a core's last, read ``len(kinds) * units``, where the
+    caller appends a zero cost. Returns ``kinds``, the read-only [2,
+    cores, rounds] (cube, vector) table and a (rounds, cores) pair per
+    round count, ``cores`` a slice when all have it. Snake dealing keeps
+    counts within one, so keys repeat."""
+    kinds = _kinds_read(schedule, split, fused)
+    row = {kind: r for r, kind in enumerate(kinds)}
     units = sum(counts)
-    idle = len(_KINDS) * units
+    idle = len(kinds) * units
     patterns = [_rounds(schedule, n, split=split, fused=fused) if n else [] for n in counts]
     lengths = [len(p) for p in patterns]
     slots = np.full((2, len(counts), max([1, *lengths])), idle, dtype=np.intp)
@@ -191,13 +213,13 @@ def _slot_table(schedule: Schedule, split: bool, fused: bool, counts: tuple[int,
         for r, pair in enumerate(pattern):
             for unit, s in enumerate(pair):
                 if s is not None:
-                    slots[unit, core, r] = _KIND_ROW[s[0]] * units + offsets[core] + s[1] - 1
+                    slots[unit, core, r] = row[s[0]] * units + offsets[core] + s[1] - 1
     slots.flags.writeable = False
     groups = tuple(  # not ``np.unique``, which imports ``numpy.ma`` (about 1 MB)
         (n, slice(None) if lengths.count(n) == len(lengths) else np.flatnonzero(np.equal(lengths, n)))
         for n in sorted(set(lengths) - {0})
     )
-    return slots, groups
+    return kinds, slots, groups
 
 
 def _check_schedule(
@@ -227,9 +249,10 @@ def simulate_attention(
 ) -> SimTrace:
     """Price an attention task table under one pipeline discipline.
 
-    All cores are priced in one pass: one [len(_KINDS), units] cost
-    matrix of the table's (tile, split) units (a tile's splits are
-    ``plan_splits``' ranges), gathered through the cached ``_slot_table``.
+    All cores are priced in one pass: one cost matrix of the table's
+    (tile, split) units (a tile's splits are ``plan_splits``' ranges),
+    with a row per op kind the discipline reads, gathered through the
+    cached ``_slot_table``.
     A core's end time is the running sum of its rounds' durations,
     max(cube op, vector op). MTE transfers are prefetch and write-back
     overlapped with compute (intermediates stay in L2), so they never
@@ -249,9 +272,9 @@ def simulate_attention(
         split_blocks = np.full(len(q), kv_split_blocks, dtype=np.int64)
         split_blocks[ends - 1] = blocks - (splits - 1) * kv_split_blocks
         blocks = split_blocks
-    flat = np.concatenate((*_op_costs(q, blocks * kv_block_size, head_size, hw), _IDLE_COST))
     fused = decode_fused and schedule is Schedule.SEQ
-    slots, groups = _slot_table(schedule, kv_split_blocks is not None, fused, counts)
+    kinds, slots, groups = _slot_table(schedule, kv_split_blocks is not None, fused, counts)
+    flat = np.concatenate((*_op_costs(q, blocks * kv_block_size, head_size, hw, kinds), _IDLE_COST))
     ops = flat[slots]
     # np.cumsum adds left to right like ``t += dur``, and the zeros past
     # a core's last round add nothing; np.sum adds pairwise, so a core's
@@ -294,17 +317,21 @@ def simulate_linear(
     column are computed once per call; the loop then does plain int and
     float arithmetic, and only the LRU working set and the core heap are
     Python objects. Each core walks its cells of the table with a
-    cursor. The result is kept in ``tasktable.priced`` under the other
+    cursor. The result is kept in ``tasktable.priced`` with the other
     arguments, so pricing the same table again returns the same trace
-    object, which callers must not change.
+    object, which callers must not change. A table is priced under one
+    or two sets of arguments, so that store is a short list: a repeat
+    call passes the same objects, which compare equal by identity, and
+    builds or hashes no key.
     """
     rows, cols = grid
     if rows < 1 or cols < 1:
         raise ValueError("grid must be nonempty")
-    key = (grid, prim, m, n, k, *vars(hw).values())  # ``HwConfig`` is mutable: key its values
-    trace = tasktable.priced.get(key)
-    if trace is not None:
-        return trace
+    args = (grid, prim, m, n, k, hw)
+    state = vars(hw)  # ``HwConfig`` is mutable: compare its values too
+    for priced_args, priced_state, trace in tasktable.priced:
+        if priced_args == args and priced_state == state:
+            return trace
     cells = tasktable.cells
     rows_of, cols_of = cells.tolist()
     if rows_of and not (0 <= min(rows_of) and max(rows_of) < rows and 0 <= min(cols_of) and max(cols_of) < cols):
@@ -352,7 +379,7 @@ def simulate_linear(
         else:
             heapq.heappop(heap)
     trace = SimTrace(makespan=makespan, busy={"cube": cube, "vector": 0.0, "mte": mte})
-    tasktable.priced[key] = trace
+    tasktable.priced.append((args, dict(state), trace))
     return trace
 
 

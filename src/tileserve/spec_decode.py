@@ -1,18 +1,25 @@
-"""Speculative token trees: construction, ancestor masks, verification.
+"""Speculative token trees: drafting, ancestor masks, verification.
 
 A tree is a flat list of (token, parent) pairs in topological order
 (parents precede children); a linear chain is the sequence-speculation
-special case. Verification is greedy argmax acceptance: a child stays
-accepted only while its token equals the target model's next-token
-choice at its parent's position.
+special case. Drafts come from prompt lookup, as in LLMA (arXiv
+2304.04487) and REST (arXiv 2311.08252): a node's children are the
+tokens that followed earlier occurrences of its last few tokens in the
+request's own prompt and outputs, so no draft model runs. Verification
+is greedy argmax acceptance: a child stays accepted only while its
+token equals the target model's next-token choice at its parent's
+position, so the delivered tokens are the target's whatever the draft.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
+
+MAX_NGRAM = 3  # lookups match the last 3, then 2, then 1 tokens
 
 
 @dataclass(frozen=True)
@@ -117,12 +124,44 @@ def verify_accept(tree: SpecTree, target_next: list[int], context_next: int) -> 
         cur = nxt
 
 
-class SeededProposer:
-    """Deterministic draft stand-in: tokens from a hash of the context.
+def _lookup_candidates(seq: list[int], width: int) -> list[int]:
+    """Up to ``width`` distinct tokens that followed earlier occurrences
+    of the last ``MAX_NGRAM``, then fewer, tokens of ``seq``: longer
+    matches first, and among equal lengths the most recent first."""
+    last = len(seq) - 1
+    token = seq[last]
+    hits = []
+    i = -1
+    try:
+        while True:
+            i = seq.index(token, i + 1, last)
+            hits.append(i)
+    except ValueError:
+        pass
+    followers: tuple[list[int], ...] = tuple([] for _ in range(MAX_NGRAM))  # by match length, longest first
+    for i in reversed(hits):
+        n = 1
+        while n < MAX_NGRAM and i >= n and seq[i - n] == seq[last - n]:
+            n += 1
+        followers[MAX_NGRAM - n].append(seq[i + 1])
+    found: list[int] = []
+    for t in chain(*followers):
+        if t not in found:
+            found.append(t)
+            if len(found) == width:
+                break
+    return found
 
-    Real drafts come from a small model; for traces and simulation a
-    seeded function of (seed, context, node) is enough to exercise the
-    verify path end to end.
+
+class SeededProposer:
+    """Deterministic drafts by prompt lookup, with a seeded hash as fallback.
+
+    Nodes are filled in ``full_tree``'s breadth-first order. A node's
+    children are ``_lookup_candidates`` over the context, the root and
+    the node's path; a branch with no candidate left takes a token from
+    a seeded hash of (seed, context, node, branch). The tree keeps
+    ``full_tree``'s shape either way, and a context with no match gives
+    the hashed tree alone. It holds no state between calls.
     """
 
     def __init__(self, width: int, depth: int, vocab_size: int, seed: int = 0):
@@ -132,13 +171,27 @@ class SeededProposer:
         self.seed = seed
 
     def propose(self, context_tokens: list[int], root_token: int) -> SpecTree:
-        ctx = hashlib.blake2b(
-            np.asarray([self.seed] + list(context_tokens), dtype=np.int64).tobytes(),
-            digest_size=8,
-        ).digest()
-        base = int.from_bytes(ctx, "little")
+        """The tree rooted at ``root_token``, drafted from
+        ``context_tokens``, the tokens before it."""
+        seq = [*context_tokens, root_token]
+        tails: list[list[int]] = [[]]  # each node's path after the root, by node index
+        candidates: list[int] = []
+        base: int | None = None  # the context hash, taken once a branch falls back
 
         def child_token(parent: int, branch: int) -> int:
-            return (base ^ (parent * 2654435761) ^ (branch * 40503)) % self.vocab_size
+            nonlocal candidates, base
+            if branch == 0:
+                candidates = _lookup_candidates(seq + tails[parent], self.width)
+            if branch < len(candidates):
+                token = candidates[branch]
+            else:
+                if base is None:
+                    digest = hashlib.blake2b(
+                        np.asarray([self.seed, *context_tokens], dtype=np.int64).tobytes(), digest_size=8
+                    ).digest()
+                    base = int.from_bytes(digest, "little")
+                token = (base ^ (parent * 2654435761) ^ (branch * 40503)) % self.vocab_size
+            tails.append(tails[parent] + [token])  # full_tree makes it the next node
+            return token
 
         return full_tree(root_token, self.width, self.depth, child_token)

@@ -4,7 +4,8 @@
 scheduler, proposer and profile methods, then re-prices every captured
 attention and linear task table for its ablations. A planner or engine
 change that breaks either breaks the benchmark's per-layer run, so this
-test replays a short trace through that path in both modes. It also pins
+test replays a short trace through that path in both modes, and checks
+that the tracer counts the engine's drafts and accepted paths. It also pins
 that the engine's linear memo hides no ``simulate_linear`` call, which
 public cache and scheduler methods the tracer leaves unwrapped, and what
 ``bench/replay.py`` and ``bench/stats.py`` read from a replay's engine.
@@ -91,6 +92,45 @@ def test_tracer_metrics_and_ablations_on_a_small_replay(numeric, monkeypatch):
         for _, linear_span in calls:
             span += linear_span
         assert span * cfg.model.num_layers == logged["ticks"]
+
+
+def test_the_tracer_sees_every_proposal_and_every_accepted_path(monkeypatch):
+    """The bench's spec metrics come from the proposer the engine calls:
+    ``spec_decode.accept_len_mean`` averages the paths ``verify_accept``
+    returns and the layer's time includes ``SeededProposer.propose``. A
+    numeric replay of speculative requests under the tracer counts one
+    ``propose`` call per tree the engine drafts and one accepted length per
+    path it keeps, in order."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    layers = importlib.import_module("layers")
+    cfg = ServeConfig()
+    engine = Engine(cfg, ToyModel.seeded(cfg.model, seed=0))
+    for row in TRACE:
+        spec = row["spec"] and (row["spec"]["width"], row["spec"]["depth"])
+        engine.submit(EngineRequest(row["id"], row["prompt"], row["output_len"], row["arrival"], spec))
+    drafted = []
+    real_propose = Engine._propose
+
+    def propose(engine, rs):
+        drafted.append(rs.request.req_id)
+        return real_propose(engine, rs)
+
+    monkeypatch.setattr(Engine, "_propose", propose)
+    kept = []
+    keep_path = engine.cache.keep_path
+
+    def keep_path_counted(table, kv_len, path):
+        kept.append(len(path))
+        return keep_path(table, kv_len, path)
+
+    engine.cache.keep_path = keep_path_counted
+    with layers.Tracer() as tracer:
+        t0 = time.perf_counter()
+        engine.run()
+        wall = time.perf_counter() - t0
+    assert drafted and tracer.calls["spec_decode.propose"] == len(drafted)
+    assert kept and tracer.accept_lens == kept
+    assert tracer.metrics(engine, wall)["spec_decode.accept_len_mean"] == sum(kept) / len(kept)
 
 
 # Public methods that ``layers.METHODS`` does not wrap, so their self time

@@ -514,20 +514,20 @@ def test_simulate_mode_repeats_a_recorded_run_of_mixed_chunks():
         engine.submit(EngineRequest(row["id"], row["prompt"], row["output_len"], row["arrival"], spec))
     report = engine.run()
     composition = report["chunks"]["composition"]
-    assert sum(n for key, n in composition.items() if "D" in key and "V" in key) == 24
-    assert sum(c["stages"].count("P") for c in engine.chunk_log) == 38  # slices of 20 prompts
-    assert report["makespan_ticks"] == 50263.5
-    assert engine.runtimes["longr00002"].outputs == [5, 127, 55, 14, 71, 15, 99, 41, 102, 40, 86, 45, 5, 21]
+    assert sum(n for key, n in composition.items() if "D" in key and "V" in key) == 30
+    assert sum(c["stages"].count("P") for c in engine.chunk_log) == 39  # slices of 20 prompts
+    assert report["makespan_ticks"] == 51489.75
+    assert engine.runtimes["longr00002"].outputs == [0, 24, 124, 80, 46, 111, 37, 102, 1, 86, 119, 126, 51, 24]
     # The per-op ticks and the budget fill were added to the report after
     # this run was recorded; without them it hashes as recorded.
     assert report.pop("op_ticks") == {
-        "attention": 5813.0,
-        "qkv": 11794.5,
-        "o_proj": 6007.0,
-        "gate_up": 14854.5,
-        "down": 11794.5,
+        "attention": 6385.5,
+        "qkv": 11890.5,
+        "o_proj": 6071.0,
+        "gate_up": 15252.25,
+        "down": 11890.5,
     }
-    assert report["chunks"].pop("budget_fill") == 1348 / (58 * 64)
+    assert report["chunks"].pop("budget_fill") == 1516 / (58 * 64)
     outputs = {str(rid): rt.outputs for rid, rt in sorted(engine.runtimes.items(), key=lambda kv: str(kv[0]))}
     blob = json.dumps([outputs, engine.chunk_log, report], sort_keys=True)
-    assert hashlib.sha256(blob.encode()).hexdigest() == "e5d4421692d4b2e21b5a68c83872c9d17573161ccc79c50cf68720234ebc9dac"
+    assert hashlib.sha256(blob.encode()).hexdigest() == "fcde18804a0df72534368005d8daec67878fdbea7fd5882bb61491fe96620d42"

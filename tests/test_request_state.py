@@ -2,8 +2,9 @@
 every chunk while ``Engine`` serves small mixed prefill/decode/verify
 traces in both modes: its ``kv_len`` is its table's token count, its
 outputs and their ticks line up, the cache holds exactly its prompt and
-outputs, it waits in the one queue its progress names, and a retired
-record holds no blocks."""
+outputs, it waits in the one queue its progress names, a speculative
+record's tree is drafted from all of its outputs, and a retired record
+holds no blocks. Every verify keeps a chain from its tree's root."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from tileserve.config import ServeConfig
 from tileserve.engine import Engine, EngineRequest
 from tileserve.oracle import ToyModel
+from tileserve.spec_decode import full_tree
 
 
 @functools.lru_cache(maxsize=None)
@@ -47,6 +49,7 @@ def check_records(engine: Engine) -> None:
             assert queued[id(rs)] == "decode"
         else:
             assert queued[id(rs)] == "verify" and rs.spec_tree.tokens[0] == outputs[-1]
+            assert rs.spec_tree == engine._propose(rs)  # drafted from every output before its root
 
 
 class CheckedEngine(Engine):
@@ -89,3 +92,30 @@ def test_every_live_record_agrees_with_its_table_and_the_cache_after_every_chunk
     assert report["completed"] == len(requests)
     for rid, rs in engine.runtimes.items():
         assert report["requests"][rid]["generated"] == len(rs.outputs) == rs.request.output_len
+
+
+@pytest.mark.parametrize("numeric", [True, False], ids=["numeric", "simulate"])
+@settings(max_examples=40, deadline=None)
+@given(requests=REQUESTS, budget=st.integers(8, 24))
+def test_every_kept_verify_path_is_a_chain_from_the_root(numeric, requests, budget):
+    """What ``RadixKvCache.keep_path`` keeps of a verify is one root path
+    of the request's tree, at most its depth long: each node's parent is
+    the node before it, so no siblings are committed as one sequence."""
+    engine = Engine(ServeConfig(budget=budget), toy_model() if numeric else None)
+    for i, (prompt, output_len, arrival, spec) in enumerate(requests):
+        engine.submit(EngineRequest(f"r{i}", prompt, output_len, arrival, spec))
+    keep_path = engine.cache.keep_path
+    kept = []
+
+    def keep_path_checked(table, kv_len, path):
+        rs = next(rs for rs in engine.runtimes.values() if rs.table is table)
+        width, depth = rs.request.spec
+        parents = full_tree(0, width, depth, lambda p, b: 0).parents
+        assert 1 <= len(path) <= depth and path[0] == 0
+        assert all(parents[node] == prev for prev, node in zip(path, path[1:])), path
+        kept.append(path)
+        return keep_path(table, kv_len, path)
+
+    engine.cache.keep_path = keep_path_checked
+    engine.run()
+    assert len(kept) == sum(c["stages"].count("V") for c in engine.chunk_log)
