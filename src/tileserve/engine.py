@@ -174,12 +174,11 @@ class Engine:
             raise RejectedRequest(f"request {req.req_id!r}: its id was already submitted")
         if len(req.prompt) < 1:
             raise RejectedRequest(f"request {req.req_id!r}: prompt must be nonempty")
-        blocks = -(-len(req.prompt) // self.cfg.kv_block_size)
-        if blocks > self.cfg.kv_pool_blocks:
-            raise RejectedRequest(
-                f"request {req.req_id!r}: its prompt of {len(req.prompt)} tokens needs {blocks} K/V blocks, "
-                f"more than the pool of {self.cfg.kv_pool_blocks}"
-            )
+        # The most tokens the request's table ever holds: every token but
+        # the last output has K/V, and a speculative request's last verify
+        # adds its tree past the root. A table that cannot fit in the pool
+        # alone could never be served.
+        tokens = len(req.prompt) + req.output_len - 1
         if req.spec is not None:
             width, depth = req.spec
             budget = self.sched.budget
@@ -193,6 +192,14 @@ class Engine:
                     f"request {req.req_id!r}: its speculative tree (width {width}, depth {depth}) "
                     f"has {at_least}{size} tokens, more than the chunk budget of {budget}"
                 )
+            if req.output_len > 1:  # a verify runs only while outputs remain
+                tokens += size - 1
+        blocks = -(-tokens // self.cfg.kv_block_size)
+        if blocks > self.cfg.kv_pool_blocks:
+            raise RejectedRequest(
+                f"request {req.req_id!r}: its K/V grows to {tokens} tokens, which need {blocks} blocks, "
+                f"more than the pool of {self.cfg.kv_pool_blocks}"
+            )
         self._submitted.add(req.req_id)
         bisect.insort(self.pending, req, key=lambda r: (r.arrival, str(r.req_id)))
 

@@ -31,9 +31,15 @@ raising before any table changes.
 
 A radix tree over token-id sequences indexes completed blocks so that
 later requests can reuse matching prefixes token-wise; a mismatch
-inside a block still reuses the matching head of that block. When the
-pool or the cache-capacity cap runs out, least-recently-used
-unreferenced leaf blocks are evicted from the tree.
+inside a block still reuses the matching head of that block. The tree
+is path-compressed, as in SGLang's RadixAttention: each node holds a
+run of blocks, so a match compares one edge slice per node and goes
+block by block only inside the edge where it ends. Blocks keep their
+own ref counts and ``last_used`` stamps, so the tree caches, matches
+and evicts exactly the blocks a tree of one node per block would. When
+the pool or the cache-capacity cap runs out, the least-recently-used
+unreferenced blocks without a cached child (the tails of childless
+edges) are evicted.
 """
 
 from __future__ import annotations
@@ -50,24 +56,31 @@ class PoolExhausted(RuntimeError):
     """No free block is available even after eviction."""
 
 
-@dataclass
+@dataclass(eq=False)
 class RadixNode:
-    """One cached block in the prefix tree.
+    """A run of cached blocks in the prefix tree: one edge.
 
-    ``token_key`` holds the block's full ``block_size`` token ids, and
-    children are keyed by that tuple: siblings may share any head, even
-    all but their last token, and are told apart by their whole content.
+    ``tokens`` holds the run's token ids, ``block_size`` per block;
+    ``block_ids``, ``last_used`` and ``stamps`` hold one entry per block,
+    where a block's stamp is the clock at which it was cached, which no
+    other block shares. ``start`` counts the blocks above the run.
+    Children are keyed by their first block's token tuple: siblings may
+    share any head, even all but their last token, and are told apart by
+    their whole first block. Every block of a run but the last has one
+    child block, the next in the run. An edge splits where a branch
+    starts inside it (its head moves to a new parent node), grows in
+    place while it has no children, and loses its tail block on
+    eviction; it dies (``alive`` False) with its last block.
     """
 
-    token_key: tuple[int, ...]
-    block_id: int
+    tokens: list[int]
+    block_ids: list[int]
+    last_used: list[int]
+    stamps: list[int]
     parent: "RadixNode | None"
+    start: int = 0
     children: dict[tuple[int, ...], "RadixNode"] = field(default_factory=dict)
-    last_used: int = 0
     alive: bool = True
-
-    def is_leaf(self) -> bool:
-        return not self.children
 
 
 @dataclass
@@ -96,7 +109,7 @@ class PrefixMatch:
 
     matched_len: int
     blocks: list[int]
-    nodes: list[RadixNode] = field(default_factory=list, repr=False)
+    nodes: list[RadixNode] = field(default_factory=list, repr=False)  # the edges it entered, root first
 
 
 @dataclass
@@ -116,8 +129,17 @@ class KvView:
 
 @dataclass
 class _SeqState:
+    """A sequence's tokens and its cursor, the last block of its path
+    through the tree: the ``depth``-th block (0 for the root), held by
+    ``cursor`` or, after edge splits, by a node above it, with stamp
+    ``stamp``. The cursor is alive while that block is still at that
+    depth with that stamp. ``caching_ok`` False stops caching the
+    sequence's later blocks."""
+
     tokens: list[int]
     cursor: RadixNode
+    depth: int = 0
+    stamp: int = 0
     caching_ok: bool = True
 
 
@@ -152,14 +174,14 @@ class RadixKvCache:
         self.value_rows = self.values.reshape(rows)
         self.ref_count = [0] * pool_blocks
         self._free: list[int] = list(range(pool_blocks - 1, -1, -1))
-        self._root = RadixNode(token_key=(), block_id=-1, parent=None)
-        self._node_of: dict[int, RadixNode] = {}  # block id -> tree node
+        self._root = RadixNode([], [], [], [], parent=None)
+        self._node_of: dict[int, RadixNode] = {}  # block id -> the node holding it
         self._seqs: dict[object, _SeqState] = {}
         self._clock = 0
-        # Evictable leaves as (last_used, block_id, node), deleted lazily:
-        # an entry goes stale when its node dies, gains a child, is
-        # referenced or is touched, and evict skips stale entries.
-        self._lru: list[tuple[int, int, RadixNode]] = []
+        # Evictable blocks as (last_used, block_id), deleted lazily: an
+        # entry goes stale when its block leaves the tree, gains a child,
+        # is referenced or is touched, and evict skips stale entries.
+        self._lru: list[tuple[int, int]] = []
         # Prefix tokens kept by start_sequence, blocks evicted, copy-on-write copies.
         self.stats = {"hit_tokens": 0, "evicted_blocks": 0, "cow_copies": 0}
 
@@ -181,45 +203,53 @@ class RadixKvCache:
     def match_prefix(self, tokens: list[int]) -> PrefixMatch:
         """Longest cached prefix of ``tokens``.
 
-        Follows the child keyed by each next full block of ``tokens``.
-        Where no child holds that block, or fewer than ``block_size``
-        tokens remain, it takes the sibling with the longest matching
-        head (the first in insertion order on a tie), counts that head
-        and stops there. Blocks in the returned match have their ref
-        counts incremented (the caller owns a reference until
-        :meth:`release_blocks` / sequence release) and the touched path
-        is bumped to most-recently-used.
+        Follows the child whose first block is the next full block of
+        ``tokens`` and compares its whole run with one slice; where the
+        run differs, it goes block by block to the block that differs and
+        counts the matching head of that block. Where no child starts
+        with the next full block, or fewer than ``block_size`` tokens
+        remain, it takes the child whose first block has the longest
+        matching head (the first in insertion order on a tie), counts
+        that head and stops there. Blocks in the returned match have
+        their ref counts incremented (the caller owns a reference until
+        :meth:`release_blocks` / sequence release) and are bumped to
+        most-recently-used.
         """
         self._clock += 1
-        bs = self.block_size
+        clock, bs, ref_count = self._clock, self.block_size, self.ref_count
         node = self._root
         matched = 0
         blocks: list[int] = []
         nodes: list[RadixNode] = []
         n = len(tokens)
         while matched < n:
-            child = None
-            if n - matched >= bs:
-                child = node.children.get(tuple(tokens[matched : matched + bs]))
-            take = bs
+            child = node.children.get(tuple(tokens[matched : matched + bs])) if n - matched >= bs else None
+            full = take = 0  # blocks matched whole, then the matching head of the next one
             if child is None:
-                take = 0
                 limit = min(bs, n - matched)
                 for sibling in node.children.values():
-                    key = sibling.token_key
-                    k = 0
-                    while k < limit and key[k] == tokens[matched + k]:
-                        k += 1
+                    k = _head_len(sibling.tokens, 0, tokens, matched, limit)
                     if k > take:
                         child, take = sibling, k
                 if child is None:
                     break
-            child.last_used = self._clock
-            self.ref_count[child.block_id] += 1
-            blocks.append(child.block_id)
+            else:
+                run = child.tokens
+                full = len(child.block_ids)
+                if tokens[matched : matched + len(run)] != run:
+                    full = 1
+                    while tokens[matched + full * bs : matched + (full + 1) * bs] == run[full * bs : (full + 1) * bs]:
+                        full += 1
+                    pos = matched + full * bs
+                    take = _head_len(run, full * bs, tokens, pos, min(bs, n - pos))
+            pinned = child.block_ids[: full + (take > 0)]
+            for bid in pinned:
+                ref_count[bid] += 1
+            child.last_used[: len(pinned)] = [clock] * len(pinned)
+            blocks.extend(pinned)
             nodes.append(child)
-            matched += take
-            if take < bs:
+            matched += full * bs + take
+            if full < len(child.block_ids):
                 break
             node = child
         return PrefixMatch(matched, blocks, nodes)
@@ -235,12 +265,14 @@ class RadixKvCache:
         m = self.match_prefix(prompt_tokens)
         use = m.matched_len if max_match is None else min(m.matched_len, max_match)
         self.stats["hit_tokens"] += use
-        keep_blocks = -(-use // self.block_size) if use > 0 else 0
+        keep_blocks = -(-use // self.block_size)
         self._release_blocks(m.blocks[keep_blocks:])
-        full_nodes = use // self.block_size
-        cursor = m.nodes[full_nodes - 1] if full_nodes > 0 else self._root
         table = BlockTable(seq_id=seq_id, blocks=m.blocks[:keep_blocks], total_tokens=use)
-        self._seqs[seq_id] = _SeqState(tokens=list(prompt_tokens[:use]), cursor=cursor)
+        st = self._seqs[seq_id] = _SeqState(tokens=list(prompt_tokens[:use]), cursor=self._root)
+        st.depth = use // self.block_size
+        if st.depth:
+            node = next(node for node in reversed(m.nodes) if node.start < st.depth)
+            st.cursor, st.stamp = node, node.stamps[st.depth - 1 - node.start]
         return table
 
     # ------------------------------------------------------------------
@@ -409,8 +441,7 @@ class RadixKvCache:
         st = self._seqs[table.seq_id]
         if keep_total < 0 or keep_total > table.total_tokens:
             raise ValueError("keep_total out of range")
-        cursor_cover = self._cursor_depth_tokens(st.cursor)
-        if keep_total < cursor_cover:
+        if keep_total < st.depth * self.block_size:
             raise ValueError("cannot truncate into tree-cached prefix of this sequence")
         keep_blocks = -(-keep_total // self.block_size)
         self._release_blocks(table.blocks[keep_blocks:])
@@ -437,24 +468,38 @@ class RadixKvCache:
     def evict(self, needed: int) -> int:
         """Free up to ``needed`` blocks from unreferenced LRU leaves.
 
-        Only leaf nodes whose blocks carry no sequence references are
-        removed, oldest ``last_used`` first; a parent that becomes an
-        unreferenced leaf joins the candidates in the same pass.
-        Returns the number of blocks actually freed (may be short).
+        Only blocks without a cached child (the tail of a childless
+        edge) whose blocks carry no sequence references are removed,
+        oldest ``last_used`` first, then lowest block id; the block above
+        one that goes joins the candidates in the same pass when it is
+        left without a child and unreferenced. Returns the number of
+        blocks actually freed (may be short).
         """
         if needed < 1:
             raise ValueError("needed must be >= 1")
+        node_of, ref_count, bs = self._node_of, self.ref_count, self.block_size
         freed = 0
         while freed < needed and self._lru:
-            entry = heapq.heappop(self._lru)
-            if not self._evictable(entry):
+            last_used, bid = heapq.heappop(self._lru)
+            node = node_of.get(bid)
+            if node is None or node.children or node.block_ids[-1] != bid or node.last_used[-1] != last_used:
+                continue  # stale: gone, below a child, or touched since
+            if ref_count[bid]:
                 continue
-            node = entry[2]
-            self._remove_node(node)
+            del node_of[bid]
+            self._free.append(bid)
             freed += 1
-            parent = node.parent
-            if parent is not self._root and parent.is_leaf() and self.ref_count[parent.block_id] == 0:
-                self._push_evictable(parent)
+            node.block_ids.pop()
+            node.last_used.pop()
+            node.stamps.pop()
+            if node.block_ids:
+                del node.tokens[-bs:]
+            else:
+                node.alive = False
+                del node.parent.children[tuple(node.tokens)]
+                node = node.parent
+            if node is not self._root and not node.children and ref_count[node.block_ids[-1]] == 0:
+                self._push_evictable(node)
         self.stats["evicted_blocks"] += freed
         return freed
 
@@ -492,7 +537,7 @@ class RadixKvCache:
         stack = list(self._root.children.values())
         while stack:
             node = stack.pop()
-            out.add(node.block_id)
+            out.update(node.block_ids)
             stack.extend(node.children.values())
         return out
 
@@ -503,30 +548,26 @@ class RadixKvCache:
     def _release_blocks(self, bids) -> None:
         """Drop one reference to each block of ``bids``, in order: a block
         left unreferenced returns to the free list, or becomes evictable
-        when it is a tree leaf."""
+        when it is a cached block without a cached child."""
         ref_count, node_of, free = self.ref_count, self._node_of, self._free
         for bid in bids:
-            ref_count[bid] -= 1
-            assert ref_count[bid] >= 0, "ref count underflow"
-            if ref_count[bid] == 0:
+            count = ref_count[bid] = ref_count[bid] - 1
+            if count <= 0:
+                assert count == 0, "ref count underflow"
                 node = node_of.get(bid)
                 if node is None:
                     free.append(bid)
-                elif node.is_leaf():
+                elif not node.children and node.block_ids[-1] == bid:
                     self._push_evictable(node)
 
-    def _evictable(self, entry: tuple[int, int, RadixNode]) -> bool:
-        last_used, bid, node = entry
-        return node.alive and node.is_leaf() and self.ref_count[bid] == 0 and node.last_used == last_used
-
     def _push_evictable(self, node: RadixNode) -> None:
-        heapq.heappush(self._lru, (node.last_used, node.block_id, node))
+        heapq.heappush(self._lru, (node.last_used[-1], node.block_ids[-1]))
         if len(self._lru) > 2 * len(self._node_of) + 64:
-            # Mostly stale entries: rebuild from the evictable leaves.
+            # Mostly stale entries: rebuild from the evictable blocks.
             self._lru = [
-                (n.last_used, n.block_id, n)
-                for n in self._node_of.values()
-                if n.is_leaf() and self.ref_count[n.block_id] == 0
+                (n.last_used[-1], bid)
+                for bid, n in self._node_of.items()
+                if bid == n.block_ids[-1] and not n.children and self.ref_count[bid] == 0
             ]
             heapq.heapify(self._lru)
 
@@ -558,41 +599,92 @@ class RadixKvCache:
         return new_bid
 
     def _try_cache_block(self, table: BlockTable, st: _SeqState, bid: int) -> None:
+        """Cache the sequence's last block, just filled, below its cursor:
+        chain the cursor on when the tree holds the same content there
+        (keeping this sequence's own copy: no aliasing of committed data),
+        else add the block, growing the cursor's edge in place when the
+        cursor ends an edge without children, splitting the edge when the
+        cursor is inside it. A block not at the cursor's next depth is
+        not cached; a dead cursor stops caching."""
         if not st.caching_ok:
             return
-        if not st.cursor.alive:
+        node = self._cursor_node(st)
+        if node is None:
             st.caching_ok = False
             return
-        start = (len(table.blocks) - 1) * self.block_size
-        key = tuple(st.tokens[start : start + self.block_size])
-        child = st.cursor.children.get(key)
-        if child is not None:
-            # Equivalent block already cached; chain under it but keep
-            # this sequence's own copy (no aliasing of committed data).
-            st.cursor = child
+        depth = st.depth
+        if depth != len(table.blocks) - 1:
             return
+        bs = self.block_size
+        key = st.tokens[depth * bs : (depth + 1) * bs]
+        i = depth - node.start  # the next block's place in the cursor's edge
+        if i < len(node.block_ids):
+            if node.tokens[i * bs : (i + 1) * bs] == key:
+                st.depth, st.stamp = depth + 1, node.stamps[i]
+                return
+        elif node.children:
+            child = node.children.get(tuple(key))
+            if child is not None:
+                st.cursor, st.depth, st.stamp = child, depth + 1, child.stamps[0]
+                return
         if self.cache_cap_blocks == 0:
             st.caching_ok = False
             return
-        if len(self._node_of) >= self.cache_cap_blocks and self.evict(1) == 0:
+        # Eviction pops tail blocks, and may pop the cursor's own when
+        # another sequence cached it; then there is nothing to attach to.
+        if len(self._node_of) >= self.cache_cap_blocks and (self.evict(1) == 0 or len(node.block_ids) < i):
             st.caching_ok = False
             return
         self._clock += 1
-        node = RadixNode(token_key=key, block_id=bid, parent=st.cursor, last_used=self._clock)
-        st.cursor.children[key] = node
+        if i < len(node.block_ids):
+            node = self._split(node, i)
+        if node is self._root or node.children:
+            new = RadixNode([], [], [], [], parent=node, start=depth)
+            node.children[tuple(key)] = new
+            node = new
+        node.tokens.extend(key)
+        node.block_ids.append(bid)
+        node.last_used.append(self._clock)
+        node.stamps.append(self._clock)
         self._node_of[bid] = node
-        st.cursor = node
+        st.cursor, st.depth, st.stamp = node, depth + 1, self._clock
 
-    def _remove_node(self, node: RadixNode) -> None:
-        node.alive = False
-        assert node.parent is not None
-        del node.parent.children[node.token_key]
-        del self._node_of[node.block_id]
-        self._free.append(node.block_id)
-
-    def _cursor_depth_tokens(self, node: RadixNode) -> int:
-        depth = 0
-        while node is not self._root:
-            depth += len(node.token_key)
+    def _cursor_node(self, st: _SeqState) -> RadixNode | None:
+        """The node holding the cursor's block, or None once that block
+        has left the tree. A split moves the block into a node above
+        ``st.cursor``, so the walk goes up; it moves ``st.cursor`` there."""
+        node, index = st.cursor, st.depth - 1
+        if index < 0:
+            return node
+        while node.start > index:
             node = node.parent
-        return depth
+        i = index - node.start
+        if i < len(node.stamps) and node.stamps[i] == st.stamp:
+            st.cursor = node
+            return node
+        return None
+
+    def _split(self, node: RadixNode, i: int) -> RadixNode:
+        """Move the first ``i`` blocks of ``node`` into a new node that
+        takes its place below its parent (same key, same place among the
+        siblings) and has ``node`` as its one child; return the new node.
+        ``node`` keeps its tail, so its eviction entries stay valid."""
+        bs, cut = self.block_size, i * self.block_size
+        head = RadixNode(
+            node.tokens[:cut], node.block_ids[:i], node.last_used[:i], node.stamps[:i], node.parent, node.start
+        )
+        node.parent.children[tuple(node.tokens[:bs])] = head
+        del node.tokens[:cut], node.block_ids[:i], node.last_used[:i], node.stamps[:i]
+        node.parent, node.start = head, node.start + i
+        head.children[tuple(node.tokens[:bs])] = node
+        for bid in head.block_ids:
+            self._node_of[bid] = head
+        return head
+
+
+def _head_len(a: list[int], i: int, b: list[int], j: int, limit: int) -> int:
+    """How many of the first ``limit`` tokens of ``a[i:]`` and ``b[j:]`` agree."""
+    k = 0
+    while k < limit and a[i + k] == b[j + k]:
+        k += 1
+    return k

@@ -133,6 +133,27 @@ def test_the_tracer_sees_every_proposal_and_every_accepted_path(monkeypatch):
     assert tracer.metrics(engine, wall)["spec_decode.accept_len_mean"] == sum(kept) / len(kept)
 
 
+def test_the_tracer_counts_the_hits_and_evictions_the_cache_counts(monkeypatch):
+    """The bench's ``kv_cache.evicted_blocks`` and ``kv_cache.hit_token_frac``
+    come from wrappers around ``RadixKvCache.evict`` and
+    ``start_sequence``, which cannot follow the tree's insides. A replay
+    of shared-prefix requests under a cache cap below two prefixes evicts
+    as it caches; the evicted blocks and hit tokens the tracer counts must
+    equal the cache's own counts in the report."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    layers = importlib.import_module("layers")
+    workloads = importlib.import_module("workloads")
+    engine = Engine(ServeConfig(budget=512, kv_block_size=4, kv_cache_cap_blocks=128))
+    for row in workloads.gen_requests("prefix_churn", 0)[:24]:
+        engine.submit(EngineRequest(row["id"], row["prompt"], 2, row["arrival"]))
+    with layers.Tracer() as tracer:
+        report = engine.run()
+    cache = report["cache"]
+    assert cache["evicted_blocks"] > 0 and cache["hit_tokens"] > 0
+    assert tracer.evicted_blocks == cache["evicted_blocks"]
+    assert tracer.hit_tokens == cache["hit_tokens"]
+
+
 # Public methods that ``layers.METHODS`` does not wrap, so their self time
 # counts toward the caller's layer. The engine calls ``append_run`` and, in
 # numeric mode, ``kv_slots`` once per chunk, and ``keep_path`` per verify

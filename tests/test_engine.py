@@ -451,17 +451,18 @@ def test_a_chunk_that_runs_out_of_blocks_changes_no_table(monkeypatch):
 
 
 def test_cli_exits_4_when_the_pool_runs_out(tmp_path, capsys):
-    """Each prompt fills the two-block pool alone, so both pass ``submit``,
-    but the chunk that prefills them together needs four blocks."""
+    """Each request fills the two-block pool alone (7 prompt tokens and one
+    decode), so both pass ``submit``, but the chunk that prefills them
+    together needs four blocks."""
     trace = tmp_path / "t.jsonl"
-    prompts = {"a": list(range(8)), "b": list(range(10, 18))}
+    prompts = {"a": list(range(7)), "b": list(range(10, 17))}
     write_trace([{"id": rid, "arrival": 0, "prompt": p, "output_len": 2} for rid, p in prompts.items()], trace)
     config = tmp_path / "t.cfg"
     config.write_text("kv.block_size = 4\nkv.pool_blocks = 2\nkv.cache_cap_blocks = 2\n")
     code = cli.main(["run", "--trace", str(trace), "--config", str(config), "--mode", "simulate"])
     assert code == 4
     err = capsys.readouterr().err
-    assert err == "error: chunk 0: sequence 'b' needs 2 K/V blocks for 8 tokens, 0 free of 2 after eviction\n"
+    assert err == "error: chunk 0: sequence 'b' needs 2 K/V blocks for 7 tokens, 0 free of 2 after eviction\n"
 
 
 @pytest.mark.parametrize("mode", ["numeric", "simulate"])
@@ -490,7 +491,53 @@ def test_cli_exits_2_on_a_prompt_larger_than_the_pool(tmp_path, capsys):
     code = cli.main(["run", "--trace", str(trace), "--config", str(config), "--mode", "simulate"])
     assert code == 2
     err = capsys.readouterr().err
-    assert err == "error: request 'big': its prompt of 20 tokens needs 5 K/V blocks, more than the pool of 2\n"
+    assert err == "error: request 'big': its K/V grows to 21 tokens, which need 6 blocks, more than the pool of 2\n"
+
+
+def test_cli_exits_2_when_the_outputs_would_not_fit_in_the_pool(tmp_path, capsys):
+    """The 8-token prompt fits the two-block pool, but its K/V grows to 13
+    tokens by the last decode, which no run could hold."""
+    trace = tmp_path / "t.jsonl"
+    write_trace([{"id": "big", "arrival": 0, "prompt": list(range(8)), "output_len": 6}], trace)
+    config = tmp_path / "t.cfg"
+    config.write_text("kv.block_size = 4\nkv.pool_blocks = 2\nkv.cache_cap_blocks = 0\n")
+    code = cli.main(["run", "--trace", str(trace), "--config", str(config), "--mode", "simulate"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: request 'big': its K/V grows to 13 tokens, which need 4 blocks, more than the pool of 2\n"
+
+
+@pytest.mark.parametrize("numeric", [False, True], ids=["simulate", "numeric"])
+@pytest.mark.parametrize(
+    "prompt_len, output_len, spec",
+    [(8, 5, None), (6, 5, (2, 2)), (12, 1, (2, 2))],
+    ids=["plain", "speculative", "speculative-one-output"],
+)
+def test_a_request_at_the_pool_bound_serves_and_one_token_more_is_rejected(numeric, prompt_len, output_len, spec):
+    """Three 4-token blocks hold 12 tokens: a plain request's prompt and
+    every output but the last (8 + 5 - 1), or a speculative one's plus the
+    two tokens its last width-2 depth-2 tree adds past the root (6 + 5 - 1
+    + 2). A speculative request with one output never verifies, so its
+    12-token prompt fits. Alone in the pool, each serves to the end; with
+    one more prompt token, ``submit`` rejects it. The plain request fills
+    the pool."""
+    cfg = ServeConfig(kv_block_size=4, kv_pool_blocks=3, kv_cache_cap_blocks=3)
+    engine = Engine(cfg, ToyModel.seeded(cfg.model, seed=0) if numeric else None, check=numeric)
+    with pytest.raises(RejectedRequest, match=r"'over': its K/V grows to 13 tokens, which need 4 blocks"):
+        engine.submit(EngineRequest("over", list(range(prompt_len + 1)), output_len, spec=spec))
+    engine.submit(EngineRequest("fits", list(range(prompt_len)), output_len, spec=spec))
+    least_free = []
+    append_run = engine.cache.append_run
+
+    def append_run_counted(tables, tokens):
+        append_run(tables, tokens)
+        least_free.append(engine.cache.free_block_count())
+
+    engine.cache.append_run = append_run_counted
+    report = engine.run()
+    assert report["requests"]["fits"]["done"] and len(engine.runtimes["fits"].outputs) == output_len
+    if spec is None:
+        assert min(least_free) == 0
 
 
 def mixed_simulate_trace() -> list[dict]:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from tileserve.kv_cache import PoolExhausted, RadixKvCache
 
 from conftest import kv_rows
+from per_block_cache import PerBlockKvCache
 
 KV_HEADS = 1
 HEAD = 4
@@ -497,25 +498,211 @@ def test_shared_prefix_reuse_is_real():
     assert t1.blocks == t0.blocks  # physical sharing, not copies
 
 
+def block_tree(cache: RadixKvCache) -> dict:
+    """The radix tree as one node per block: each block's content keys
+    its (block, recency, children). An edge of several blocks expands
+    into a chain, its last block taking the edge's children."""
+    bs = cache.block_size
+
+    def below(node, j: int) -> dict:
+        """The children of block ``j - 1`` of ``node``'s run."""
+        if j < len(node.block_ids):
+            return {tuple(node.tokens[j * bs : (j + 1) * bs]): (node.block_ids[j], node.last_used[j], below(node, j + 1))}
+        return {key: (child.block_ids[0], child.last_used[0], below(child, 1)) for key, child in node.children.items()}
+
+    return below(cache._root, 0)
+
+
+def cursor_path(seq) -> tuple[int, list[int] | None]:
+    """The cursor's depth and the block path from the root to its block,
+    or None for the path once that block has left the tree."""
+    node, index = seq.cursor, seq.depth - 1
+    if index < 0:
+        return 0, []
+    while node.start > index:
+        node = node.parent
+    i = index - node.start
+    if i >= len(node.stamps) or node.stamps[i] != seq.stamp:
+        return seq.depth, None
+    path = node.block_ids[: i + 1]
+    while node.parent is not None:
+        node = node.parent
+        path = node.block_ids + path
+    return seq.depth, path
+
+
 def cache_state(cache: RadixKvCache, tables: dict) -> tuple:
     """What a commit may change: each table, the ref counts, the free
-    list, the radix tree (content, block and recency of each node),
-    each sequence's tokens, tree cursor and caching flag, and the stats."""
-
-    def tree(node):
-        return {key: (child.block_id, child.last_used, tree(child)) for key, child in node.children.items()}
-
-    def path(node):
-        return path(node.parent) + [node.block_id] if node.parent is not None else []
-
+    list, the radix tree (content, block and recency of each block),
+    each sequence's tokens, tree cursor and caching flag, and the stats.
+    A ``PerBlockKvCache`` reads its own tree and cursors."""
+    if isinstance(cache, PerBlockKvCache):
+        tree, cursor = cache.block_tree(), cache.cursor_path
+    else:
+        tree, cursor = block_tree(cache), cursor_path
     return (
         {sid: (list(t.blocks), t.total_tokens) for sid, t in tables.items()},
         list(cache.ref_count),
         list(cache._free),
-        tree(cache._root),
-        {sid: (list(seq.tokens), path(seq.cursor), seq.caching_ok) for sid, seq in cache._seqs.items()},
+        tree,
+        {sid: (list(seq.tokens), cursor(seq), seq.caching_ok) for sid, seq in cache._seqs.items()},
         dict(cache.stats),
     )
+
+
+def tree_state(cache: RadixKvCache, tables: dict, matches: list) -> tuple:
+    """Everything the two trees of the differential test must agree on:
+    ``cache_state``, the blocks held by raw matches, the pool partition
+    and the reachable blocks."""
+    return cache_state(cache, tables), [m.blocks for m in matches], cache.pool_partition(), cache.reachable_block_ids()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_run_tree_does_what_a_tree_of_one_node_per_block_does(data):
+    """The cache and ``PerBlockKvCache``, a tree of one node per block, run
+    the same random operations: starts with and without a match cap, each
+    followed by a commit of the rest of its prompt, raw matches held and
+    released later, cacheable and non-cacheable commits,
+    decode-like runs, kept speculative paths, truncations, releases and
+    evictions. Prompts share long prefixes, so runs split where prompts
+    part and grow in place; pools are small enough that commits run short
+    and caps small enough that caching evicts. Every outcome and error,
+    and the state ``tree_state`` reads, must be equal after every step."""
+    bs = data.draw(st.integers(1, 4), label="block_size")
+    pool = data.draw(st.integers(4, 40), label="pool_blocks")
+    cap = data.draw(st.integers(0, 12), label="cache_cap_blocks")
+    caches = [cls(bs, pool, cap, KV_HEADS, HEAD) for cls in (RadixKvCache, PerBlockKvCache)]
+    tables: list[dict] = [{}, {}]
+    matches: list[list] = [[], []]
+    shared = [1, 2, 3, 1, 2, 3, 4, 5, 6, 7, 1, 2]
+    small = st.lists(st.integers(0, 3), max_size=6)
+
+    def prompt():
+        return shared[: data.draw(st.integers(0, len(shared)))] + data.draw(small)
+
+    for step in range(data.draw(st.integers(1, 40), label="steps")):
+        live = sorted(tables[0])
+        ops = ["start", "match", "release_match", "evict"]
+        op = data.draw(st.sampled_from(ops + ["commit", "commit", "append", "keep", "truncate", "release"] if live else ops))
+        sid = f"s{step}" if op == "start" else data.draw(st.sampled_from(live)) if live else None
+        total = tables[0][sid].total_tokens if sid in tables[0] else 0
+        if op == "start":
+            tokens = prompt() or [0]
+            arg = tokens, data.draw(st.none() | st.integers(0, len(tokens)))
+        elif op == "match":
+            arg = prompt()
+        elif op == "release_match":
+            arg = data.draw(st.integers(0, len(matches[0]) - 1)) if matches[0] else None
+        elif op == "commit":
+            arg = data.draw(small.filter(bool)), data.draw(st.booleans())
+        elif op == "append":
+            sids = data.draw(st.lists(st.sampled_from(live), min_size=1, unique=True))
+            arg = sids, data.draw(st.lists(st.integers(0, 3), min_size=len(sids), max_size=len(sids)))
+        elif op == "keep":
+            start = data.draw(st.integers(0, total - 1)) if total else 0
+            arg = start, data.draw(st.lists(st.integers(0, max(total - start - 1, 0)), min_size=1, unique=True))
+        elif op == "truncate":
+            arg = data.draw(st.integers(0, total))
+        else:
+            arg = data.draw(st.integers(1, 3))
+        outcomes = []
+        for cache, table_of, held in zip(caches, tables, matches):
+            try:
+                if op == "start":  # and prefill the rest of the prompt
+                    table = table_of[sid] = cache.start_sequence(sid, *arg)
+                    outcome = cache.commit_tokens(table, arg[0][table.total_tokens :]) and None
+                elif op == "match":
+                    held.append(cache.match_prefix(arg))
+                    outcome = held[-1].matched_len, list(held[-1].blocks)
+                elif op == "release_match":
+                    outcome = arg is not None and cache.release_blocks(held.pop(arg))
+                elif op == "commit":
+                    outcome = cache.commit_tokens(table_of[sid], arg[0], cacheable=arg[1]) and None
+                elif op == "append":
+                    outcome = cache.append_run([table_of[s] for s in arg[0]], arg[1])
+                elif op == "keep":
+                    outcome = total and cache.keep_path(table_of[sid], *arg)
+                elif op == "truncate":
+                    outcome = cache.truncate_tokens(table_of[sid], arg)
+                elif op == "release":
+                    outcome = cache.release_sequence(table_of.pop(sid))
+                else:
+                    outcome = cache.evict(arg)
+            except (ValueError, PoolExhausted) as exc:
+                outcome = type(exc).__name__, str(exc)
+            outcomes.append(outcome)
+        assert outcomes[0] == outcomes[1], (step, op)
+        assert tree_state(caches[0], tables[0], matches[0]) == tree_state(caches[1], tables[1], matches[1]), (step, op)
+
+
+def test_a_cap_eviction_of_the_cursor_stops_caching():
+    """``b`` chains under ``a``'s cached blocks without holding them, so at
+    the cap the eviction for ``b``'s third block takes ``b``'s cursor.
+    The block must not be cached below the evicted one, where no match
+    could reach it."""
+    cache = RadixKvCache(2, 16, 2, KV_HEADS, HEAD)
+    a = cache.start_sequence("a", [1, 2, 3, 4])
+    cache.commit_tokens(a, [1, 2, 3, 4])
+    cache.release_sequence(a)
+    b = cache.start_sequence("b", [9])
+    for run in ([1, 2], [3, 4], [5, 6]):
+        cache.commit_tokens(b, run)
+    assert cache.stats["evicted_blocks"] == 1
+    assert cache.pool_partition()["cached"] == cache.reachable_block_ids() == {0}
+    assert not cache._seqs["b"].caching_ok
+
+
+class TestRuns:
+    """A node holds a run of blocks; these pin what a split, a tail
+    eviction and growth in place must keep (block size 2)."""
+
+    def test_a_cursor_survives_a_split_of_its_run(self, small_cache):
+        # ``c`` matches only the first block of the run [1 2][3 4]; ``b``
+        # then splits the run there. ``c``'s next block goes below the
+        # head, beside [3 4] and [9 9].
+        build_seq(small_cache, "a", [1, 2, 3, 4])
+        c = small_cache.start_sequence("c", [1, 2, 7])
+        build_seq(small_cache, "b", [1, 2, 9, 9])
+        commit(small_cache, c, [7, 8], 2)
+        assert small_cache._seqs["c"].caching_ok
+        for tail in ([3, 4], [9, 9], [7, 8]):
+            small_cache.release_blocks(m := small_cache.match_prefix([1, 2, *tail]))
+            assert m.matched_len == 4
+
+    def test_a_block_cached_again_at_the_cursors_depth_is_not_the_cursor(self, small_cache):
+        # ``c`` chains under the released run [1 2][3 4] without holding
+        # it; [3 4] is evicted and ``d`` grows the run with [5 6] at the
+        # same depth. ``c`` must stop caching, not go on below [5 6].
+        small_cache.release_sequence(build_seq(small_cache, "a", [1, 2, 3, 4])[0])
+        c = small_cache.start_sequence("c", [9])
+        commit(small_cache, c, [1, 2, 3, 4], 0)
+        assert small_cache.evict(1) == 1
+        build_seq(small_cache, "d", [1, 2, 5, 6])
+        commit(small_cache, c, [7, 8], 4)
+        assert not small_cache._seqs["c"].caching_ok
+        small_cache.release_blocks(m := small_cache.match_prefix([1, 2, 5, 6, 7, 8]))
+        assert m.matched_len == 4
+
+    def test_a_split_run_keeps_its_place_among_its_siblings(self, small_cache):
+        # [1 2][3 4] and [1 3] both match one token of [1]; the first
+        # cached wins the tie, also after [1 2 5 6] splits its run.
+        a, _ = build_seq(small_cache, "a", [1, 2, 3, 4])
+        build_seq(small_cache, "b", [1, 3])
+        build_seq(small_cache, "c", [1, 2, 5, 6])
+        m = small_cache.match_prefix([1])
+        assert (m.matched_len, m.blocks) == (1, a.blocks[:1])
+
+
+def test_a_block_after_uncached_tokens_is_not_cached_at_the_cursor(small_cache):
+    """Positions 2-3 of ``a`` follow two kept non-cacheable tokens, so
+    they must not be cached as a prompt's first block."""
+    a = small_cache.start_sequence("a", [5])
+    small_cache.truncate_tokens(a, 0)
+    small_cache.commit_tokens(a, [1, 2], cacheable=False)
+    small_cache.commit_tokens(a, [3, 4])
+    assert small_cache.cached_block_count() == 0
+    assert small_cache.start_sequence("b", [3, 4, 9]).total_tokens == 0
 
 
 @settings(max_examples=200, deadline=None)
