@@ -95,6 +95,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"argument --seed: must be >= 0, not {args.seed}")
 
     if args.command == "gen-trace":
+        if args.vocab < 1:  # token ids are drawn from [0, vocab)
+            gen_p.error(f"argument --vocab: must be >= 1, not {args.vocab}")
         spec = args.spec_width, args.spec_depth
         if spec == (None, None):
             spec = None

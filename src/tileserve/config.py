@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 
-#: Rows and columns of the linear ops come in multiples of this: a chunk's
-#: M is padded up to it, and every weight's N must be a multiple of it.
+#: Every weight's N must be a multiple of this, and linear orderings are
+#: profiled from this M up.
 QUANTUM = 16
 
 

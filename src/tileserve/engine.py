@@ -102,8 +102,9 @@ class _ChunkPlan:
     blocks (None when unsplit) that ``schedule`` runs with. ``masks``
     holds the tree mask of each verify entry, by stage id (its place in
     the chunk's flat order, after the decode run).
-    ``linears`` holds each op's tile grid and task table, shared with
-    every chunk of the same M (see ``Engine._plan_linears``).
+    ``linears`` holds each op's task table, which carries its tile
+    grid, shared with every chunk of the same M (see
+    ``Engine._plan_linears``).
     """
 
     tiles: TileTable
@@ -111,7 +112,7 @@ class _ChunkPlan:
     schedule: Schedule
     split: int | None
     masks: dict[int, np.ndarray]
-    linears: dict[LinearOp, tuple[tuple[int, int], GridTable]]
+    linears: dict[LinearOp, GridTable]
 
 
 def _linear_ops(mcfg: ModelConfig) -> dict[LinearOp, tuple[int, int, TilePrimitive]]:
@@ -152,7 +153,7 @@ class Engine:
         self.cache = RadixKvCache.from_config(cfg, cfg.model.num_layers if model is not None else 0)
         self.store = ProfileStore()
         self._linear_ops = _linear_ops(cfg.model)
-        self._linear_plans: dict[int, dict[LinearOp, tuple[tuple[int, int], GridTable]]] = {}  # by chunk M
+        self._linear_plans: dict[int, dict[LinearOp, GridTable]] = {}  # by chunk M
         self._weights32 = self._cast_weights(model) if model is not None else None
         self.runtimes: dict[object, RequestState] = {}
         self.pending: list[EngineRequest] = []
@@ -249,20 +250,21 @@ class Engine:
             linears=self._plan_linears(chunk),
         )
 
-    def _plan_linears(self, chunk: Chunk) -> dict[LinearOp, tuple[tuple[int, int], GridTable]]:
-        """Each linear op's tile grid and task table at the chunk's M,
-        built once per M. The profile store is frozen after ``__init__``,
-        so (op, M) decides both; each table also keeps its priced result
-        (``GridTable.priced``), so a repeated M is not priced again."""
+    def _plan_linears(self, chunk: Chunk) -> dict[LinearOp, GridTable]:
+        """Each linear op's task table at the chunk's M, built once per M
+        on ``decompose_linear``'s grid, in the order profiled for M
+        smoothed up to a profiled size (row-major when none is). The
+        profile store is frozen after ``__init__``, so (op, M) decides
+        the table; it also keeps its priced result (``GridTable.priced``),
+        so a repeated M is not priced again."""
         m = chunk.total_tokens
         linears = self._linear_plans.get(m)
         if linears is None:
             linears = {}
             for op, (n, k, prim) in self._linear_ops.items():
-                grid = decompose_linear(chunk, n, prim.tile_m, prim.tile_n)
-                sizes = self.store.profiled_ms(op.value, n, k) or QUANTUM
-                smoothed = smooth_shape(m, self.cfg.budget, sizes)
-                linears[op] = grid, lookup_linear_tasktable(self.store, op, (smoothed, n, k), self.cfg.hw.core_num, grid)
+                grid = decompose_linear(m, n, prim.tile_m, prim.tile_n)
+                smoothed = smooth_shape(m, self.cfg.budget, self.store.profiled_ms(op.value, n, k))
+                linears[op] = lookup_linear_tasktable(self.store, op, (smoothed, n, k), self.cfg.hw.core_num, grid)
             self._linear_plans[m] = linears
         return linears
 
@@ -407,7 +409,7 @@ class Engine:
         return calls
 
     def _linear(self, plan: _ChunkPlan, a: np.ndarray, b: np.ndarray, op: LinearOp) -> np.ndarray:
-        return gemm_virtual_pad(a, b, self._linear_ops[op][2], plan.linears[op][1])
+        return gemm_virtual_pad(a, b, self._linear_ops[op][2], plan.linears[op])
 
     def _apply_logits(self, chunk: Chunk, logits: np.ndarray | None) -> None:
         """Pick each stage's tokens and record them on its request at the
@@ -506,9 +508,9 @@ class Engine:
             )
         }
         m = chunk.total_tokens
-        for op, (grid, table) in plan.linears.items():
+        for op, table in plan.linears.items():
             n, k, prim = self._linear_ops[op]
-            traces[op.value] = simulate_linear(grid, table, hw, prim, m, n, k)
+            traces[op.value] = simulate_linear(table.grid, table, hw, prim, m, n, k)
         span = cube = vector = 0.0
         op_span = self._op_span
         for name, trace in traces.items():

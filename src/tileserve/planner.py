@@ -12,12 +12,14 @@ result as it is, one core-major ``TileTable`` and each core's count,
 and the cost model prices that table directly; ``per_core`` slices it
 only for readers that want one core at a time. So a chunk is cut,
 sorted, dealt and priced by a fixed number of NumPy calls.
-Linear work is a 2-D grid over the padded result matrix whose visit
-order comes from the offline profile store. A ``GridTable`` holds that
-order as (row, col) int64 columns and deals cell c to core c mod k, so
-each core's tiles are a strided view of it: building a linear op's table
-is index arithmetic, not a Python list per cell. The GEMM kernel and the
-cost model read the same table.
+Linear work is a 2-D grid over the padded result matrix
+(``decompose_linear`` is its one size rule), walked in an order from the
+offline profile store. ``deal_round_robin`` is the one way to build a
+``GridTable``: it walks the grid with ``grid_order`` and keeps the grid
+with the (row, col) int64 columns, so a table covers its grid exactly
+once by construction, and cell c runs on core c mod k. Building a linear
+op's table is index arithmetic, not a Python list per cell. The GEMM
+kernel and the cost model read the same table and check only its grid.
 
 ``tile_reach`` is the one rule that decides how far a tile attends: the
 ``reach`` column holds it, and ``TileUnit.reach`` applies it to one unit.
@@ -35,17 +37,13 @@ from enum import Enum
 
 import numpy as np
 
-from .config import QUANTUM, ServeConfig
-from .profiles import ROW_MAJOR, MissingProfile, ProfileStore, grid_order
+from .config import ServeConfig
+from .profiles import ROW_MAJOR, MissingProfile, OrderingDescriptor, ProfileStore, grid_order
 from .scheduler import Chunk, Stage
 
 STAGES = tuple(Stage)  # a ``TileTable`` row's ``stage`` is an index into this
 _STAGE_CODE = {stage: code for code, stage in enumerate(STAGES)}
 _DECODE, _VERIFY = _STAGE_CODE[Stage.DECODE], _STAGE_CODE[Stage.VERIFY]
-
-
-class UnsupportedShape(ValueError):
-    """Linear op dimensions are not aligned to the hardware quantum."""
 
 
 def tile_reach(verify, kv_len, q_start, q_len, stage_tokens):
@@ -152,23 +150,17 @@ class TaskTable:
 
 @dataclass(frozen=True, eq=False)
 class GridTable:
-    """A linear op's task table: ``cells`` is an int64 [2, cells] array
-    of (row, col) grid tiles in visit order, and cell c runs on core
+    """A linear op's task table, built by ``deal_round_robin``: ``cells``
+    is an int64 [2, cells] array of the (row, col) tiles of the (rows,
+    cols) ``grid``, each once, in visit order, and cell c runs on core
     c mod ``core_num``. ``priced`` keeps the cost model's results for
     this table with their arguments (see ``simulate_linear``), so
-    pricing it again is a lookup, and ``covers`` the (rows, cols) grids
-    ``gemm_virtual_pad`` has checked it to cover once, so it checks each
-    grid once."""
+    pricing it again is a lookup."""
 
+    grid: tuple[int, int]
     cells: np.ndarray
     core_num: int
     priced: list = field(default_factory=list, repr=False)
-    covers: set = field(default_factory=set, repr=False)
-
-    @property
-    def per_core(self) -> tuple[np.ndarray, ...]:
-        """Each core's [2, tiles] (row, col) columns, in its run order."""
-        return tuple(self.cells[:, core :: self.core_num] for core in range(self.core_num))
 
 
 class LinearOp(Enum):
@@ -260,24 +252,10 @@ def _snake_deal(units: int, core_num: int) -> tuple[np.ndarray, tuple[int, ...]]
     return deal, tuple(np.bincount(core, minlength=core_num).tolist())
 
 
-def decompose_linear(
-    chunk: Chunk,
-    n_len: int,
-    tile_m: int,
-    tile_n: int,
-) -> tuple[int, int]:
-    """(row, col) tile counts of the (tokenNum x nLen) result matrix of
-    a linear op.
-
-    The M dimension is rounded up to ``QUANTUM``; virtual padding covers
-    the remainder.
-    """
-    if chunk.total_tokens < 1:
-        raise ValueError("chunk must be nonempty")
-    if n_len % QUANTUM != 0:
-        raise UnsupportedShape(f"nLen={n_len} is not a multiple of the quantum {QUANTUM}")
-    padded_m = _ceil_div(chunk.total_tokens, QUANTUM) * QUANTUM
-    return _ceil_div(padded_m, tile_m), _ceil_div(n_len, tile_n)
+def decompose_linear(m: int, n: int, tile_m: int, tile_n: int) -> tuple[int, int]:
+    """(row, col) tile counts of the (m x n) result matrix of a linear op;
+    virtual padding covers the last row and column of tiles."""
+    return _ceil_div(m, tile_m), _ceil_div(n, tile_n)
 
 
 def lookup_linear_tasktable(
@@ -287,25 +265,18 @@ def lookup_linear_tasktable(
     core_num: int,
     grid: tuple[int, int],
 ) -> GridTable:
-    """Per-core grid-tile order for a smoothed shape.
-
-    Falls back to row-major order when the shape was never profiled.
-    """
-    m, n, k = shape
+    """The task table of ``grid`` in the order profiled for a smoothed
+    shape, or in row-major order when the shape was never profiled."""
     try:
-        entry = store.get(op.value, m, n, k)
-        desc = entry.order
+        desc = store.get(op.value, *shape).order
     except MissingProfile:
         desc = ROW_MAJOR
-    return deal_round_robin(grid_order(desc, *grid), core_num)
+    return deal_round_robin(desc, grid, core_num)
 
 
-def deal_round_robin(order: np.ndarray, core_num: int) -> GridTable:
-    """Deal grid cells to cores in turn: cell c of ``order``, an int
-    [2, cells] (row, col) array, goes to core c mod k."""
-    order = np.asarray(order, dtype=np.int64)
-    if order.ndim != 2 or order.shape[0] != 2:
-        raise ValueError(f"order must be a [2, cells] (row, col) array, not {order.shape}")
+def deal_round_robin(desc: OrderingDescriptor, grid: tuple[int, int], core_num: int) -> GridTable:
+    """The task table of a (rows, cols) ``grid`` walked in ``desc``'s
+    order: cell c of the walk goes to core c mod k."""
     if core_num < 1:
         raise ValueError("core_num must be >= 1")
-    return GridTable(order, core_num)
+    return GridTable(grid, grid_order(desc, *grid), core_num)

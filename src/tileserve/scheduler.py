@@ -134,7 +134,10 @@ class TokenScheduler:
 
     def add_request(self, req: RequestState) -> None:
         if req.kv_len >= len(req.request.prompt):
-            raise ValueError("request needs at least one uncached prompt token")
+            raise ValueError(
+                f"request {req.request.req_id!r} needs at least one uncached prompt token;"
+                f" {req.kv_len} of its {len(req.request.prompt)} prompt tokens are cached"
+            )
         self._prefill.append(req)
 
     # ------------------------------------------------------------------

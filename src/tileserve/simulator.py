@@ -47,14 +47,8 @@ import numpy as np
 
 from .config import HwConfig
 from .gemm import TilePrimitive
-from .planner import GridTable, TaskTable, deal_round_robin
-from .profiles import (
-    CANDIDATE_ORDERINGS,
-    OrderingDescriptor,
-    ProfileEntry,
-    ProfileStore,
-    grid_order,
-)
+from .planner import GridTable, TaskTable, deal_round_robin, decompose_linear
+from .profiles import CANDIDATE_ORDERINGS, ProfileEntry, ProfileStore
 
 BYTES = 4  # fp32 everywhere
 
@@ -317,26 +311,27 @@ def simulate_linear(
     column are computed once per call; the loop then does plain int and
     float arithmetic, and only the LRU working set and the core heap are
     Python objects. Each core walks its cells of the table with a
-    cursor. The result is kept in ``tasktable.priced`` with the other
-    arguments, so pricing the same table again returns the same trace
-    object, which callers must not change. A table is priced under one
-    or two sets of arguments, so that store is a short list: a repeat
-    call passes the same objects, which compare equal by identity, and
-    builds or hashes no key.
+    cursor. The table covers its grid by construction, so it is checked
+    only to be for ``grid``; another grid raises ``ValueError``. The
+    result is kept in ``tasktable.priced`` with the other arguments, so
+    pricing the same table again returns the same trace object, which
+    callers must not change. A table is priced under one or two sets of
+    arguments, so that store is a short list: a repeat call passes the
+    same objects, which compare equal by identity, and builds or hashes
+    no key.
     """
     rows, cols = grid
     if rows < 1 or cols < 1:
         raise ValueError("grid must be nonempty")
+    if tasktable.grid != grid:
+        raise ValueError(f"task table is for the {tasktable.grid} grid, not {grid}")
     args = (grid, prim, m, n, k, hw)
     state = vars(hw)  # ``HwConfig`` is mutable: compare its values too
     for priced_args, priced_state, trace in tasktable.priced:
         if priced_args == args and priced_state == state:
             return trace
     cells = tasktable.cells
-    rows_of, cols_of = cells.tolist()
-    if rows_of and not (0 <= min(rows_of) and max(rows_of) < rows and 0 <= min(cols_of) and max(cols_of) < cols):
-        i, j = next((i, j) for i, j in zip(rows_of, cols_of) if not (0 <= i < rows and 0 <= j < cols))
-        raise ValueError(f"tile ({i}, {j}) outside grid {grid}")
+    rows_of = cells[0].tolist()
     # Panels 0..rows-1 are A's row-panels, rows..rows+cols-1 B's column-panels.
     rows_valid = np.minimum(prim.tile_m, m - np.arange(rows) * prim.tile_m)
     cols_valid = np.minimum(prim.tile_n, n - np.arange(cols) * prim.tile_n)
@@ -388,26 +383,17 @@ def profile_swizzle(
     shape: tuple[int, int, int],
     hw: HwConfig,
     prim: TilePrimitive,
-    candidates: tuple[OrderingDescriptor, ...] = CANDIDATE_ORDERINGS,
-    store: ProfileStore | None = None,
-) -> OrderingDescriptor:
-    """Pick the ordering with the lowest simulated makespan for a shape.
-
-    Ties keep the earliest candidate (row-major first in the canonical
-    list). The winner is recorded in the profile store when given.
-    """
+    store: ProfileStore,
+) -> None:
+    """Record in ``store`` the candidate ordering with the lowest
+    simulated makespan for a shape, on the grid ``decompose_linear``
+    gives it. Ties keep the earliest candidate (row-major first in the
+    canonical list)."""
     m, n, k = shape
-    rows = -(-m // prim.tile_m)
-    cols = -(-n // prim.tile_n)
-    best: OrderingDescriptor | None = None
-    best_span = float("inf")
-    for desc in candidates:
-        table = deal_round_robin(grid_order(desc, rows, cols), hw.core_num)
-        span = simulate_linear((rows, cols), table, hw, prim, m, n, k).makespan
-        if span < best_span:
-            best, best_span = desc, span
-    assert best is not None
-    if store is not None:
-        store.put(op, m, n, k, ProfileEntry(prim.tile_m, prim.tile_n, prim.tile_k, best))
-    return best
-
+    grid = decompose_linear(m, n, prim.tile_m, prim.tile_n)
+    spans = [
+        simulate_linear(grid, deal_round_robin(desc, grid, hw.core_num), hw, prim, m, n, k).makespan
+        for desc in CANDIDATE_ORDERINGS
+    ]
+    best = CANDIDATE_ORDERINGS[spans.index(min(spans))]
+    store.put(op, m, n, k, ProfileEntry(prim.tile_m, prim.tile_n, prim.tile_k, best))

@@ -87,9 +87,16 @@ class PerBlockKvCache(RadixKvCache):
     def truncate_tokens(self, table, keep_total: int) -> None:
         st = self._seqs[table.seq_id]
         if keep_total < 0 or keep_total > table.total_tokens:
-            raise ValueError("keep_total out of range")
-        if keep_total < self.cursor_depth(st.cursor) * self.block_size:
-            raise ValueError("cannot truncate into tree-cached prefix of this sequence")
+            raise ValueError(
+                f"sequence {table.seq_id!r}: keep_total {keep_total} out of range;"
+                f" it has {table.total_tokens} committed tokens"
+            )
+        cached = self.cursor_depth(st.cursor) * self.block_size
+        if keep_total < cached:
+            raise ValueError(
+                f"sequence {table.seq_id!r}: cannot truncate to keep_total {keep_total}"
+                f" inside its tree-cached prefix of {cached} tokens"
+            )
         keep_blocks = -(-keep_total // self.block_size)
         self._release_blocks(table.blocks[keep_blocks:])
         del table.blocks[keep_blocks:]

@@ -9,6 +9,7 @@ recorded simulate-mode run of mixed chunks."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -24,7 +25,7 @@ from tileserve.config import HwConfig, ModelConfig, ServeConfig
 from tileserve.engine import CHECK_TOL, Engine, EngineRequest, RejectedRequest
 from tileserve.kv_cache import PoolExhausted
 from tileserve.oracle import ToyModel, dense_forward, dense_tree_forward
-from tileserve.planner import STAGES, GridTable, LinearOp, TileTable
+from tileserve.planner import STAGES, LinearOp, TileTable
 from tileserve.scheduler import Stage
 from tileserve.simulator import simulate_linear
 from tileserve.trace import gen_trace, write_trace
@@ -193,9 +194,9 @@ def test_report_utilization_is_the_tick_weighted_busy_share(cfg, monkeypatch):
                 kv_split_blocks=plan.split,
             )
         ]
-        for op, (grid, table) in plan.linears.items():
+        for op, table in plan.linears.items():
             n, k, prim = engine._linear_ops[op]
-            traces.append(simulate_linear(grid, GridTable(table.cells, table.core_num), hw, prim, m, n, k))
+            traces.append(simulate_linear(table.grid, dataclasses.replace(table, priced=[]), hw, prim, m, n, k))
         for trace in traces:
             span += trace.makespan
             for unit in busy:

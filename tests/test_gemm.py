@@ -1,5 +1,5 @@
 """Virtually padded GEMM against ``@`` for any M and any task order, and
-the task table's check that it covers the grid."""
+the refusal of a task table built for another grid."""
 
 from __future__ import annotations
 
@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tileserve.config import HwConfig
 from tileserve.gemm import SUPPORTED_TILE_K, ShapeMismatch, TilePrimitive, gemm_virtual_pad
 from tileserve.planner import deal_round_robin
-from tileserve.profiles import CANDIDATE_ORDERINGS, ROW_MAJOR, grid_order
+from tileserve.profiles import CANDIDATE_ORDERINGS, ROW_MAJOR
+from tileserve.simulator import simulate_linear
 
 
 @settings(max_examples=40, deadline=None)
@@ -34,7 +36,7 @@ def test_any_m_any_order_matches_matmul(m, n_tiles, tile_m, tile_n, tile_k, k_st
     first = None
     for desc in CANDIDATE_ORDERINGS:
         for cores in range(1, 5):
-            got = gemm_virtual_pad(a, b, prim, deal_round_robin(grid_order(desc, rows, cols), cores))
+            got = gemm_virtual_pad(a, b, prim, deal_round_robin(desc, (rows, cols), cores))
             if first is None:
                 first = got
             assert np.array_equal(got, first), (desc, cores)
@@ -44,37 +46,16 @@ def test_any_m_any_order_matches_matmul(m, n_tiles, tile_m, tile_n, tile_k, k_st
     assert (np.abs(first - a64 @ b64) <= bound).all()
 
 
-def test_a_table_that_misses_repeats_or_overruns_a_tile_is_refused():
+def test_a_table_built_for_another_grid_is_refused():
+    """GEMM and pricing both refuse a table whose grid is not the one they
+    run, and accept it on its own grid."""
     prim = TilePrimitive(tile_m=16, tile_n=16, tile_k=64)
-    a = np.ones((20, 64), dtype=np.float32)
-    b = np.ones((64, 32), dtype=np.float32)  # a 2 x 2 tile grid
-    full = grid_order(ROW_MAJOR, 2, 2)
-    for cells, message in (
-        (full[:, :3], r"does not cover the \(2, 2\) grid once"),
-        (full[:, [0, 1, 2, 2]], r"does not cover the \(2, 2\) grid once"),
-        (np.hstack((full, [[2], [0]])), r"tile \(2, 0\) outside grid \(2, 2\)"),
-    ):
-        with pytest.raises(ShapeMismatch, match=message):
-            gemm_virtual_pad(a, b, prim, deal_round_robin(cells, 2))
-
-
-def test_a_table_is_checked_once_per_grid_and_a_failing_one_every_time():
-    """A table that covers a grid remembers it and is not checked against
-    it again; one that fails is refused on its first use and on every
-    later one, and a new grid is checked on its first use."""
-    prim = TilePrimitive(tile_m=16, tile_n=16, tile_k=64)
+    hw = HwConfig()
     b = np.ones((64, 32), dtype=np.float32)  # two tile columns
-    table = deal_round_robin(grid_order(ROW_MAJOR, 2, 2), 2)
-    assert not table.covers
+    table = deal_round_robin(ROW_MAJOR, (2, 2), 2)
     gemm_virtual_pad(np.ones((20, 64), dtype=np.float32), b, prim, table)
-    assert table.covers == {(2, 2)}
-    gemm_virtual_pad(np.ones((32, 64), dtype=np.float32), b, prim, table)  # the same 2 x 2 grid
-    assert table.covers == {(2, 2)}
-    with pytest.raises(ShapeMismatch, match=r"tile \(1, 0\) outside grid \(1, 2\)"):
+    simulate_linear((2, 2), table, hw, prim, 20, 32, 64)
+    with pytest.raises(ShapeMismatch, match=r"task table is for the \(2, 2\) grid, not \(1, 2\)"):
         gemm_virtual_pad(np.ones((16, 64), dtype=np.float32), b, prim, table)
-    assert table.covers == {(2, 2)}
-    short = deal_round_robin(grid_order(ROW_MAJOR, 2, 2)[:, :3], 2)
-    for _ in range(2):
-        with pytest.raises(ShapeMismatch, match=r"does not cover the \(2, 2\) grid once"):
-            gemm_virtual_pad(np.ones((20, 64), dtype=np.float32), b, prim, short)
-    assert not short.covers
+    with pytest.raises(ValueError, match=r"task table is for the \(2, 2\) grid, not \(3, 2\)"):
+        simulate_linear((3, 2), table, hw, prim, 48, 32, 64)

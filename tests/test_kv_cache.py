@@ -202,6 +202,17 @@ class TestCommit:
         commit(small_cache, table, [4, 5], 3)
         assert small_cache.free_block_count() <= free_before
 
+    def test_a_refused_truncation_names_the_sequence_and_the_bound(self, small_cache):
+        table = small_cache.start_sequence("s0", [1, 2, 3, 4, 5])
+        commit(small_cache, table, [1, 2, 3], 0)  # block [1, 2] is cached
+        with pytest.raises(ValueError, match=r"^sequence 's0': keep_total 4 out of range; it has 3 committed tokens$"):
+            small_cache.truncate_tokens(table, 4)
+        with pytest.raises(
+            ValueError, match=r"^sequence 's0': cannot truncate to keep_total 1 inside its tree-cached prefix of 2 tokens$"
+        ):
+            small_cache.truncate_tokens(table, 1)
+        assert table.total_tokens == 3
+
     def test_release_frees_private_blocks_in_table_order(self, small_cache):
         """Uncached blocks go back on the free list in table order; an
         unreferenced cached leaf becomes evictable instead."""

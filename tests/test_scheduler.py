@@ -154,6 +154,8 @@ def test_a_refused_request_leaves_its_id_free():
     sched = TokenScheduler(budget=8)
     with pytest.raises(ValueError, match="at least one uncached prompt token"):
         sched.add_request(record("a", 1, 1, kv_len=1))
+    with pytest.raises(ValueError, match=r"^request 'a' needs .*; 3 of its 3 prompt tokens are cached$"):
+        sched.add_request(record("a", 3, 1, kv_len=3))
     sched.add_request(record("a", 1, 1))
     chunk = sched.schedule_next()
     assert ids(e.req for e in chunk.entries) == ["a"]

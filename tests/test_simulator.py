@@ -345,14 +345,6 @@ class TestPlanSplits:
             plan_splits(n_blocks, split)
 
 
-def test_deal_round_robin():
-    cells = [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
-    table = deal_round_robin(np.array(cells).T, 2)
-    assert [core.T.tolist() for core in table.per_core] == [[[0, 0], [1, 0], [2, 0]], [[0, 1], [1, 1]]]
-    empty = deal_round_robin(np.empty((2, 0), dtype=np.int64), 3)
-    assert [core.T.tolist() for core in empty.per_core] == [[], [], []]
-
-
 # -- linear pricing ------------------------------------------------------------
 
 
@@ -416,12 +408,15 @@ def reference_simulate_linear(grid, order, core_num, hw, prim, m, n, k) -> dict:
 
 
 def assert_prices_like_the_reference(desc, grid, core_num, hw, prim, m, n, k) -> dict:
-    """Columnar order, dealing and pricing equal the reference bit for bit;
-    pricing the table again returns the stored trace, unless an argument
-    changed."""
+    """Columnar order, dealing and pricing equal the reference bit for bit,
+    and the order visits every cell of the grid exactly once; pricing the
+    table again returns the stored trace, unless an argument changed."""
     order = grid_order(desc, *grid)
-    assert list(zip(*order.tolist())) == reference_grid_order(desc, *grid)
-    table = deal_round_robin(order, core_num)
+    walk = list(zip(*order.tolist()))
+    assert walk == reference_grid_order(desc, *grid)
+    assert sorted(walk) == [(i, j) for i in range(grid[0]) for j in range(grid[1])]  # every cell once
+    table = deal_round_robin(desc, grid, core_num)
+    assert table.grid == grid and np.array_equal(table.cells, order)
     trace = simulate_linear(grid, table, hw, prim, m, n, k)
     ref = reference_simulate_linear(grid, reference_grid_order(desc, *grid), core_num, hw, prim, m, n, k)
     assert trace.makespan == ref["makespan"]
@@ -430,7 +425,7 @@ def assert_prices_like_the_reference(desc, grid, core_num, hw, prim, m, n, k) ->
     # The stored result is keyed by every argument: other rates price afresh.
     slower = dataclasses.replace(hw, hbm_bytes_per_tick=hw.hbm_bytes_per_tick / 2)
     again = simulate_linear(grid, table, slower, prim, m, n, k)
-    assert again.makespan == simulate_linear(grid, deal_round_robin(order, core_num), slower, prim, m, n, k).makespan
+    assert again.makespan == simulate_linear(grid, deal_round_robin(desc, grid, core_num), slower, prim, m, n, k).makespan
     assert again.makespan > trace.makespan
     return ref
 

@@ -121,6 +121,18 @@ def test_gen_trace_refuses_a_spec_that_run_would_refuse_or_drop(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("vocab", ["0", "-3"])
+def test_gen_trace_refuses_an_empty_vocabulary(tmp_path, capsys, vocab):
+    """Token ids are drawn below ``--vocab``, so it must be >= 1: a usage
+    error that names the flag, and no trace is written."""
+    out = tmp_path / "t.jsonl"
+    with pytest.raises(SystemExit) as err:
+        cli.main(["gen-trace", "--profile", "sharegpt_like", "--count", "2", "--out", str(out), "--vocab", vocab])
+    assert err.value.code == 2
+    assert f"argument --vocab: must be >= 1, not {vocab}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec_args, spec", [(["--spec-width", "2", "--spec-depth", "3"], (2, 3)), ([], None)])
 def test_gen_trace_writes_a_spec_that_run_serves(tmp_path, spec_args, spec):
     out = tmp_path / "t.jsonl"
