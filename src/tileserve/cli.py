@@ -5,9 +5,12 @@ serving loop, either numerically on the toy model (``--check`` checks
 it row by row against a dense recompute) or cost-only on the
 accelerator model, with no model weights or K/V pools to check.
 ``tileserve gen-trace`` writes synthetic traces. Exit codes: 0 success,
-2 usage, parse or config error or a request no chunk can serve, 3 failed
-oracle check, 4 K/V pool exhausted (a chunk needed more blocks than
-eviction could free).
+2 usage, parse or config error, a request no chunk can serve, or a file
+that cannot be read or written (a missing or directory ``--trace`` or
+``--config``, a ``--report``, ``--plot-csv`` or ``gen-trace --out`` path
+in a missing directory or naming a directory), 3 failed oracle check,
+4 K/V pool exhausted (a chunk needed more blocks than eviction could
+free).
 """
 
 from __future__ import annotations
@@ -109,7 +112,11 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        write_trace(rows, args.out)
+        try:
+            write_trace(rows, args.out)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {len(rows)} requests to {args.out}")
         return 0
 
@@ -125,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed,
             profile_linear=args.profile_linear,
         )
-    except (ParseError, ConfigError, RejectedRequest, FileNotFoundError) as exc:
+    except (ParseError, ConfigError, RejectedRequest, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OracleCheckFailure as exc:
@@ -136,16 +143,20 @@ def main(argv: list[str] | None = None) -> int:
         return 4
 
     text = json.dumps(report, indent=2, sort_keys=True)
-    if args.report:
-        Path(args.report).write_text(text + "\n")
-    else:
-        print(text)
-    if args.plot_csv:
-        lines = ["ts,metric,value"]
-        arrivals = {req.req_id: req.arrival for req in requests}
-        for ts, metric, value in _plot_rows(report, arrivals):
-            lines.append(f"{ts!r},{metric},{value!r}")
-        Path(args.plot_csv).write_text("\n".join(lines) + "\n")
+    try:
+        if args.report:
+            Path(args.report).write_text(text + "\n")
+        else:
+            print(text)
+        if args.plot_csv:
+            lines = ["ts,metric,value"]
+            arrivals = {req.req_id: req.arrival for req in requests}
+            for ts, metric, value in _plot_rows(report, arrivals):
+                lines.append(f"{ts!r},{metric},{value!r}")
+            Path(args.plot_csv).write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -354,6 +354,7 @@ class Engine:
         scatter per pool through the cache's row views."""
         cfg = self.cfg.model
         heads, kv_heads, head_size = cfg.num_heads, cfg.num_kv_heads, cfg.head_size
+        half = cfg.intermediate_size  # gate's columns, then up's
         w = self._weights32
         n = len(tokens)
         x = w["embed"][np.asarray(tokens)] + w["pos"][np.asarray(positions)]
@@ -383,7 +384,7 @@ class Engine:
             x = x + self._linear(plan, attn, layer["wo"], LinearOp.O_PROJ)
             hidden = rms_norm(x, layer["norm2"])
             gu = self._linear(plan, hidden, layer["wgu"], LinearOp.GATE_UP)
-            gate, up = np.split(gu, 2, axis=1)
+            gate, up = gu[:, :half], gu[:, half:]
             x = x + self._linear(plan, silu(gate) * up, layer["wdown"], LinearOp.DOWN)
 
         return rms_norm(x, w["final_norm"]) @ w["lm_head"]

@@ -29,7 +29,9 @@ A table keeps its priced result, and the engine keeps one table per
 linear op and chunk M, so a repeated M is priced by a lookup. The engine
 still makes one ``simulate_linear`` call per op and chunk: tracing from
 outside counts linear ticks from the calls it sees, and a skipped call
-would undercount them.
+would undercount them. ``profile_swizzle`` prices each distinct walk of
+a grid once, and stores no entry for a grid of one row or one column,
+whose candidates all walk the same cells.
 
 Costs are plain rate models (work divided by unit rate); time is
 abstract ticks. Identical inputs produce byte-identical traces.
@@ -48,7 +50,7 @@ import numpy as np
 from .config import HwConfig
 from .gemm import TilePrimitive
 from .planner import GridTable, TaskTable, deal_round_robin, decompose_linear
-from .profiles import CANDIDATE_ORDERINGS, ProfileEntry, ProfileStore
+from .profiles import CANDIDATE_ORDERINGS, OrderingDescriptor, ProfileEntry, ProfileStore
 
 BYTES = 4  # fp32 everywhere
 
@@ -388,12 +390,23 @@ def profile_swizzle(
     """Record in ``store`` the candidate ordering with the lowest
     simulated makespan for a shape, on the grid ``decompose_linear``
     gives it. Ties keep the earliest candidate (row-major first in the
-    canonical list)."""
+    canonical list).
+
+    Each distinct walk is priced once: a candidate whose cells equal an
+    earlier candidate's would price the same and lose the tie, so it is
+    skipped. A grid of one row or one column has one walk, and nothing is
+    priced or stored for it: every M that smooths to this size or below
+    also has one row or one column, and the row-major fallback of
+    ``lookup_linear_tasktable`` walks the same cells."""
     m, n, k = shape
     grid = decompose_linear(m, n, prim.tile_m, prim.tile_n)
-    spans = [
-        simulate_linear(grid, deal_round_robin(desc, grid, hw.core_num), hw, prim, m, n, k).makespan
-        for desc in CANDIDATE_ORDERINGS
-    ]
-    best = CANDIDATE_ORDERINGS[spans.index(min(spans))]
+    walks: list[tuple[OrderingDescriptor, GridTable]] = []
+    for desc in CANDIDATE_ORDERINGS:
+        table = deal_round_robin(desc, grid, hw.core_num)
+        if not any(np.array_equal(table.cells, walked.cells) for _, walked in walks):
+            walks.append((desc, table))
+    if len(walks) == 1:
+        return
+    spans = [simulate_linear(grid, table, hw, prim, m, n, k).makespan for _, table in walks]
+    best = walks[spans.index(min(spans))][0]
     store.put(op, m, n, k, ProfileEntry(prim.tile_m, prim.tile_n, prim.tile_k, best))

@@ -59,6 +59,8 @@ def parse_trace(path: str | Path, vocab_size: int | None = None) -> list[EngineR
         for key in ("id", "arrival", "prompt", "output_len"):
             if key not in obj:
                 raise ParseError(line_no, f"missing field {key!r}")
+        if type(obj["id"]) not in (str, int):  # not a bool, float, null, list or object
+            raise ParseError(line_no, "id must be a string or an integer")
         req_id = str(obj["id"])
         if req_id in seen:
             raise ParseError(line_no, f"duplicate request id {req_id!r}")

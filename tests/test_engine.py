@@ -21,6 +21,7 @@ import pytest
 
 from tileserve import cli
 from tileserve import engine as engine_mod
+from tileserve import simulator as simulator_mod
 from tileserve.config import HwConfig, ModelConfig, ServeConfig
 from tileserve.engine import CHECK_TOL, Engine, EngineRequest, RejectedRequest
 from tileserve.kv_cache import PoolExhausted
@@ -31,6 +32,7 @@ from tileserve.simulator import simulate_linear
 from tileserve.trace import gen_trace, write_trace
 
 from attention_events import trace_attention
+from exhaustive_profile import exhaustive_profile_swizzle
 
 # Speculative requests whose output_len often cuts an accepted path short.
 TRACE = gen_trace("sharegpt_like", 4, 12, spec=(2, 3), mean_prompt=24, mean_output=8)
@@ -51,9 +53,12 @@ def cfg(request) -> ServeConfig:
     return CONFIGS[request.param]()
 
 
-def run_engine(cfg: ServeConfig, numeric: bool, check: bool = False, trace: list[dict] = TRACE) -> Engine:
+def run_engine(
+    cfg: ServeConfig, numeric: bool, check: bool = False, trace: list[dict] = TRACE, profile_linear: bool = False
+) -> Engine:
     """Serve ``trace`` with the seeded toy model (numeric) or without a model (simulate)."""
-    engine = Engine(cfg, ToyModel.seeded(cfg.model, seed=0) if numeric else None, check=check)
+    model = ToyModel.seeded(cfg.model, seed=0) if numeric else None
+    engine = Engine(cfg, model, check=check, profile_linear=profile_linear)
     for row in trace:
         spec = row["spec"]
         engine.submit(
@@ -140,6 +145,52 @@ def test_linear_memo_holds_each_op_and_m_once_and_changes_no_result(cfg, numeric
     fresh = run_engine(cfg, numeric)
     assert json.dumps(fresh.chunk_log) == json.dumps(engine.chunk_log)
     assert json.dumps(fresh.report()) == json.dumps(engine.report())
+
+
+WIDE = ModelConfig(hidden_size=256, num_heads=16, num_kv_heads=4, intermediate_size=512)
+PROFILED_CONFIGS = {
+    # Only gate-up has two tile columns; QKV, O-proj and down have one.
+    "default": lambda: ServeConfig(budget=128),
+    # Every op has two or more tile columns.
+    "wide": lambda: ServeConfig(budget=128, model=WIDE),
+    # A 256 KB L2 makes col-major win some of the wide shapes.
+    "wide_small_l2": lambda: ServeConfig(budget=128, model=WIDE, hw=HwConfig(l2_bytes=256 * 1024)),
+}
+
+
+@pytest.mark.parametrize("name", list(PROFILED_CONFIGS))
+def test_profiling_serves_what_the_exhaustive_sweep_serves(name, monkeypatch):
+    """An engine that prices each distinct walk once logs, reports and
+    serves the same bytes and task tables as one that prices every
+    candidate of every profiled shape, chunks of one tile row included."""
+    engine = run_engine(PROFILED_CONFIGS[name](), numeric=False, trace=MIXED_TRACE, profile_linear=True)
+    monkeypatch.setattr(engine_mod, "profile_swizzle", exhaustive_profile_swizzle)
+    reference = run_engine(PROFILED_CONFIGS[name](), numeric=False, trace=MIXED_TRACE, profile_linear=True)
+    assert min(engine._linear_plans) <= 16  # a chunk whose grids have one row
+    assert json.dumps(engine.chunk_log) == json.dumps(reference.chunk_log)
+    assert json.dumps(engine.report()) == json.dumps(reference.report())
+    assert engine._linear_plans.keys() == reference._linear_plans.keys()
+    for m, plans in engine._linear_plans.items():
+        for op, table in plans.items():
+            assert np.array_equal(table.cells, reference._linear_plans[m][op].cells), (m, op)
+
+
+def test_default_profiling_prices_gate_up_by_two_walks(monkeypatch):
+    """At the default shape every walk of QKV, O-proj and down is the same
+    one column, and gate-up's grid at M = 16 is one row; so profiling
+    prices gate-up's row-major and col-major walks at M = 32 .. 4096 and
+    nothing else."""
+    priced = Counter()
+    real_simulate_linear = simulator_mod.simulate_linear
+
+    def simulate_linear(grid, table, hw, prim, m, n, k):
+        priced[m, n] += 1
+        return real_simulate_linear(grid, table, hw, prim, m, n, k)
+
+    monkeypatch.setattr(simulator_mod, "simulate_linear", simulate_linear)
+    Engine(ServeConfig(), profile_linear=True)
+    gate_up_n = 2 * ModelConfig().intermediate_size
+    assert priced == {(m, gate_up_n): 2 for m in (32, 64, 128, 256, 512, 1024, 2048, 4096)}
 
 
 def test_report_op_ticks_split_the_chunk_ticks_and_budget_fill_is_their_mean_fill(cfg, monkeypatch):

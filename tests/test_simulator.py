@@ -1,6 +1,7 @@
 """Cost model: the attention closed form against the event-by-event
-reference and against the per-core loop it replaced, and linear pricing
-against the tile-by-tile loop it replaced."""
+reference and against the per-core loop it replaced, linear pricing
+against the tile-by-tile loop it replaced, and ordering profiles against
+the exhaustive sweep."""
 
 from __future__ import annotations
 
@@ -15,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from tileserve.attention import plan_splits
 from tileserve.config import HwConfig
-from tileserve.gemm import SUPPORTED_TILE_K, TilePrimitive
-from tileserve.planner import TaskTable, TileTable, TileUnit, deal_round_robin
-from tileserve.profiles import CANDIDATE_ORDERINGS, ROW_MAJOR, grid_order
+from tileserve.gemm import SUPPORTED_TILE_K, SUPPORTED_TILE_MN, TilePrimitive
+from tileserve.planner import TaskTable, TileTable, TileUnit, deal_round_robin, decompose_linear
+from tileserve.profiles import CANDIDATE_ORDERINGS, ROW_MAJOR, MissingProfile, ProfileStore, grid_order
 from tileserve.scheduler import Stage
 from tileserve.simulator import (
     _KIND_ROW,
@@ -29,11 +30,13 @@ from tileserve.simulator import (
     SimTrace,
     _rounds,
     _slot_table,
+    profile_swizzle,
     simulate_attention,
     simulate_linear,
 )
 
 from attention_events import trace_attention
+from exhaustive_profile import exhaustive_profile_swizzle
 
 HWS = (
     HwConfig(),
@@ -475,3 +478,43 @@ def test_7b_qkv_grid_prices_like_the_reference_while_evicting():
     for desc in (ROW_MAJOR, *CANDIDATE_ORDERINGS[1:]):
         ref = assert_prices_like_the_reference(desc, (256, 48), hw.core_num, hw, prim, m, n, k)
         assert ref["evictions"] > 256 + 48  # panels leave L2 and come back
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 600),
+    n_quanta=st.integers(1, 32),
+    k=st.sampled_from((64, 128, 256)),
+    tile_m=st.sampled_from(SUPPORTED_TILE_MN),
+    tile_n=st.sampled_from(SUPPORTED_TILE_MN),
+    tile_k=st.sampled_from(SUPPORTED_TILE_K),
+    core_num=st.integers(1, 6),
+    l2_frac=st.floats(0.0, 1.5),
+    rates=st.sampled_from(((1024.0, 8192.0), (3.0, 10.0))),
+)
+def test_profiling_stores_what_the_exhaustive_sweep_stores(
+    m, n_quanta, k, tile_m, tile_n, tile_k, core_num, l2_frac, rates
+):
+    """On a grid of two or more rows and columns, pricing each distinct
+    walk once stores the entry that pricing every candidate stores. On a
+    grid of one row or one column, every candidate walks the row-major
+    cells, and nothing is stored."""
+    n = 16 * n_quanta
+    prim = TilePrimitive(tile_m=tile_m, tile_n=tile_n, tile_k=tile_k)
+    hw = HwConfig(
+        core_num=core_num,
+        l2_bytes=int(l2_frac * (m + n) * k * BYTES),
+        hbm_bytes_per_tick=rates[0],
+        l2_hit_bytes_per_tick=rates[1],
+    )
+    store, reference = ProfileStore(), ProfileStore()
+    profile_swizzle("op", (m, n, k), hw, prim, store)
+    exhaustive_profile_swizzle("op", (m, n, k), hw, prim, reference)
+    grid = decompose_linear(m, n, tile_m, tile_n)
+    if min(grid) >= 2:
+        assert store.get("op", m, n, k) == reference.get("op", m, n, k)
+    else:
+        with pytest.raises(MissingProfile):
+            store.get("op", m, n, k)
+        row_major = grid_order(ROW_MAJOR, *grid)
+        assert all(np.array_equal(grid_order(desc, *grid), row_major) for desc in CANDIDATE_ORDERINGS)

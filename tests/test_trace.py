@@ -60,6 +60,10 @@ NEXT_ROW = {**GOOD_ROW, "id": "r1"}  # the row after it, with one field edited
         ('"r0"', "expected a JSON object"),
         ("null", "expected a JSON object"),
         *[
+            (json.dumps({**NEXT_ROW, "id": req_id}), "id must be a string or an integer")
+            for req_id in (None, True, 1.0, 7.5, ["r1"], {"id": "r1"})
+        ],
+        *[
             (json.dumps({**NEXT_ROW, "arrival": arrival}), "arrival must be a non-negative integer")
             for arrival in ("x", 1.7, 1.0, -3, True, None, [0])
         ],
@@ -80,15 +84,44 @@ NEXT_ROW = {**GOOD_ROW, "id": "r1"}  # the row after it, with one field edited
     ],
 )
 def test_a_malformed_line_is_refused_on_its_line(tmp_path, capsys, line, message):
-    """A line that is not an object, or whose arrival, output_len or spec
-    sizes are not ints in range, is a ``ParseError`` naming the line, and
-    ``run`` exits 2."""
+    """A line that is not an object, whose id is neither a string nor an
+    int, or whose arrival, output_len or spec sizes are not ints in range,
+    is a ``ParseError`` naming the line, and ``run`` exits 2."""
     path = tmp_path / "trace.jsonl"
     path.write_text(json.dumps(GOOD_ROW) + "\n" + line + "\n")
     with pytest.raises(ParseError, match=f"^trace line 2: {message}$"):
         parse_trace(path)
     assert cli.main(["run", "--trace", str(path), "--mode", "simulate"]) == 2
     assert capsys.readouterr().err == f"error: trace line 2: {message}\n"
+
+
+def test_an_int_id_parses_as_its_string(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    path.write_text(json.dumps({**GOOD_ROW, "id": 7}) + "\n")
+    (request,) = parse_trace(path)
+    assert request.req_id == "7"
+
+
+@pytest.mark.parametrize(
+    "args, bad",
+    [
+        (["run", "--trace", "{trace}", "--report", "{tmp}/missing/x.json"], "{tmp}/missing/x.json"),
+        (["run", "--trace", "{trace}", "--plot-csv", "{tmp}"], "{tmp}"),
+        (["run", "--trace", "{trace}", "--config", "{tmp}"], "{tmp}"),
+        (["run", "--trace", "{tmp}"], "{tmp}"),
+        (["gen-trace", "--profile", "sharegpt_like", "--count", "2", "--out", "{tmp}/missing/t.jsonl"], "{tmp}/missing/t.jsonl"),
+    ],
+    ids=["report_in_missing_dir", "plot_csv_is_dir", "config_is_dir", "trace_is_dir", "out_in_missing_dir"],
+)
+def test_a_file_argument_that_cannot_be_read_or_written_exits_2(tmp_path, capsys, args, bad):
+    """A path in a missing directory or naming a directory is an error
+    that names the path, with exit 2, not a raised ``OSError``."""
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps(GOOD_ROW) + "\n")
+    fill = {"trace": str(trace), "tmp": str(tmp_path)}
+    assert cli.main([arg.format(**fill) for arg in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(bad.format(**fill)) in err
 
 
 @pytest.mark.parametrize("command", ["run", "gen-trace"])
