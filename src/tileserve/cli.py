@@ -8,7 +8,8 @@ accelerator model, with no model weights or K/V pools to check.
 2 usage, parse or config error, a request no chunk can serve, or a file
 that cannot be read or written (a missing or directory ``--trace`` or
 ``--config``, a ``--report``, ``--plot-csv`` or ``gen-trace --out`` path
-in a missing directory or naming a directory), 3 failed oracle check,
+in a missing directory or naming a directory; ``run`` checks its output
+paths before it serves the trace), 3 failed oracle check,
 4 K/V pool exhausted (a chunk needed more blocks than eviction could
 free).
 """
@@ -16,7 +17,9 @@ free).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -51,6 +54,17 @@ def run_trace(
     for req in requests:
         engine.submit(req)
     return engine.run(), requests
+
+
+def _check_writable(path: str) -> None:
+    """Raise the ``OSError`` that writing ``path`` would raise if its
+    directory is missing or it names a directory, without creating it, so
+    that a run which could not write its result fails before serving."""
+    target = Path(path)
+    if target.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not target.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _plot_rows(report: dict, arrivals: dict[str, int]) -> list[tuple[float, str, float]]:
@@ -124,6 +138,9 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --check needs --mode numeric", file=sys.stderr)
         return 2
     try:
+        for path in (args.report, args.plot_csv):
+            if path:
+                _check_writable(path)
         report, requests = run_trace(
             args.trace,
             args.config,

@@ -44,10 +44,13 @@ stays in the cache: ``RadixKvCache.keep_path`` rolls it back to the
 accepted path. Without one (simulate mode) it reads only the
 ``ModelConfig``, holds no weights or pool rows, draws seeded tokens and
 cannot ``check``; its seeded draws pick a verify's accepted depth and
-then one branch per level, so in both modes the kept path is a chain
-from the root. A speculative request's next tree is drafted once the
-tokens a chunk delivered are on its record, by prompt lookup over its
-prompt and outputs (``SeededProposer``). Both modes price the work in
+then one branch per level, and a drawn branch the tree lacks ends the
+path, so in both modes the kept path is a chain from the root. A
+speculative request's next tree is drafted once the tokens a chunk
+delivered are on its record, by prompt lookup over its prompt and
+outputs (``SeededProposer``): a ragged tree within the request's
+(width, depth) that holds only the nodes a match of two or more tokens
+backs, so no verify row goes to a guess. Both modes price the work in
 model ticks.
 """
 
@@ -165,6 +168,7 @@ class Engine:
         self._unit_busy = {"cube": 0.0, "vector": 0.0}  # ticks of one layer, over every priced chunk
         self._priced_span = 0.0  # their makespans, summed
         self._op_span = dict.fromkeys(("attention", *(op.value for op in LinearOp)), 0.0)  # one layer's, by op
+        self._spec = dict.fromkeys(("verifies", "rows", "delivered"), 0)  # verify entries, their tree rows, tokens
         if profile_linear:
             self._profile_linears()
 
@@ -183,9 +187,10 @@ class Engine:
         if req.spec is not None:
             width, depth = req.spec
             budget = self.sched.budget
-            # A verify tree runs whole in one chunk. full_tree has width**level
-            # nodes on each of its depth levels, so a tree deeper than the
-            # budget cannot fit, whatever its width.
+            # A verify tree runs whole in one chunk, and a drafted tree is at
+            # most full_tree's shape: width**level nodes on each of its depth
+            # levels. A tree deeper than the budget could not fit, whatever
+            # its width.
             size = depth if depth > budget else sum(width**level for level in range(depth))
             if size > budget:
                 at_least = "at least " if depth > budget else ""
@@ -455,14 +460,20 @@ class Engine:
     def _accept_verify(self, entry: ChunkEntry, logits: np.ndarray | None) -> None:
         """Keep the accepted root path of a verify entry's tree in the
         cache and deliver its tokens and the bonus pick. In simulate mode
-        seeded draws pick the path: its depth, then one branch per level,
-        so it is a chain from the root as in numeric mode."""
+        seeded draws pick the path: its depth, then one branch in
+        ``range(width)`` per level, so it is a chain from the root as in
+        numeric mode. A drafted tree is ragged, so a drawn branch that has
+        no child ends the path early; on a full-shape tree every drawn
+        branch exists."""
         rs, tree = entry.req, entry.spec_tree
         if logits is None:
             width, depth = rs.request.spec
             path = [0]
             for branch in self.rng.integers(width, size=int(self.rng.integers(depth))).tolist():
-                path.append(tree.children(path[-1])[branch])
+                children = tree.children(path[-1])
+                if branch >= len(children):
+                    break
+                path.append(children[branch])
         else:
             target_next = logits[entry.start_pos : entry.start_pos + tree.spec_len].argmax(axis=1).tolist()
             path = verify_accept(tree, target_next, rs.outputs[-1])
@@ -477,6 +488,10 @@ class Engine:
                 rs.logits_rows[entry.kv_len + j] = logits[entry.start_pos + node].copy()
         rs.outputs.extend(delivered)
         rs.token_ticks.extend([self.ticks] * len(delivered))
+        spec = self._spec
+        spec["verifies"] += 1
+        spec["rows"] += tree.spec_len
+        spec["delivered"] += len(delivered)
         if not rs.done:
             rs.spec_tree = self._propose(rs)
 
@@ -484,8 +499,7 @@ class Engine:
         """The next tree of ``rs``, rooted at its newest pick and drafted
         from its prompt and the outputs before that pick."""
         width, depth = rs.request.spec
-        proposer = SeededProposer(width, depth, self.cfg.model.vocab_size, seed=17)
-        return proposer.propose(rs.request.prompt + rs.outputs[:-1], rs.outputs[-1])
+        return SeededProposer(width, depth).propose(rs.request.prompt + rs.outputs[:-1], rs.outputs[-1])
 
     # ------------------------------------------------------------------
     # Timing, metrics, checks
@@ -556,8 +570,10 @@ class Engine:
         27 decode, 5 prefill entries) and budget fill (the mean of chunk
         tokens over the budget), skipped K/V blocks, cache counts, the
         modelled ticks of each op (attention and the four linear ops)
-        over every layer, and the cube and vector units' utilisation over
-        every priced attention and linear span, weighted by its ticks."""
+        over every layer, the cube and vector units' utilisation over
+        every priced attention and linear span, weighted by its ticks, and
+        the verify entries run, their tree rows and the tokens they
+        delivered (accepted drafts and bonus picks)."""
         requests = {}
         for rid, rs in sorted(self.runtimes.items(), key=lambda kv: str(kv[0])):
             ticks = rs.token_ticks
@@ -601,6 +617,7 @@ class Engine:
             },
             "cache": dict(self.cache.stats),
             "op_ticks": {op: span * layers for op, span in self._op_span.items()},
+            "spec": dict(self._spec),
             "utilization": {
                 unit: busy / (self.cfg.hw.core_num * self._priced_span) if self._priced_span > 0 else 0.0
                 for unit, busy in self._unit_busy.items()

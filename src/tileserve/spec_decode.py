@@ -5,21 +5,26 @@ A tree is a flat list of (token, parent) pairs in topological order
 special case. Drafts come from prompt lookup, as in LLMA (arXiv
 2304.04487) and REST (arXiv 2311.08252): a node's children are the
 tokens that followed earlier occurrences of its last few tokens in the
-request's own prompt and outputs, so no draft model runs. Verification
-is greedy argmax acceptance: a child stays accepted only while its
-token equals the target model's next-token choice at its parent's
-position, so the delivered tokens are the target's whatever the draft.
+request's own prompt and outputs, so no draft model runs. Only matches
+of ``MIN_NGRAM`` or more tokens draft a child, so the tree is ragged:
+it grows where lookup backs it and stops where it does not, as dynamic
+draft trees do (Sequoia, arXiv 2402.12374; EAGLE-2, arXiv 2406.16858),
+and each node it leaves out is a verify row the chunk budget keeps.
+Verification is greedy argmax acceptance: a child stays accepted only
+while its token equals the target model's next-token choice at its
+parent's position, so the delivered tokens are the target's whatever
+the draft.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-MAX_NGRAM = 3  # lookups match the last 3, then 2, then 1 tokens
+MAX_NGRAM = 3  # lookups match the last 3, then fewer, tokens
+MIN_NGRAM = 2  # the shortest match that drafts a child
 
 
 @dataclass(frozen=True)
@@ -126,21 +131,26 @@ def verify_accept(tree: SpecTree, target_next: list[int], context_next: int) -> 
 
 def _lookup_candidates(seq: list[int], width: int) -> list[int]:
     """Up to ``width`` distinct tokens that followed earlier occurrences
-    of the last ``MAX_NGRAM``, then fewer, tokens of ``seq``: longer
-    matches first, and among equal lengths the most recent first."""
+    of the last ``MAX_NGRAM``, then fewer down to ``MIN_NGRAM``, tokens of
+    ``seq``: longer matches first, and among equal lengths the most
+    recent first."""
     last = len(seq) - 1
-    token = seq[last]
+    head = MIN_NGRAM - 1  # a match's tokens before the last one
+    if last <= head:
+        return []
+    token, before = seq[last], seq[last - head : last]
     hits = []
-    i = -1
+    i = head - 1
     try:
         while True:
             i = seq.index(token, i + 1, last)
-            hits.append(i)
+            if seq[i - head : i] == before:
+                hits.append(i)
     except ValueError:
         pass
-    followers: tuple[list[int], ...] = tuple([] for _ in range(MAX_NGRAM))  # by match length, longest first
+    followers: tuple[list[int], ...] = tuple([] for _ in range(MAX_NGRAM - head))  # by match length, longest first
     for i in reversed(hits):
-        n = 1
+        n = MIN_NGRAM
         while n < MAX_NGRAM and i >= n and seq[i - n] == seq[last - n]:
             n += 1
         followers[MAX_NGRAM - n].append(seq[i + 1])
@@ -154,44 +164,35 @@ def _lookup_candidates(seq: list[int], width: int) -> list[int]:
 
 
 class SeededProposer:
-    """Deterministic drafts by prompt lookup, with a seeded hash as fallback.
+    """Deterministic ragged drafts by prompt lookup.
 
-    Nodes are filled in ``full_tree``'s breadth-first order. A node's
-    children are ``_lookup_candidates`` over the context, the root and
-    the node's path; a branch with no candidate left takes a token from
-    a seeded hash of (seed, context, node, branch). The tree keeps
-    ``full_tree``'s shape either way, and a context with no match gives
-    the hashed tree alone. It holds no state between calls.
+    Nodes are drafted breadth first. A node's children are
+    ``_lookup_candidates`` over the context, the root and the node's
+    path, so each extends a match of at least ``MIN_NGRAM`` tokens; a
+    node with none is a leaf, and so is every node ``depth - 1`` levels
+    below the root. The tree thus fits inside ``full_tree``'s
+    (width, depth) shape, and a context with no such match gives the
+    root alone. It holds no state between calls.
     """
 
-    def __init__(self, width: int, depth: int, vocab_size: int, seed: int = 0):
+    def __init__(self, width: int, depth: int):
         self.width = width
         self.depth = depth
-        self.vocab_size = vocab_size
-        self.seed = seed
 
     def propose(self, context_tokens: list[int], root_token: int) -> SpecTree:
         """The tree rooted at ``root_token``, drafted from
         ``context_tokens``, the tokens before it."""
-        seq = [*context_tokens, root_token]
-        tails: list[list[int]] = [[]]  # each node's path after the root, by node index
-        candidates: list[int] = []
-        base: int | None = None  # the context hash, taken once a branch falls back
-
-        def child_token(parent: int, branch: int) -> int:
-            nonlocal candidates, base
-            if branch == 0:
-                candidates = _lookup_candidates(seq + tails[parent], self.width)
-            if branch < len(candidates):
-                token = candidates[branch]
-            else:
-                if base is None:
-                    digest = hashlib.blake2b(
-                        np.asarray([self.seed, *context_tokens], dtype=np.int64).tobytes(), digest_size=8
-                    ).digest()
-                    base = int.from_bytes(digest, "little")
-                token = (base ^ (parent * 2654435761) ^ (branch * 40503)) % self.vocab_size
-            tails.append(tails[parent] + [token])  # full_tree makes it the next node
-            return token
-
-        return full_tree(root_token, self.width, self.depth, child_token)
+        tokens = [root_token]
+        parents: list[int | None] = [None]
+        seqs = [[*context_tokens, root_token]]  # the context and each node's path, by node index
+        frontier = [0]
+        for _ in range(self.depth - 1):
+            next_frontier = []
+            for p in frontier:
+                for token in _lookup_candidates(seqs[p], self.width):
+                    next_frontier.append(len(tokens))
+                    tokens.append(token)
+                    parents.append(p)
+                    seqs.append(seqs[p] + [token])
+            frontier = next_frontier
+        return SpecTree(tuple(tokens), tuple(parents))

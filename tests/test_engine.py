@@ -1,11 +1,12 @@
 """Engine: numeric outputs and verify rows against the dense oracle,
-cache hygiene after a run in either mode, simulate mode at a 7B shape
-without weights or pools, one plan for the kernels and the cost model,
-requests no chunk can serve, a K/V pool that runs out (and leaves no
-chunk half committed), ``check`` without a model, the per-engine linear
-memo, the report's times, latency percentiles, cache counts, per-op
-ticks, budget fill, unit utilisation and chunk composition, and a
-recorded simulate-mode run of mixed chunks."""
+cache hygiene after a run in either mode, ragged and root-only draft
+trees in a checked run and in simulate mode's path draw, simulate mode
+at a 7B shape without weights or pools, one plan for the kernels and
+the cost model, requests no chunk can serve, a K/V pool that runs out
+(and leaves no chunk half committed), ``check`` without a model, the
+per-engine linear memo, the report's times, latency percentiles, cache
+counts, per-op ticks, budget fill, unit utilisation, spec counts and
+chunk composition, and a recorded simulate-mode run of mixed chunks."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tileserve import cli
 from tileserve import engine as engine_mod
@@ -27,8 +29,9 @@ from tileserve.engine import CHECK_TOL, Engine, EngineRequest, RejectedRequest
 from tileserve.kv_cache import PoolExhausted
 from tileserve.oracle import ToyModel, dense_forward, dense_tree_forward
 from tileserve.planner import STAGES, LinearOp, TileTable
-from tileserve.scheduler import Stage
+from tileserve.scheduler import ChunkEntry, RequestState, Stage
 from tileserve.simulator import simulate_linear
+from tileserve.spec_decode import SpecTree, full_tree
 from tileserve.trace import gen_trace, write_trace
 
 from attention_events import trace_attention
@@ -124,12 +127,105 @@ def test_every_sequence_is_released(cfg, numeric):
         assert engine.cache.keys.nbytes == engine.cache.values.nbytes == 0
 
 
+def test_a_checked_run_of_ragged_and_root_only_trees_delivers_the_dense_argmax(cfg, monkeypatch):
+    """Drafts hold only the nodes a 2-token lookup match backs, so a run
+    verifies ragged trees and trees of the root alone. ``check`` compares
+    every kept row with the dense forward; every output is the dense
+    argmax, and every table is released with no block left referenced."""
+    sizes = Counter()
+
+    def propose(engine, rs):
+        tree = real_propose(engine, rs)
+        sizes[tree.spec_len] += 1
+        return tree
+
+    real_propose = Engine._propose
+    monkeypatch.setattr(Engine, "_propose", propose)
+    engine = run_engine(cfg, numeric=True, check=True, trace=MIXED_TRACE)
+    assert sizes[1] and any(1 < size < 7 for size in sizes)  # trees of (2, 3) have at most 7 nodes
+    spec = engine.report()["spec"]
+    assert spec["rows"] < 7 * spec["verifies"]
+    for rt in engine.runtimes.values():
+        prompt = rt.request.prompt
+        assert len(rt.outputs) == rt.request.output_len
+        ref = dense_forward(engine.model, prompt + rt.outputs[:-1])
+        assert rt.outputs == [int(np.argmax(ref[len(prompt) - 1 + i])) for i in range(len(rt.outputs))]
+        assert not rt.table.blocks
+    assert engine.cache.pool_partition()["referenced"] == set()
+    assert not engine.cache._seqs
+
+
+def pruned_tree(width: int, depth: int, kept: list[int]) -> SpecTree:
+    """``full_tree``'s shape with each node keeping only its first
+    ``kept[node]`` children (all of them once ``kept`` runs out), nodes
+    numbered breadth first."""
+    tokens, parents, frontier = [0], [None], [0]
+    for _ in range(depth - 1):
+        next_frontier = []
+        for p in frontier:
+            for _ in range(kept[p] if p < len(kept) else width):
+                next_frontier.append(len(tokens))
+                tokens.append(0)
+                parents.append(p)
+        frontier = next_frontier
+    return SpecTree(tuple(tokens), tuple(parents))
+
+
+def simulated_path(seed: int, tree: SpecTree, width: int, depth: int) -> list[int]:
+    """The path ``_accept_verify`` keeps for ``tree`` in simulate mode, as
+    the first draws of an engine seeded with ``seed`` pick it."""
+    engine = Engine(ServeConfig(), seed=seed)
+    kept = []
+
+    class Cache:
+        def keep_path(self, table, kv_len, path):
+            kept.append(path)
+
+    engine.cache = Cache()
+    rs = RequestState(EngineRequest("r", [1, 2], 99, 0, (width, depth)), table=None, outputs=[5])
+    engine._accept_verify(ChunkEntry(rs, Stage.VERIFY, 0, tree.spec_len, 2, tree), None)
+    return kept[0]
+
+
+def drawn_branches(seed: int, width: int, depth: int) -> list[int]:
+    """The branch per level that a simulate-mode verify draws after its depth."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(width, size=int(rng.integers(depth))).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    width=st.integers(1, 3),
+    depth=st.integers(1, 4),
+    kept=st.lists(st.integers(0, 3), max_size=40),
+)
+def test_simulate_mode_draws_a_path_through_the_tree_it_has(seed, width, depth, kept):
+    """Simulate mode draws the path's depth, then one branch in
+    ``range(width)`` per level, whatever the tree. On the full shape every
+    drawn branch exists, so the path is the one it always took; a drawn
+    branch that the ragged tree lacks ends the path; the root alone keeps
+    ``[0]``. No draw falls off the tree."""
+    branches = drawn_branches(seed, width, depth)
+    full = full_tree(0, width, depth, lambda p, b: 0)
+    want = [0]
+    for branch in branches:  # the walk of full-shape trees, which raises if a branch is missing
+        want.append(full.children(want[-1])[branch])
+    assert simulated_path(seed, full, width, depth) == want
+    assert simulated_path(seed, SpecTree((0,), (None,)), width, depth) == [0]
+    tree = pruned_tree(width, depth, [min(k, width) for k in kept])
+    path = simulated_path(seed, tree, width, depth)
+    taken = [tree.children(parent).index(child) for parent, child in zip(path, path[1:])]
+    assert taken == branches[: len(taken)]
+    assert len(taken) == len(branches) or branches[len(taken)] >= len(tree.children(path[-1]))
+
+
 @pytest.mark.parametrize("numeric", [True, False], ids=["numeric", "simulate"])
 def test_linear_memo_holds_each_op_and_m_once_and_changes_no_result(cfg, numeric, monkeypatch):
     """Each linear op's grid and task table are built once per chunk M,
     and a run that rebuilds them before every chunk logs and reports the
-    same bytes. A 24-token budget makes most chunks repeat an M."""
-    cfg.budget = 24
+    same bytes. A 12-token budget makes most chunks repeat an M."""
+    cfg.budget = 12
     engine = run_engine(cfg, numeric)
     ms = {c["tokens"] for c in engine.chunk_log}
     assert 2 * len(ms) < len(engine.chunk_log)
@@ -216,6 +312,26 @@ def test_report_op_ticks_split_the_chunk_ticks_and_budget_fill_is_their_mean_fil
     fill = report["chunks"]["budget_fill"]
     assert math.isclose(fill, sum(c["tokens"] / cfg.budget for c in engine.chunk_log) / len(engine.chunk_log))
     assert 0 < fill <= 1
+
+
+@pytest.mark.parametrize("numeric", [True, False], ids=["numeric", "simulate"])
+def test_report_spec_counts_the_verifies_their_rows_and_what_they_delivered(numeric, monkeypatch):
+    """``report()["spec"]`` counts the verify entries the chunks ran, the
+    tree rows they held, and the tokens they delivered: every output of a
+    speculative request but the first, which its last prompt slice picks."""
+    verify_rows = []
+    real_execute_chunk = Engine._execute_chunk
+
+    def execute_chunk(engine, chunk):
+        verify_rows.extend(e.token_num for e in chunk.entries if e.stage is Stage.VERIFY)
+        real_execute_chunk(engine, chunk)
+
+    monkeypatch.setattr(Engine, "_execute_chunk", execute_chunk)
+    engine = run_engine(ServeConfig(), numeric=numeric, trace=MIXED_TRACE)
+    delivered = sum(len(rt.outputs) - 1 for rt in engine.runtimes.values() if rt.request.spec)
+    assert sum(c["stages"].count("V") for c in engine.chunk_log) == len(verify_rows)
+    assert engine.report()["spec"] == {"verifies": len(verify_rows), "rows": sum(verify_rows), "delivered": delivered}
+    assert delivered > 0
 
 
 def test_report_utilization_is_the_tick_weighted_busy_share(cfg, monkeypatch):
@@ -613,20 +729,24 @@ def test_simulate_mode_repeats_a_recorded_run_of_mixed_chunks():
         engine.submit(EngineRequest(row["id"], row["prompt"], row["output_len"], row["arrival"], spec))
     report = engine.run()
     composition = report["chunks"]["composition"]
-    assert sum(n for key, n in composition.items() if "D" in key and "V" in key) == 30
-    assert sum(c["stages"].count("P") for c in engine.chunk_log) == 39  # slices of 20 prompts
-    assert report["makespan_ticks"] == 51489.75
-    assert engine.runtimes["longr00002"].outputs == [0, 24, 124, 80, 46, 111, 37, 102, 1, 86, 119, 126, 51, 24]
-    # The per-op ticks and the budget fill were added to the report after
-    # this run was recorded; without them it hashes as recorded.
+    assert sum(n for key, n in composition.items() if "D" in key and "V" in key) == 37
+    assert sum(c["stages"].count("P") for c in engine.chunk_log) == 36  # slices of 20 prompts
+    assert report["makespan_ticks"] == 50319.5
+    assert engine.runtimes["longr00002"].outputs == [0, 24, 124, 80, 46, 111, 37, 40, 58, 123, 108, 51, 41, 33]
+    # The per-op ticks, the budget fill and the spec counts were added to
+    # the report after this run was recorded; without them it hashes as
+    # recorded.
     assert report.pop("op_ticks") == {
-        "attention": 6385.5,
-        "qkv": 11890.5,
-        "o_proj": 6071.0,
-        "gate_up": 15252.25,
-        "down": 11890.5,
+        "attention": 5972.5,
+        "qkv": 11808.0,
+        "o_proj": 6016.0,
+        "gate_up": 14715.0,
+        "down": 11808.0,
     }
-    assert report["chunks"].pop("budget_fill") == 1516 / (58 * 64)
+    assert report["chunks"].pop("budget_fill") == 1223 / (58 * 64)
+    # No draft in this run finds a 2-token match among the seeded draws, so
+    # every tree is its root alone and each verify delivers its bonus pick.
+    assert report.pop("spec") == {"verifies": 113, "rows": 113, "delivered": 113}
     outputs = {str(rid): rt.outputs for rid, rt in sorted(engine.runtimes.items(), key=lambda kv: str(kv[0]))}
     blob = json.dumps([outputs, engine.chunk_log, report], sort_keys=True)
-    assert hashlib.sha256(blob.encode()).hexdigest() == "fcde18804a0df72534368005d8daec67878fdbea7fd5882bb61491fe96620d42"
+    assert hashlib.sha256(blob.encode()).hexdigest() == "910d3e1133047f19e60ac2c12c38b14905e229b4cc1ac29e1ef584af455e4a7b"

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from tileserve.config import ServeConfig
 from tileserve.engine import Engine, EngineRequest
 from tileserve.oracle import ToyModel
-from tileserve.spec_decode import full_tree
 
 
 @functools.lru_cache(maxsize=None)
@@ -99,8 +98,9 @@ def test_every_live_record_agrees_with_its_table_and_the_cache_after_every_chunk
 @given(requests=REQUESTS, budget=st.integers(8, 24))
 def test_every_kept_verify_path_is_a_chain_from_the_root(numeric, requests, budget):
     """What ``RadixKvCache.keep_path`` keeps of a verify is one root path
-    of the request's tree, at most its depth long: each node's parent is
-    the node before it, so no siblings are committed as one sequence."""
+    of the tree it verifies (still the request's ``spec_tree`` then), at
+    most the request's depth long: each node's parent is the node before
+    it, so no siblings are committed as one sequence."""
     engine = Engine(ServeConfig(budget=budget), toy_model() if numeric else None)
     for i, (prompt, output_len, arrival, spec) in enumerate(requests):
         engine.submit(EngineRequest(f"r{i}", prompt, output_len, arrival, spec))
@@ -109,9 +109,8 @@ def test_every_kept_verify_path_is_a_chain_from_the_root(numeric, requests, budg
 
     def keep_path_checked(table, kv_len, path):
         rs = next(rs for rs in engine.runtimes.values() if rs.table is table)
-        width, depth = rs.request.spec
-        parents = full_tree(0, width, depth, lambda p, b: 0).parents
-        assert 1 <= len(path) <= depth and path[0] == 0
+        parents = rs.spec_tree.parents
+        assert 1 <= len(path) <= rs.request.spec[1] and path[0] == 0
         assert all(parents[node] == prev for prev, node in zip(path, path[1:])), path
         kept.append(path)
         return keep_path(table, kv_len, path)

@@ -9,6 +9,7 @@ import json
 import pytest
 
 from tileserve import cli
+from tileserve.engine import Engine
 from tileserve.trace import ParseError, parse_trace
 
 
@@ -113,15 +114,20 @@ def test_an_int_id_parses_as_its_string(tmp_path):
     ],
     ids=["report_in_missing_dir", "plot_csv_is_dir", "config_is_dir", "trace_is_dir", "out_in_missing_dir"],
 )
-def test_a_file_argument_that_cannot_be_read_or_written_exits_2(tmp_path, capsys, args, bad):
+def test_a_file_argument_that_cannot_be_read_or_written_exits_2(tmp_path, capsys, monkeypatch, args, bad):
     """A path in a missing directory or naming a directory is an error
-    that names the path, with exit 2, not a raised ``OSError``."""
+    that names the path, with exit 2, not a raised ``OSError``. It is
+    found before any request is served, and no file is left behind."""
+    served = []
+    monkeypatch.setattr(Engine, "run", lambda engine: served.append(engine))
     trace = tmp_path / "trace.jsonl"
     trace.write_text(json.dumps(GOOD_ROW) + "\n")
     fill = {"trace": str(trace), "tmp": str(tmp_path)}
     assert cli.main([arg.format(**fill) for arg in args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(bad.format(**fill)) in err
+    assert not served
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.jsonl"]
 
 
 @pytest.mark.parametrize("command", ["run", "gen-trace"])
