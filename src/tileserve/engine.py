@@ -47,11 +47,15 @@ cannot ``check``; its seeded draws pick a verify's accepted depth and
 then one branch per level, and a drawn branch the tree lacks ends the
 path, so in both modes the kept path is a chain from the root. A
 speculative request's next tree is drafted once the tokens a chunk
-delivered are on its record, by prompt lookup over its prompt and
-outputs (``SeededProposer``): a ragged tree within the request's
-(width, depth) that holds only the nodes a match of two or more tokens
-backs, so no verify row goes to a guess. Both modes price the work in
-model ticks.
+delivered are on its record, after its last prompt slice, a verify or
+a decode, by prompt lookup over its prompt and outputs
+(``SeededProposer``): a ragged tree within the request's (width, depth)
+that holds only the nodes a match of two or more tokens backs, so no
+verify row goes to a guess. The record keeps the tree only when it has
+nodes past the root; a root-only tree is one row over the committed
+K/V, so the request's next step runs in the decode run (counted as
+``decoded`` in the report's ``spec``), whose append caches its token as
+``keep_path`` would have. Both modes price the work in model ticks.
 """
 
 from __future__ import annotations
@@ -83,6 +87,7 @@ from .simulator import Schedule, l2_kv_split_blocks, profile_swizzle, simulate_a
 from .spec_decode import SeededProposer, SpecTree, tree_mask, verify_accept
 
 CHECK_TOL = 1e-3  # max abs error of a logits row against the dense fp64 forward
+QUEUES = ("prefill", "decode", "verify", "pending")  # the columns of Engine.queue_log
 
 
 class OracleCheckFailure(AssertionError):
@@ -168,7 +173,11 @@ class Engine:
         self._unit_busy = {"cube": 0.0, "vector": 0.0}  # ticks of one layer, over every priced chunk
         self._priced_span = 0.0  # their makespans, summed
         self._op_span = dict.fromkeys(("attention", *(op.value for op in LinearOp)), 0.0)  # one layer's, by op
-        self._spec = dict.fromkeys(("verifies", "rows", "delivered"), 0)  # verify entries, their tree rows, tokens
+        # Verify entries, their tree rows and the tokens they delivered, and
+        # speculative steps that ran as decodes.
+        self._spec = dict.fromkeys(("verifies", "rows", "delivered", "decoded"), 0)
+        self._speculative = False  # whether any submitted request speculates
+        self.queue_log: list[tuple[int, ...]] = []  # QUEUES' depths before each chunk in chunk_log
         if profile_linear:
             self._profile_linears()
 
@@ -207,11 +216,13 @@ class Engine:
                 f"more than the pool of {self.cfg.kv_pool_blocks}"
             )
         self._submitted.add(req.req_id)
+        self._speculative = self._speculative or req.spec is not None
         bisect.insort(self.pending, req, key=lambda r: (r.arrival, str(r.req_id)))
 
     def run(self) -> dict:
         while True:
             self._admit_arrived()
+            depths = (*self.sched.queue_depths(), len(self.pending))
             chunk = self.sched.schedule_next()
             if chunk is None:
                 if self.pending:
@@ -219,6 +230,7 @@ class Engine:
                     continue
                 break
             self._execute_chunk(chunk)
+            self.queue_log.append(depths)
         if self.check:
             self._run_checks()
         return self.report()
@@ -419,10 +431,12 @@ class Engine:
 
     def _apply_logits(self, chunk: Chunk, logits: np.ndarray | None) -> None:
         """Pick each stage's tokens and record them on its request at the
-        current tick, with a speculative request's next tree. ``logits``
-        is None in simulate mode, where seeded draws stand in for the
-        argmax and no rows are kept; the decode run draws first, in one
-        call, which gives the same stream as one draw per decode."""
+        current tick, then draft a continuing speculative request's next
+        step (``_draft``). ``logits`` is None in simulate mode, where
+        seeded draws stand in for the argmax and no rows are kept; the
+        decode run draws first, in one call, which gives the same stream
+        as one draw per decode. Without a speculative request the decode
+        run does nothing more per decode."""
         d = chunk.decodes
         run = chunk.decode_run
         if logits is None:
@@ -435,6 +449,12 @@ class Engine:
         for rs, token in zip(run, picks):
             rs.outputs.append(token)
             rs.token_ticks.append(ticks)
+        if self._speculative:
+            for rs in run:
+                if rs.request.spec:
+                    self._spec["decoded"] += 1
+                    if not rs.done:
+                        self._draft(rs)
         for entry in chunk.entries:
             if entry.stage is Stage.VERIFY:
                 self._accept_verify(entry, logits)
@@ -447,8 +467,8 @@ class Engine:
                 continue  # a prompt slice that is not the last one
             rs.outputs.append(self._next_token(logits, entry.start_pos + entry.token_num - 1))
             rs.token_ticks.append(ticks)
-            if rs.request.spec:
-                rs.spec_tree = self._propose(rs)
+            if rs.request.spec and not rs.done:
+                self._draft(rs)
 
     def _next_token(self, logits: np.ndarray | None, row: int) -> int:
         """The target's pick after chunk row ``row``: the argmax in numeric
@@ -493,7 +513,15 @@ class Engine:
         spec["rows"] += tree.spec_len
         spec["delivered"] += len(delivered)
         if not rs.done:
-            rs.spec_tree = self._propose(rs)
+            self._draft(rs)
+
+    def _draft(self, rs: RequestState) -> None:
+        """Draft the next step of ``rs``: it keeps the drafted tree, to be
+        verified, only when the tree has nodes past the root. A root-only
+        tree is one row over the committed K/V, which is a decode, so
+        ``spec_tree`` is None and the request joins the decode run."""
+        tree = self._propose(rs)
+        rs.spec_tree = tree if tree.spec_len > 1 else None
 
     def _propose(self, rs: RequestState) -> SpecTree:
         """The next tree of ``rs``, rooted at its newest pick and drafted
@@ -567,13 +595,18 @@ class Engine:
         token; -1.0 when no token came) and mean TBT, with their p50 and
         p99 over the requests that have one (TBT needs two tokens); qps
         from the first arrival, chunk counts by stage mix (e.g. ``D27P5``:
-        27 decode, 5 prefill entries) and budget fill (the mean of chunk
-        tokens over the budget), skipped K/V blocks, cache counts, the
+        27 decode, 5 prefill entries), budget fill (the mean of chunk
+        tokens over the budget) and the mean and max over chunks of each
+        queue's depth before the chunk was scheduled (``queue_log``: the
+        prefill, decode and verify queues, and the requests not yet
+        arrived), skipped K/V blocks, cache counts, the
         modelled ticks of each op (attention and the four linear ops)
         over every layer, the cube and vector units' utilisation over
         every priced attention and linear span, weighted by its ticks, and
         the verify entries run, their tree rows and the tokens they
-        delivered (accepted drafts and bonus picks)."""
+        delivered (accepted drafts and bonus picks), and the speculative
+        steps that ran as decodes because their draft was the root
+        alone."""
         requests = {}
         for rid, rs in sorted(self.runtimes.items(), key=lambda kv: str(kv[0])):
             ticks = rs.token_ticks
@@ -595,6 +628,7 @@ class Engine:
         chunks = len(self.chunk_log)
         filled = sum(c["tokens"] for c in self.chunk_log)
         layers = self.cfg.model.num_layers
+        depths = list(zip(*self.queue_log)) or [()] * len(QUEUES)  # one column per queue
         return {
             "requests": requests,
             "completed": completed,
@@ -604,6 +638,10 @@ class Engine:
                 "count": chunks,
                 "composition": dict(sorted(composition.items())),
                 "budget_fill": filled / (chunks * self.cfg.budget) if chunks else 0.0,
+                "queue_depth": {
+                    q: {"mean": sum(col) / len(col) if col else 0.0, "max": max(col, default=0)}
+                    for q, col in zip(QUEUES, depths)
+                },
             },
             "skip": {
                 "computed_blocks": self.skip_computed,

@@ -7,6 +7,15 @@ prompt whose remainder does not fit. While decode or verify tokens are
 queued, a slice of the budget is held back for them, so prefill-only
 chunks appear only when those queues are empty.
 
+A continuing request is routed by its draft, not by whether it
+speculates: a request whose record holds a tree to verify goes to the
+verify queue, and every other one to the decode queue. The engine keeps
+a tree only when it has nodes past the root, since a root-only tree is
+one row over the committed K/V, which is a decode; so a speculative
+request with nothing to verify joins the batched decode run, as vLLM
+runs a sequence with a zero-length proposal, and the verify queue only
+holds trees with something to verify.
+
 A request is one ``RequestState`` from admission to retirement, as vLLM
 keeps one ``Sequence`` per request: the scheduler queues it and advances
 its ``kv_len`` as it hands tokens out, and the engine fills in its picked
@@ -61,7 +70,10 @@ class RequestState:
     ``kv_len`` counts the tokens handed to chunks, which between chunks
     is the table's ``total_tokens``: during prefill it is the next prompt
     position, and after it every output but the last has K/V.
-    ``spec_tree`` is the tree the next verify entry checks. ``outputs``
+    ``spec_tree`` is the tree the next verify entry checks, which has
+    nodes past its root; it is None when the next step is a prefill slice
+    or a decode, a speculative request's included when its draft was the
+    root alone. ``outputs``
     holds the picked tokens, ``token_ticks`` the tick each was picked at,
     and ``logits_rows`` (numeric mode) each kept logits row by position.
     Records compare by identity, so the scheduler keeps the ones in
@@ -140,6 +152,10 @@ class TokenScheduler:
             )
         self._prefill.append(req)
 
+    def queue_depths(self) -> tuple[int, int, int]:
+        """The requests waiting in the prefill, decode and verify queues."""
+        return len(self._prefill), len(self._decode), len(self._verify)
+
     # ------------------------------------------------------------------
 
     def schedule_next(self) -> Chunk | None:
@@ -190,9 +206,10 @@ class TokenScheduler:
 
     def complete_chunk(self, chunk: Chunk) -> list[RequestState]:
         """Apply a finished chunk whose picked tokens (and each continuing
-        speculative request's next tree) are on its records: advance,
-        re-enqueue, or retire requests. Returns the requests this chunk
-        retired, in flat-token order.
+        speculative request's next tree, if it has one) are on its records:
+        advance, re-enqueue, or retire requests. A continuing request with
+        a tree goes to the verify queue and any other to the decode queue.
+        Returns the requests this chunk retired, in flat-token order.
 
         Raises:
             UnknownRequest: naming the first request of the decode run
@@ -206,13 +223,7 @@ class TokenScheduler:
                 next(r.request.req_id for i, r in enumerate(run) if r not in self._in_flight or r in run[:i])
             )
         self._in_flight -= in_run
-        retired = []
-        queue = self._decode
-        for req in run:
-            if req.done:
-                retired.append(req)
-            else:
-                queue.append(req)
+        stepped = list(run)  # requests whose step ended in this chunk, in flat-token order
         for entry in chunk.entries:
             req = entry.req
             if req not in self._in_flight:
@@ -224,10 +235,14 @@ class TokenScheduler:
                     continue  # split continuation is already queued
             else:  # VERIFY: the kept root and path leave every output but the last with K/V
                 req.kv_len = prompt + len(req.outputs) - 1
+            stepped.append(req)
+        retired = []
+        decode, verify = self._decode, self._verify
+        for req in stepped:
             if req.done:
                 retired.append(req)
-            elif req.request.spec is None:
-                self._decode.append(req)
+            elif req.spec_tree is None:
+                decode.append(req)
             else:
-                self._verify.append(req)
+                verify.append(req)
         return retired

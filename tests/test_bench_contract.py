@@ -159,7 +159,7 @@ def test_the_tracer_counts_the_hits_and_evictions_the_cache_counts(monkeypatch):
 # numeric mode, ``kv_slots`` once per chunk, and ``keep_path`` per verify
 # entry; ``keep_path``'s own truncation and commit are wrapped, so the
 # tracer still counts each commit. The rest are reservations, set-up and
-# accessors.
+# accessors, such as the queue depths the engine reads before each chunk.
 UNWRAPPED = {
     RadixKvCache: {
         "append_run",
@@ -172,7 +172,7 @@ UNWRAPPED = {
         "reachable_block_ids",
         "reserve_blocks",
     },
-    TokenScheduler: set(),
+    TokenScheduler: {"queue_depths"},
 }
 
 

@@ -1,12 +1,14 @@
 """Engine: numeric outputs and verify rows against the dense oracle,
 cache hygiene after a run in either mode, ragged and root-only draft
-trees in a checked run and in simulate mode's path draw, simulate mode
+trees in a checked run and in simulate mode's path draw, root-only
+drafts that run as decodes and move no tick, simulate mode
 at a 7B shape without weights or pools, one plan for the kernels and
 the cost model, requests no chunk can serve, a K/V pool that runs out
 (and leaves no chunk half committed), ``check`` without a model, the
 per-engine linear memo, the report's times, latency percentiles, cache
-counts, per-op ticks, budget fill, unit utilisation, spec counts and
-chunk composition, and a recorded simulate-mode run of mixed chunks."""
+counts, per-op ticks, budget fill, unit utilisation, spec counts,
+chunk composition and queue depths, and a recorded simulate-mode run of
+mixed chunks."""
 
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from tileserve.engine import CHECK_TOL, Engine, EngineRequest, RejectedRequest
 from tileserve.kv_cache import PoolExhausted
 from tileserve.oracle import ToyModel, dense_forward, dense_tree_forward
 from tileserve.planner import STAGES, LinearOp, TileTable
-from tileserve.scheduler import ChunkEntry, RequestState, Stage
+from tileserve.scheduler import ChunkEntry, RequestState, Stage, TokenScheduler
 from tileserve.simulator import simulate_linear
 from tileserve.spec_decode import SpecTree, full_tree
 from tileserve.trace import gen_trace, write_trace
@@ -90,6 +92,47 @@ def test_numeric_check_passes_and_outputs_are_dense_argmax(cfg):
         assert max(rt.logits_rows) < len(prompt) + len(rt.outputs) - 1, rid
 
 
+# A checked MIXED_TRACE run's ticks in each config, recorded when every
+# speculative step verified its tree, root-only trees included.
+ROUTED_TICKS = {
+    "default": {
+        "makespan_ticks": 23082.5,
+        "op_ticks": {"attention": 2506.0, "qkv": 5643.5, "o_proj": 2881.0, "gate_up": 6408.5, "down": 5643.5},
+        "latency": {
+            "ttft": {"p50": 6596.0, "p99": 6617.0},
+            "tbt": {"p50": 859.75, "p99": 2129.25},
+            "e2e": {"p50": 10995.0, "p99": 23078.5},
+        },
+    },
+    "small_l2": {
+        "makespan_ticks": 24377.640625,
+        "op_ticks": {"attention": 2506.140625, "qkv": 5923.5, "o_proj": 3021.0, "gate_up": 7003.5, "down": 5923.5},
+        "latency": {
+            "ttft": {"p50": 7891.140625, "p99": 7912.140625},
+            "tbt": {"p50": 859.75, "p99": 2453.03515625},
+            "e2e": {"p50": 12290.140625, "p99": 24373.640625},
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_root_only_drafts_run_as_decodes_and_move_no_tick(name):
+    """A root-only draft is one row over the committed K/V, as a decode
+    is, so running it in the decode run instead of as a verify entry
+    prices the same tiles: a checked run delivers the dense argmax, and
+    its makespan, per-op ticks and latencies equal those recorded when
+    every speculative step was a verify (65 verifies then, 4 now)."""
+    engine = run_engine(CONFIGS[name](), numeric=True, check=True, trace=MIXED_TRACE)
+    report = engine.report()
+    for rt in engine.runtimes.values():
+        ref = dense_forward(engine.model, rt.request.prompt + rt.outputs[:-1])
+        first = len(rt.request.prompt) - 1
+        assert rt.outputs == [int(np.argmax(ref[first + i])) for i in range(rt.request.output_len)]
+    assert {key: report[key] for key in ROUTED_TICKS[name]} == ROUTED_TICKS[name]
+    assert report["spec"] == {"verifies": 4, "rows": 12, "delivered": 8, "decoded": 61}
+
+
 def test_verify_rows_match_dense_tree_forward(cfg, monkeypatch):
     """Every row of every verify entry, rejected branches included, matches
     the dense forward over the sequence's committed context and the tree."""
@@ -129,7 +172,8 @@ def test_every_sequence_is_released(cfg, numeric):
 
 def test_a_checked_run_of_ragged_and_root_only_trees_delivers_the_dense_argmax(cfg, monkeypatch):
     """Drafts hold only the nodes a 2-token lookup match backs, so a run
-    verifies ragged trees and trees of the root alone. ``check`` compares
+    verifies ragged trees and runs the steps whose draft is the root alone
+    as decodes. ``check`` compares
     every kept row with the dense forward; every output is the dense
     argmax, and every table is released with no block left referenced."""
     sizes = Counter()
@@ -317,21 +361,34 @@ def test_report_op_ticks_split_the_chunk_ticks_and_budget_fill_is_their_mean_fil
 @pytest.mark.parametrize("numeric", [True, False], ids=["numeric", "simulate"])
 def test_report_spec_counts_the_verifies_their_rows_and_what_they_delivered(numeric, monkeypatch):
     """``report()["spec"]`` counts the verify entries the chunks ran, the
-    tree rows they held, and the tokens they delivered: every output of a
-    speculative request but the first, which its last prompt slice picks."""
+    tree rows they held and the tokens they delivered, and the speculative
+    steps that ran in the decode run because their draft was the root
+    alone. Each such decode delivers one token, so the verifies and those
+    decodes together deliver every output of a speculative request but
+    the first, which its last prompt slice picks."""
     verify_rows = []
+    decoded = []
     real_execute_chunk = Engine._execute_chunk
 
     def execute_chunk(engine, chunk):
         verify_rows.extend(e.token_num for e in chunk.entries if e.stage is Stage.VERIFY)
+        decoded.extend(rs for rs in chunk.decode_run if rs.request.spec)
         real_execute_chunk(engine, chunk)
 
     monkeypatch.setattr(Engine, "_execute_chunk", execute_chunk)
     engine = run_engine(ServeConfig(), numeric=numeric, trace=MIXED_TRACE)
     delivered = sum(len(rt.outputs) - 1 for rt in engine.runtimes.values() if rt.request.spec)
     assert sum(c["stages"].count("V") for c in engine.chunk_log) == len(verify_rows)
-    assert engine.report()["spec"] == {"verifies": len(verify_rows), "rows": sum(verify_rows), "delivered": delivered}
-    assert delivered > 0
+    spec = engine.report()["spec"]
+    assert spec == {
+        "verifies": len(verify_rows),
+        "rows": sum(verify_rows),
+        "delivered": delivered - len(decoded),
+        "decoded": len(decoded),
+    }
+    assert spec["decoded"] > 0 and all(rows > 1 for rows in verify_rows)
+    if numeric:
+        assert spec["verifies"] > 0 and spec["delivered"] > spec["verifies"]
 
 
 def test_report_utilization_is_the_tick_weighted_busy_share(cfg, monkeypatch):
@@ -552,6 +609,39 @@ def test_composition_counts_the_stages_of_each_chunk():
     assert expanded == Counter(c["stages"] for c in engine.chunk_log)
 
 
+@pytest.mark.parametrize("numeric", [True, False], ids=["numeric", "simulate"])
+def test_queue_log_holds_each_chunks_queue_depths_and_the_report_their_mean_and_max(numeric, monkeypatch):
+    """``Engine.queue_log`` has one row per ``chunk_log`` row: the prefill,
+    decode and verify queue lengths the scheduler built the chunk from,
+    and the requests not yet arrived. ``report()["chunks"]["queue_depth"]``
+    gives each column's mean and max over the chunks."""
+    seen = []  # (queue lengths, pending arrivals) before each chunk built
+    real_schedule_next = TokenScheduler.schedule_next
+
+    def schedule_next(sched):
+        depths = (len(sched._prefill), len(sched._decode), len(sched._verify), len(engine.pending))
+        chunk = real_schedule_next(sched)
+        if chunk is not None:
+            seen.append(depths)
+        return chunk
+
+    monkeypatch.setattr(TokenScheduler, "schedule_next", schedule_next)
+    cfg = ServeConfig(budget=32)
+    engine = Engine(cfg, ToyModel.seeded(cfg.model, seed=0) if numeric else None)
+    for row in MIXED_TRACE:
+        spec = row["spec"] and (row["spec"]["width"], row["spec"]["depth"])
+        engine.submit(EngineRequest(row["id"], row["prompt"], row["output_len"], row["arrival"], spec))
+    report = engine.run()
+    assert engine.queue_log == seen and len(seen) == len(engine.chunk_log)
+    columns = dict(zip(engine_mod.QUEUES, zip(*seen)))
+    assert report["chunks"]["queue_depth"] == {
+        q: {"mean": sum(col) / len(col), "max": max(col)} for q, col in columns.items()
+    }
+    assert max(columns["prefill"]) > 1 and max(columns["decode"]) > 1 and max(columns["pending"]) > 0
+    if numeric:
+        assert max(columns["verify"]) > 0
+
+
 def test_submit_rejects_a_tree_larger_than_the_budget():
     cfg = ServeConfig(budget=16)
     engine = Engine(cfg)
@@ -711,7 +801,8 @@ def test_a_request_at_the_pool_bound_serves_and_one_token_more_is_rejected(numer
 def mixed_simulate_trace() -> list[dict]:
     """Plain and speculative requests in turn, whose prompts split at a
     64-token budget, and four long plain decodes: most chunks hold a run
-    of decodes, then verify entries and prefill slices."""
+    of decodes, speculative steps with a root-only draft among them, then
+    prefill slices."""
     rows = gen_trace("sharegpt_like", 7, 16, spec=(2, 3), mean_prompt=48, mean_output=16)
     rows = [{**row, "spec": row["spec"] if i % 2 else None} for i, row in enumerate(rows)]
     longs = gen_trace("sharegpt_like", 8, 4, mean_prompt=24, mean_output=40)
@@ -729,24 +820,30 @@ def test_simulate_mode_repeats_a_recorded_run_of_mixed_chunks():
         engine.submit(EngineRequest(row["id"], row["prompt"], row["output_len"], row["arrival"], spec))
     report = engine.run()
     composition = report["chunks"]["composition"]
-    assert sum(n for key, n in composition.items() if "D" in key and "V" in key) == 37
+    assert sum(n for key, n in composition.items() if "D" in key and "V" in key) == 2
     assert sum(c["stages"].count("P") for c in engine.chunk_log) == 36  # slices of 20 prompts
-    assert report["makespan_ticks"] == 50319.5
-    assert engine.runtimes["longr00002"].outputs == [0, 24, 124, 80, 46, 111, 37, 40, 58, 123, 108, 51, 41, 33]
-    # The per-op ticks, the budget fill and the spec counts were added to
-    # the report after this run was recorded; without them it hashes as
-    # recorded.
+    assert report["makespan_ticks"] == 50324.5
+    assert engine.runtimes["longr00002"].outputs == [52, 19, 30, 114, 86, 23, 113, 55, 89, 37, 47, 86, 81, 91]
+    # The per-op ticks, the budget fill, the spec counts and the queue
+    # depths were added to the report after this run was first recorded;
+    # they are pinned here, and the rest hashes.
     assert report.pop("op_ticks") == {
-        "attention": 5972.5,
-        "qkv": 11808.0,
-        "o_proj": 6016.0,
-        "gate_up": 14715.0,
-        "down": 11808.0,
+        "attention": 5966.5,
+        "qkv": 11811.0,
+        "o_proj": 6018.0,
+        "gate_up": 14718.0,
+        "down": 11811.0,
     }
-    assert report["chunks"].pop("budget_fill") == 1223 / (58 * 64)
-    # No draft in this run finds a 2-token match among the seeded draws, so
-    # every tree is its root alone and each verify delivers its bonus pick.
-    assert report.pop("spec") == {"verifies": 113, "rows": 113, "delivered": 113}
+    assert report["chunks"].pop("budget_fill") == 1227 / (58 * 64)
+    # Seeded draws seldom repeat a 2-token run, so most drafts are the root
+    # alone and run as decodes; two trees had nodes past the root.
+    assert report.pop("spec") == {"verifies": 2, "rows": 6, "delivered": 2, "decoded": 111}
+    assert report["chunks"].pop("queue_depth") == {
+        "prefill": {"mean": 178 / 58, "max": 18},
+        "decode": {"mean": 313 / 58, "max": 15},
+        "verify": {"mean": 2 / 58, "max": 1},
+        "pending": {"mean": 18 / 58, "max": 18},
+    }
     outputs = {str(rid): rt.outputs for rid, rt in sorted(engine.runtimes.items(), key=lambda kv: str(kv[0]))}
     blob = json.dumps([outputs, engine.chunk_log, report], sort_keys=True)
-    assert hashlib.sha256(blob.encode()).hexdigest() == "910d3e1133047f19e60ac2c12c38b14905e229b4cc1ac29e1ef584af455e4a7b"
+    assert hashlib.sha256(blob.encode()).hexdigest() == "7837261fc0cede06e074ca7797b709605125315d0a077903fddc2deb70e41d9a"

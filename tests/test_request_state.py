@@ -4,7 +4,10 @@ traces in both modes: its ``kv_len`` is its table's token count, its
 outputs and their ticks line up, the cache holds exactly its prompt and
 outputs, it waits in the one queue its progress names, a speculative
 record's tree is drafted from all of its outputs, and a retired record
-holds no blocks. Every verify keeps a chain from its tree's root."""
+holds no blocks. A record holds a tree only when the draft has nodes
+past the root, and then its next chunk verifies that tree; a root-only
+draft runs as a decode. Every verify keeps a chain from its tree's
+root."""
 
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from tileserve.config import ServeConfig
 from tileserve.engine import Engine, EngineRequest
 from tileserve.oracle import ToyModel
+from tileserve.scheduler import Stage
 
 
 @functools.lru_cache(maxsize=None)
@@ -44,11 +48,12 @@ def check_records(engine: Engine) -> None:
             assert not outputs and queued[id(rs)] == "prefill"
             continue
         assert rs.kv_len == len(prompt) + len(outputs) - 1  # every output but the last has K/V
-        if rs.request.spec is None:
-            assert queued[id(rs)] == "decode"
-        else:
-            assert queued[id(rs)] == "verify" and rs.spec_tree.tokens[0] == outputs[-1]
-            assert rs.spec_tree == engine._propose(rs)  # drafted from every output before its root
+        if rs.request.spec is not None:
+            tree = engine._propose(rs)  # drafted from every output before its root
+            assert tree.tokens[0] == outputs[-1]
+            assert rs.spec_tree == (tree if tree.spec_len > 1 else None)
+        # A record with a tree to verify waits for a verify, any other for a decode.
+        assert queued[id(rs)] == ("decode" if rs.spec_tree is None else "verify")
 
 
 class CheckedEngine(Engine):
@@ -118,3 +123,52 @@ def test_every_kept_verify_path_is_a_chain_from_the_root(numeric, requests, budg
     engine.cache.keep_path = keep_path_checked
     engine.run()
     assert len(kept) == sum(c["stages"].count("V") for c in engine.chunk_log)
+
+
+class RoutingEngine(Engine):
+    """An engine that checks, before each chunk runs, that its stages
+    follow the records: a record holding a tree is a verify entry of that
+    very tree, which has nodes past the root, and every other continuing
+    record is in the decode run."""
+
+    verified = 0  # verify entries run
+
+    def _execute_chunk(self, chunk) -> None:
+        for rs in chunk.decode_run:
+            assert rs.spec_tree is None, rs.request.req_id
+        for entry in chunk.entries:
+            rs = entry.req
+            if entry.stage is Stage.VERIFY:
+                assert entry.spec_tree is rs.spec_tree and entry.spec_tree.spec_len > 1, rs.request.req_id
+                self.verified += 1
+            else:
+                assert rs.spec_tree is None and not rs.outputs, rs.request.req_id
+        super()._execute_chunk(chunk)
+
+
+@pytest.mark.parametrize("numeric", [True, False], ids=["numeric", "simulate"])
+@settings(max_examples=40, deadline=None)
+@given(
+    requests=st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 3), min_size=1, max_size=20),
+            st.integers(1, 12),  # output_len
+            st.integers(0, 4000),  # arrival
+            st.tuples(st.integers(1, 2), st.integers(1, 3)),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    budget=st.integers(8, 24),
+)
+def test_only_a_tree_past_the_root_is_verified_and_its_next_chunk_verifies_it(numeric, requests, budget):
+    engine = RoutingEngine(ServeConfig(budget=budget), toy_model() if numeric else None)
+    for i, (prompt, output_len, arrival, spec) in enumerate(requests):
+        engine.submit(EngineRequest(f"r{i}", prompt, output_len, arrival, spec))
+    report = engine.run()
+    assert report["completed"] == len(requests)
+    spec = report["spec"]
+    stages = "".join(c["stages"] for c in engine.chunk_log)
+    assert spec["verifies"] == engine.verified == stages.count("V")
+    # Each step after a prompt's last slice is a verify or a decode.
+    assert spec["verifies"] + spec["decoded"] == len(stages) - stages.count("P")

@@ -1,9 +1,11 @@
 """TokenScheduler, driven directly: chunks stay within the budget and pack
 their entries back to back, every prompt token is scheduled exactly once,
 and every request retires, with random lengths, budgets, reserves, late
-arrivals and speculative trees; a decode run that names a request not in
+arrivals and speculative trees; a speculative request whose record holds
+no tree runs as a decode; a decode run that names a request not in
 flight changes nothing. As the engine does, each test hands a chunk's
-outcome back on the records: the picked tokens and the next tree."""
+outcome back on the records: the picked tokens and the next tree, if
+the draft has one."""
 
 from __future__ import annotations
 
@@ -54,7 +56,11 @@ def test_chunks_cover_every_prompt_token_once_and_every_request_retires(data):
     added: set[int] = set()
     retired: set[int] = set()
 
-    def tree(rid: int):
+    def draft(rid: int):
+        """The next tree of a speculative request, or None when its draft
+        is the root alone, as the engine records it."""
+        if reqs[rid][3] is None or not data.draw(st.booleans(), label="drafted"):
+            return None
         return full_tree(0, *reqs[rid][3], lambda parent, branch: branch)
 
     step = 0
@@ -81,8 +87,10 @@ def test_chunks_cover_every_prompt_token_once_and_every_request_retires(data):
             matched, prompt, *_ = reqs[rid]
             assert next_pos[rid] == matched + prompt, "decode before the prompt is done"
             assert kv_len == matched + prompt + generated[rid] - 1  # every token but the last picked
+            assert records[rid].spec_tree is None, "a tree to verify in the decode run"
             generated[rid] += 1
             records[rid].outputs.append(1)
+            records[rid].spec_tree = draft(rid)
         pos = chunk.decodes
         for e in chunk.entries:
             assert e.start_pos == pos
@@ -95,16 +103,17 @@ def test_chunks_cover_every_prompt_token_once_and_every_request_retires(data):
                 if next_pos[rid] == matched + prompt:
                     generated[rid] = 1
                     e.req.outputs.append(1)
-                    e.req.spec_tree = tree(rid) if wd else None
+                    e.req.spec_tree = draft(rid)
                 continue
             assert next_pos[rid] == matched + prompt, "verify before the prompt is done"
-            assert e.stage is Stage.VERIFY and e.token_num == e.spec_tree.spec_len
+            assert e.stage is Stage.VERIFY and e.spec_tree is e.req.spec_tree
+            assert e.token_num == e.spec_tree.spec_len
             assert e.kv_len == matched + prompt + generated[rid] - 1  # the root is the last pick
             accepted = data.draw(st.integers(1, wd[1]), label="accepted")
             new = min(accepted, output_len - generated[rid])
             generated[rid] += new
             e.req.outputs.extend([1] * new)
-            e.req.spec_tree = tree(rid)
+            e.req.spec_tree = draft(rid)
         retired.update(ids(sched.complete_chunk(chunk)))
         for rid in [*ids(chunk.decode_run), *(e.req.request.req_id for e in chunk.entries)]:
             assert (rid in retired) == (generated[rid] >= reqs[rid][2])
