@@ -24,9 +24,9 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config
-from .engine import Engine, EngineRequest, OracleCheckFailure, RejectedRequest
+from .engine import Engine, EngineRequest, OracleCheckFailure, RejectedRequest, most_kv_tokens
 from .kv_cache import PoolExhausted
-from .oracle import ToyModel
+from .oracle import MAX_POSITIONS, ToyModel
 from .trace import PROFILES, ParseError, gen_trace, parse_trace, write_trace
 
 
@@ -40,10 +40,15 @@ def run_trace(
     profile_linear: bool = False,
 ) -> tuple[dict, list[EngineRequest]]:
     """Serve the trace at ``trace_path``; returns the engine's report and
-    the parsed requests."""
+    the parsed requests. The numeric model's positional table holds the
+    positions the trace's requests can reach, up to the model's limit,
+    past which ``Engine.submit`` refuses a request."""
     cfg = load_config(config_path)
     requests = parse_trace(trace_path, cfg.model.vocab_size)
-    model = ToyModel.seeded(cfg.model, seed=seed) if mode == "numeric" else None
+    model = None
+    if mode == "numeric":
+        positions = max([1, *(most_kv_tokens(req, cfg.budget) for req in requests)])
+        model = ToyModel.seeded(cfg.model, seed=seed, max_positions=min(positions, MAX_POSITIONS))
     engine = Engine(
         cfg,
         model,

@@ -98,6 +98,25 @@ class RejectedRequest(ValueError):
     """A submitted request that no chunk could ever serve."""
 
 
+def _tree_tokens(spec: tuple[int, int], budget: int) -> int:
+    """Tokens of the largest tree a (width, depth) request drafts, or just
+    its depth when that alone passes the budget. A verify tree runs whole
+    in one chunk, and a drafted tree is at most full_tree's shape:
+    width**level nodes on each of its depth levels."""
+    width, depth = spec
+    return depth if depth > budget else sum(width**level for level in range(depth))
+
+
+def most_kv_tokens(req: EngineRequest, budget: int) -> int:
+    """The most tokens the request's table ever holds, and so the most
+    positions it runs through: every token but the last output has K/V,
+    and a speculative request's last verify adds its tree past the root."""
+    tokens = len(req.prompt) + req.output_len - 1
+    if req.spec is not None and req.output_len > 1:  # a verify runs only while outputs remain
+        tokens += _tree_tokens(req.spec, budget) - 1
+    return tokens
+
+
 @dataclass(frozen=True)
 class _ChunkPlan:
     """One chunk's tiling, built once and read by the kernels of every
@@ -188,32 +207,29 @@ class Engine:
             raise RejectedRequest(f"request {req.req_id!r}: its id was already submitted")
         if len(req.prompt) < 1:
             raise RejectedRequest(f"request {req.req_id!r}: prompt must be nonempty")
-        # The most tokens the request's table ever holds: every token but
-        # the last output has K/V, and a speculative request's last verify
-        # adds its tree past the root. A table that cannot fit in the pool
-        # alone could never be served.
-        tokens = len(req.prompt) + req.output_len - 1
+        budget = self.sched.budget
         if req.spec is not None:
             width, depth = req.spec
-            budget = self.sched.budget
-            # A verify tree runs whole in one chunk, and a drafted tree is at
-            # most full_tree's shape: width**level nodes on each of its depth
-            # levels. A tree deeper than the budget could not fit, whatever
-            # its width.
-            size = depth if depth > budget else sum(width**level for level in range(depth))
+            size = _tree_tokens(req.spec, budget)
             if size > budget:
                 at_least = "at least " if depth > budget else ""
                 raise RejectedRequest(
                     f"request {req.req_id!r}: its speculative tree (width {width}, depth {depth}) "
                     f"has {at_least}{size} tokens, more than the chunk budget of {budget}"
                 )
-            if req.output_len > 1:  # a verify runs only while outputs remain
-                tokens += size - 1
+        # A table that cannot fit in the pool alone could never be served,
+        # nor one that runs past the numeric model's positions.
+        tokens = most_kv_tokens(req, budget)
         blocks = -(-tokens // self.cfg.kv_block_size)
         if blocks > self.cfg.kv_pool_blocks:
             raise RejectedRequest(
                 f"request {req.req_id!r}: its K/V grows to {tokens} tokens, which need {blocks} blocks, "
                 f"more than the pool of {self.cfg.kv_pool_blocks}"
+            )
+        if self.model is not None and tokens > len(self.model.pos):
+            raise RejectedRequest(
+                f"request {req.req_id!r}: its K/V grows to {tokens} tokens, "
+                f"past the model's {len(self.model.pos)} positions"
             )
         self._submitted.add(req.req_id)
         self._speculative = self._speculative or req.spec is not None

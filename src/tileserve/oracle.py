@@ -83,6 +83,9 @@ def permute_heads_to_tokens(per_head: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+MAX_POSITIONS = 4096  # the toy model's context: rows of its positional table
+
+
 @dataclass
 class ToyModel:
     """Two-layer pre-norm transformer with random fixed weights.
@@ -100,7 +103,7 @@ class ToyModel:
     lm_head: np.ndarray
 
     @classmethod
-    def seeded(cls, cfg: ModelConfig, seed: int = 0, max_positions: int = 4096) -> "ToyModel":
+    def seeded(cls, cfg: ModelConfig, seed: int = 0, max_positions: int = MAX_POSITIONS) -> "ToyModel":
         rng = np.random.default_rng(seed)
         h = cfg.hidden_size
 

@@ -7,8 +7,9 @@ QK/Softmax/SV pipeline, the four-stage pipeline with the split Update,
 or the decode pipeline that fuses QK+Softmax onto the vector unit
 while the cube runs the previous tile's SV. Pipelined disciplines are
 rigid alternating rounds: each unit follows its fixed slot pattern
-(``_rounds``) and a round lasts as long as its slowest op, which
-reproduces the textbook alternating timeline exactly.
+(built in closed form by ``_slot_table``) and a round lasts as long as
+its slowest op, which reproduces the textbook alternating timeline
+exactly.
 
 Because the rounds are rigid, a core's end time has a closed form: the
 running sum of its round durations (SEQ is the pattern of one op per
@@ -22,16 +23,24 @@ vector and MTE op and whose makespan equals the closed form bit for
 bit. ``simulate_linear`` prices a linear grid tile by tile through a
 shared-L2 reuse model, where a panel's first touch pays the HBM rate
 and re-touches inside the working set pay the L2 rate; it builds no
-events either. It reads the ``GridTable``'s (row, col)
-columns and per-row and per-column byte counts computed once, so its
-loop is plain int and float arithmetic around an LRU and a core heap.
-A table keeps its priced result, and the engine keeps one table per
-linear op and chunk M, so a repeated M is priced by a lookup. The engine
-still makes one ``simulate_linear`` call per op and chunk: tracing from
-outside counts linear ticks from the calls it sees, and a skipped call
-would undercount them. ``profile_swizzle`` prices each distinct walk of
-a grid once, and stores no entry for a grid of one row or one column,
-whose candidates all walk the same cells.
+events either. A grid of one row or one column whose panels all fit in
+L2 at once has a closed form: nothing is evicted, each cell's own panel
+misses once, and the shared panel misses only on the first cell, so
+each core's end is a running sum of its cells, with no event loop and
+no NumPy set-up. Every other grid takes the general path, an event
+loop over the ``GridTable``'s (row, col) columns and per-row and
+per-column byte counts computed once: plain int and float arithmetic
+around an LRU and a core heap. When a grid's panels all fit in L2, the
+loop refreshes no recency, because with nothing evicted recency decides
+nothing. The tests hold the tile-by-tile reference that both paths
+equal bit for bit. A table keeps its priced result, and the engine
+keeps one table per linear op and chunk M, so a repeated M is priced by
+a lookup. The engine still makes one ``simulate_linear`` call per op
+and chunk: tracing from outside counts linear ticks from the calls it
+sees, and a skipped call would undercount them. ``profile_swizzle``
+prices each distinct walk of a grid once, and stores no entry for a
+grid of one row or one column, whose candidates all walk the same
+cells.
 
 Costs are plain rate models (work divided by unit rate); time is
 abstract ticks. Identical inputs produce byte-identical traces.
@@ -97,7 +106,6 @@ _KINDS = ("QK", "Softmax", "SV", "Update", "QKSoftmax")
 _KIND_ROW = {kind: row for row, kind in enumerate(_KINDS)}
 _KIND_UNIT = {"QK": "cube", "Softmax": "vector", "SV": "cube", "Update": "vector", "QKSoftmax": "vector"}
 _IDLE_COST = np.zeros(1)  # appended to a cost matrix, for idle slots to read
-_Slot = tuple[str, int] | None  # (op kind, 1-based unit index) or idle
 
 
 def _op_costs(q_len, tokens, head_size: int, hw: HwConfig, kinds: tuple[str, ...] = _KINDS) -> tuple:
@@ -134,60 +142,11 @@ def _kinds_read(schedule: Schedule, split: bool, fused: bool) -> tuple[str, ...]
     return _KINDS[: 3 + split]
 
 
-def _rounds(schedule: Schedule, n: int, *, split: bool = False, fused: bool = False) -> list[tuple[_Slot, _Slot]]:
-    """Per-round (cube op, vector op) slots; unit indices are 1-based.
-
-    The pipelined patterns are the rigid alternating schedules: after
-    the lead-in, the cube ping-pongs QK/SV and the vector Softmax/
-    Update on fixed slots, idling when its slot's op does not exist.
-    SEQ runs one op per round, unit after unit, in dependency order
-    (QK+Softmax fused when ``fused``, a split's Update last when
-    ``split``), while the other unit idles; ``split`` and ``fused``
-    shape SEQ only.
-    """
-    rounds: list[tuple[_Slot, _Slot]] = []
-
-    def slot(kind: str, idx: int) -> _Slot:
-        return (kind, idx) if 1 <= idx <= n else None
-
-    if schedule in (Schedule.PIPE3, Schedule.PIPE4):
-        # PIPE4 is PIPE3 plus the split's Update on odd rounds from 3 on,
-        # and one more round for the last Update.
-        update = schedule is Schedule.PIPE4
-        for r in range(2 * n + 1 + update):
-            if r == 0:
-                cube = slot("QK", 1)
-            elif r % 2 == 0:
-                cube = slot("SV", r // 2)
-            else:
-                cube = slot("QK", (r + 3) // 2)
-            if r == 1:
-                vec = slot("Softmax", 1)
-            elif r and r % 2 == 0:
-                vec = slot("Softmax", r // 2 + 1)
-            elif r and update:
-                vec = slot("Update", (r - 1) // 2)
-            else:
-                vec = None
-            rounds.append((cube, vec))
-    elif schedule is Schedule.DECODE_PIPE:
-        for r in range(n + 1):
-            cube = slot("SV", r) if r >= 1 else None
-            vec = slot("QKSoftmax", r + 1)
-            rounds.append((cube, vec))
-    else:
-        kinds = ("QKSoftmax", "SV") if fused else ("QK", "Softmax", "SV", "Update")[: 3 + split]
-        for i in range(1, n + 1):
-            for kind in kinds:
-                rounds.append(((kind, i), None) if _KIND_UNIT[kind] == "cube" else (None, (kind, i)))
-    return rounds
-
-
 @functools.lru_cache(maxsize=256)
 def _slot_table(
     schedule: Schedule, split: bool, fused: bool, counts: tuple[int, ...]
 ) -> tuple[tuple[str, ...], np.ndarray, tuple]:
-    """Every core's ``_rounds`` as flat indices into a chunk's raveled
+    """Every core's round slots as flat indices into a chunk's raveled
     cost matrix, for cores of ``counts`` units each. The matrix has one
     row per kind of ``_kinds_read``, the discipline's ``kinds``: slot
     (kind, i) of a core whose units start at ``offset`` is
@@ -196,24 +155,63 @@ def _slot_table(
     caller appends a zero cost. Returns ``kinds``, the read-only [2,
     cores, rounds] (cube, vector) table and a (rounds, cores) pair per
     round count, ``cores`` a slice when all have it. Snake dealing keeps
-    counts within one, so keys repeat."""
+    counts within one, so keys repeat.
+
+    The patterns are the rigid alternating schedules, in closed form over
+    round r; unit i of a core of n exists when 1 <= i <= n, and a slot
+    whose unit does not exist idles:
+    - SEQ runs one op per round, unit after unit, in dependency order
+      (QK+Softmax fused when ``fused``, a split's Update last when
+      ``split``), while the other unit idles.
+    - PIPE3 runs QK 1 on the cube in round 0, then QK (r + 3) / 2 in odd
+      rounds and SV r / 2 in even ones; the vector runs Softmax 1 in
+      round 1 and Softmax r / 2 + 1 in even rounds. PIPE4 adds the
+      split's Update (r - 1) / 2 on the vector in odd rounds from 3 on,
+      and one more round for the last Update. A core runs 2n + 1 rounds,
+      or 2n + 2 under PIPE4.
+    - DECODE_PIPE runs SV r on the cube and QK+Softmax r + 1 on the
+      vector, for n + 1 rounds.
+    ``split`` and ``fused`` shape SEQ only."""
     kinds = _kinds_read(schedule, split, fused)
     row = {kind: r for r, kind in enumerate(kinds)}
-    units = sum(counts)
+    n = np.array(counts, dtype=np.intp)[:, None]
+    units = int(n.sum())
     idle = len(kinds) * units
-    patterns = [_rounds(schedule, n, split=split, fused=fused) if n else [] for n in counts]
-    lengths = [len(p) for p in patterns]
-    slots = np.full((2, len(counts), max([1, *lengths])), idle, dtype=np.intp)
-    offsets = np.cumsum((0, *counts))
-    for core, pattern in enumerate(patterns):
-        for r, pair in enumerate(pattern):
-            for unit, s in enumerate(pair):
-                if s is not None:
-                    slots[unit, core, r] = row[s[0]] * units + offsets[core] + s[1] - 1
+    if schedule is Schedule.SEQ:
+        order = ("QKSoftmax", "SV") if fused else _KINDS[: 3 + split]
+        lengths = n * len(order)
+    elif schedule is Schedule.DECODE_PIPE:
+        lengths = np.where(n > 0, n + 1, 0)
+    else:
+        lengths = np.where(n > 0, 2 * n + 1 + (schedule is Schedule.PIPE4), 0)
+    lengths = lengths.ravel().tolist()
+    r = np.arange(max([1, *lengths]), dtype=np.intp)
+    # (kind row, 1-based unit index) of each round's cube and vector slot;
+    # index 0 idles.
+    if schedule is Schedule.SEQ:
+        step, unit = r % len(order), r // len(order) + 1
+        on_cube = np.array([_KIND_UNIT[kind] == "cube" for kind in order])[step]
+        kind_rows = np.array([row[kind] for kind in order], dtype=np.intp)[step]
+        cube = kind_rows, np.where(on_cube, unit, 0)
+        vector = kind_rows, np.where(on_cube, 0, unit)
+    elif schedule is Schedule.DECODE_PIPE:
+        cube = row["SV"], r
+        vector = row["QKSoftmax"], r + 1
+    else:
+        even, update = r % 2 == 0, schedule is Schedule.PIPE4
+        cube = np.where(even & (r > 0), row["SV"], row["QK"]), np.where(r == 0, 1, np.where(even, r // 2, (r + 3) // 2))
+        vector = (
+            np.where(even | (r == 1), row["Softmax"], row.get("Update", 0)),
+            np.where(r == 0, 0, np.where(even, r // 2 + 1, np.where(r == 1, 1, update * ((r - 1) // 2)))),
+        )
+    offsets = np.cumsum((0, *counts[:-1]), dtype=np.intp)[:, None]
+    slots = np.stack(
+        [np.where((i >= 1) & (i <= n), kind * units + offsets + i - 1, idle) for kind, i in (cube, vector)]
+    )
     slots.flags.writeable = False
     groups = tuple(  # not ``np.unique``, which imports ``numpy.ma`` (about 1 MB)
-        (n, slice(None) if lengths.count(n) == len(lengths) else np.flatnonzero(np.equal(lengths, n)))
-        for n in sorted(set(lengths) - {0})
+        (length, slice(None) if lengths.count(length) == len(lengths) else np.flatnonzero(np.equal(lengths, length)))
+        for length in sorted(set(lengths) - {0})
     )
     return kinds, slots, groups
 
@@ -309,11 +307,14 @@ def simulate_linear(
     working set; ties resolve by core id, so runs are deterministic.
     The trace carries no events.
 
-    The valid rows and columns and the panel bytes of each grid row and
-    column are computed once per call; the loop then does plain int and
-    float arithmetic, and only the LRU working set and the core heap are
-    Python objects. Each core walks its cells of the table with a
-    cursor. The table covers its grid by construction, so it is checked
+    A grid of one row or one column whose panels all fit in L2 at once
+    is priced in closed form by ``_price_line``. Every other grid runs
+    the general event loop, ``_price_loop``: per-row and per-column
+    panel bytes are computed once, and the loop does plain int and float
+    arithmetic around an LRU and a core heap, whose entries carry each
+    core's next cell of the table. When the grid's panels all fit in
+    L2, nothing is evicted and recency decides nothing, so the loop
+    refreshes no recency on a hit. The table covers its grid by construction, so it is checked
     only to be for ``grid``; another grid raises ``ValueError``. The
     result is kept in ``tasktable.priced`` with the other arguments, so
     pricing the same table again returns the same trace object, which
@@ -332,6 +333,69 @@ def simulate_linear(
     for priced_args, priced_state, trace in tasktable.priced:
         if priced_args == args and priced_state == state:
             return trace
+    trace = _price_line(tasktable, hw, prim, m, n, k) if rows == 1 or cols == 1 else None
+    if trace is None:
+        trace = _price_loop(tasktable, hw, prim, m, n, k)
+    tasktable.priced.append((args, dict(state), trace))
+    return trace
+
+
+def _price_line(tasktable: GridTable, hw: HwConfig, prim: TilePrimitive, m: int, n: int, k: int) -> SimTrace | None:
+    """The event loop's result for a grid of one row or one column, or
+    None when its panels do not all fit in L2 at once.
+
+    When they fit, nothing is evicted, so the loop's outcome is fixed
+    before any event runs. Each cell's own panel (its column's B panel in
+    one row, its row's A panel in one column) is touched once and misses.
+    The shared panel misses only on cell 0, which core 0 takes at tick 0,
+    the heap's first pop, and hits on every later touch. Each core's end
+    is then the running sum of its cells, and the MTE ticks are summed in
+    (start tick, core) order, the order the heap pops them in.
+    """
+    rows, cols = tasktable.grid
+    if rows == 1:
+        line, tile, size, shared_valid = tasktable.cells[1], prim.tile_n, n, min(prim.tile_m, m)
+    else:
+        line, tile, size, shared_valid = tasktable.cells[0], prim.tile_m, m, min(prim.tile_n, n)
+    cell_num = rows * cols
+    tail = size - (cell_num - 1) * tile  # valid rows or columns of the last tile, whole before it
+    if not 0 < tail <= tile or (size + shared_valid) * k * BYTES > hw.l2_bytes:
+        return None
+    hbm_rate, core_num = hw.hbm_bytes_per_tick, tasktable.core_num
+    compute = 2.0 * prim.tile_m * prim.tile_n * k / hw.cube_flops_per_tick
+    shared_bytes = shared_valid * k * BYTES
+    shared_l2 = shared_bytes / hw.l2_hit_bytes_per_tick
+    # A miss on the cell's own panel, a hit on the shared one, and the store.
+    loads = [tile * k * BYTES / hbm_rate + shared_l2] * cell_num
+    stores = [shared_valid * tile * BYTES / hbm_rate] * cell_num
+    order = line.tolist()
+    last = order.index(cell_num - 1)
+    loads[last] = tail * k * BYTES / hbm_rate + shared_l2
+    stores[last] = shared_valid * tail * BYTES / hbm_rate
+    loads[0] = ((tail if last == 0 else tile) * k * BYTES + shared_bytes) / hbm_rate  # both miss
+    starts = [0.0] * cell_num
+    walk = []  # cells core by core, each core's in its order
+    makespan = cube = mte = 0.0
+    for core in range(min(core_num, cell_num)):
+        t = 0.0
+        for c in range(core, cell_num, core_num):
+            starts[c] = t
+            t = t + loads[c] + compute + stores[c]
+            walk.append(c)
+        if t > makespan:
+            makespan = t
+    # A stable sort by start tick keeps ties in core order: the heap's pops.
+    for c in sorted(walk, key=starts.__getitem__):
+        mte += loads[c] + stores[c]
+        cube += compute
+    return SimTrace(makespan=makespan, busy={"cube": cube, "vector": 0.0, "mte": mte})
+
+
+def _price_loop(tasktable: GridTable, hw: HwConfig, prim: TilePrimitive, m: int, n: int, k: int) -> SimTrace:
+    """The event loop of ``simulate_linear``: each step pops the core that
+    is free first and prices its next cell's two panel touches, the A
+    panel's then the B panel's."""
+    rows, cols = tasktable.grid
     cells = tasktable.cells
     rows_of = cells[0].tolist()
     # Panels 0..rows-1 are A's row-panels, rows..rows+cols-1 B's column-panels.
@@ -342,42 +406,54 @@ def simulate_linear(
     stores = (rows_valid[cells[0]] * cols_valid[cells[1]] * BYTES / hw.hbm_bytes_per_tick).tolist()
     compute = 2.0 * prim.tile_m * prim.tile_n * k / hw.cube_flops_per_tick
     hbm_rate, l2_rate, l2_cap = hw.hbm_bytes_per_tick, hw.l2_hit_bytes_per_tick, hw.l2_bytes
+    evicts = sum(panel_bytes) > l2_cap  # else recency decides nothing
     core_num, cell_num = tasktable.core_num, len(rows_of)
-    heap = [(0.0, core) for core in range(min(core_num, cell_num))]
-    cursor = list(range(core_num))  # core c runs cells c, c + k, c + 2k, ...
+    # (free at, core, its next cell): core c runs cells c, c + k, c + 2k, ...
+    heap = [(0.0, core, core) for core in range(min(core_num, cell_num))]
     lru: OrderedDict[int, int] = OrderedDict()
+    move_to_end, popitem = lru.move_to_end, lru.popitem
+    heapreplace, heappop = heapq.heapreplace, heapq.heappop
     lru_bytes = 0
     cube = mte = makespan = 0.0
     while heap:
-        t, core = heap[0]
-        c = cursor[core]
-        cursor[core] = c + core_num
-        hbm_bytes = l2_bytes = 0
-        for panel in (rows_of[c], b_panels[c]):
-            nbytes = panel_bytes[panel]
-            if panel in lru:
-                lru.move_to_end(panel)
-                l2_bytes += nbytes
-                continue
+        t, core, c = heap[0]
+        panel = rows_of[c]
+        nbytes = panel_bytes[panel]
+        if panel in lru:
+            if evicts:
+                move_to_end(panel)
+            hbm_bytes, l2_bytes = 0, nbytes
+        else:
             lru[panel] = nbytes
             lru_bytes += nbytes
             while lru_bytes > l2_cap and len(lru) > 1:
-                lru_bytes -= lru.popitem(last=False)[1]
+                lru_bytes -= popitem(False)[1]
+            hbm_bytes, l2_bytes = nbytes, 0
+        panel = b_panels[c]
+        nbytes = panel_bytes[panel]
+        if panel in lru:
+            if evicts:
+                move_to_end(panel)
+            l2_bytes += nbytes
+        else:
+            lru[panel] = nbytes
+            lru_bytes += nbytes
+            while lru_bytes > l2_cap and len(lru) > 1:
+                lru_bytes -= popitem(False)[1]
             hbm_bytes += nbytes
         load = hbm_bytes / hbm_rate + l2_bytes / l2_rate
         store = stores[c]
         end = t + load + compute + store
         mte += load + store
         cube += compute
-        if end > makespan:
-            makespan = end
-        if c + core_num < cell_num:
-            heapq.heapreplace(heap, (end, core))
-        else:
-            heapq.heappop(heap)
-    trace = SimTrace(makespan=makespan, busy={"cube": cube, "vector": 0.0, "mte": mte})
-    tasktable.priced.append((args, dict(state), trace))
-    return trace
+        c += core_num
+        if c < cell_num:
+            heapreplace(heap, (end, core, c))
+        else:  # the core's last cell, and its latest end
+            heappop(heap)
+            if end > makespan:
+                makespan = end
+    return SimTrace(makespan=makespan, busy={"cube": cube, "vector": 0.0, "mte": mte})
 
 
 def profile_swizzle(

@@ -5,6 +5,8 @@ op of an attention task table, advancing a clock op by op. The closed
 form in ``tileserve.simulator`` must equal its makespan and busy ticks
 bit for bit, because both add the same costs in the same order; the
 tests compare the two on random tables and on the engine's own chunks.
+``reference_rounds`` lists each round's (cube, vector) slots one by one,
+the patterns that ``simulator._slot_table`` builds in closed form.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from tileserve.simulator import (
     SimTrace,
     _check_schedule,
     _op_costs,
-    _rounds,
 )
+
+_Slot = tuple[str, int] | None  # (op kind, 1-based unit index) or idle
 
 
 @dataclass(frozen=True)
@@ -133,13 +136,64 @@ def _run_seq(core: int, units: list[_Unit], kinds: tuple[str, ...]) -> list[Stag
     return events
 
 
+def reference_rounds(
+    schedule: Schedule, n: int, *, split: bool = False, fused: bool = False
+) -> list[tuple[_Slot, _Slot]]:
+    """Per-round (cube op, vector op) slots; unit indices are 1-based.
+
+    The pipelined patterns are the rigid alternating schedules: after
+    the lead-in, the cube ping-pongs QK/SV and the vector Softmax/
+    Update on fixed slots, idling when its slot's op does not exist.
+    SEQ runs one op per round, unit after unit, in dependency order
+    (QK+Softmax fused when ``fused``, a split's Update last when
+    ``split``), while the other unit idles; ``split`` and ``fused``
+    shape SEQ only.
+    """
+    rounds: list[tuple[_Slot, _Slot]] = []
+
+    def slot(kind: str, idx: int) -> _Slot:
+        return (kind, idx) if 1 <= idx <= n else None
+
+    if schedule in (Schedule.PIPE3, Schedule.PIPE4):
+        # PIPE4 is PIPE3 plus the split's Update on odd rounds from 3 on,
+        # and one more round for the last Update.
+        update = schedule is Schedule.PIPE4
+        for r in range(2 * n + 1 + update):
+            if r == 0:
+                cube = slot("QK", 1)
+            elif r % 2 == 0:
+                cube = slot("SV", r // 2)
+            else:
+                cube = slot("QK", (r + 3) // 2)
+            if r == 1:
+                vec = slot("Softmax", 1)
+            elif r and r % 2 == 0:
+                vec = slot("Softmax", r // 2 + 1)
+            elif r and update:
+                vec = slot("Update", (r - 1) // 2)
+            else:
+                vec = None
+            rounds.append((cube, vec))
+    elif schedule is Schedule.DECODE_PIPE:
+        for r in range(n + 1):
+            cube = slot("SV", r) if r >= 1 else None
+            vec = slot("QKSoftmax", r + 1)
+            rounds.append((cube, vec))
+    else:
+        kinds = ("QKSoftmax", "SV") if fused else ("QK", "Softmax", "SV", "Update")[: 3 + split]
+        for i in range(1, n + 1):
+            for kind in kinds:
+                rounds.append(((kind, i), None) if _KIND_UNIT[kind] == "cube" else (None, (kind, i)))
+    return rounds
+
+
 def _run_rounds(core: int, units: list[_Unit], schedule: Schedule) -> list[StageEvent]:
     n = len(units)
     if n == 0:
         return []
     events = []
     t = 0.0
-    for cube_slot, vec_slot in _rounds(schedule, n):
+    for cube_slot, vec_slot in reference_rounds(schedule, n):
         dur = 0.0
         if cube_slot is not None:
             dur = max(dur, units[cube_slot[1] - 1].cost(cube_slot[0]))

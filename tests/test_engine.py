@@ -798,6 +798,53 @@ def test_a_request_at_the_pool_bound_serves_and_one_token_more_is_rejected(numer
         assert min(least_free) == 0
 
 
+@pytest.mark.parametrize("spec", [None, (2, 2)], ids=["plain", "speculative"])
+def test_a_request_past_the_models_positions_is_refused_in_numeric_mode(spec):
+    """A 12-position model serves a request whose K/V reaches 12 tokens
+    (a speculative one's last width-2 depth-2 tree adds 2 past the root)
+    and refuses one that reaches 13; simulate mode has no position limit."""
+    cfg = ServeConfig()
+    model = ToyModel.seeded(cfg.model, seed=0, max_positions=12)
+    prompt_len = 8 if spec is None else 6
+    for numeric in (True, False):
+        engine = Engine(cfg, model if numeric else None, check=numeric)
+        over = EngineRequest("over", list(range(prompt_len + 1)), 5, spec=spec)
+        if numeric:
+            with pytest.raises(RejectedRequest, match=r"'over': .* 13 tokens, past the model's 12 positions"):
+                engine.submit(over)
+        else:
+            engine.submit(over)
+        engine.submit(EngineRequest("fits", list(range(prompt_len)), 5, spec=spec))
+        assert engine.run()["requests"]["fits"]["done"]
+
+
+def test_cli_sizes_the_positions_to_the_trace_and_refuses_a_prompt_past_the_model(tmp_path, capsys, monkeypatch):
+    """``run_trace`` builds the positional table for the longest request,
+    a prompt of 40 and 6 outputs here (45 positions); a 4,100-token
+    prompt passes the model's 4,096 positions and exits 2 with the
+    request named, where it once raised an ``IndexError``."""
+    sizes = []
+    seeded = ToyModel.seeded
+
+    def seeded_recorded(cfg, seed=0, max_positions=4096):
+        sizes.append(max_positions)
+        return seeded(cfg, seed=seed, max_positions=max_positions)
+
+    monkeypatch.setattr(ToyModel, "seeded", seeded_recorded)
+    trace = tmp_path / "t.jsonl"
+    rows = [{"id": "short", "arrival": 0, "prompt": [1] * 8, "output_len": 3},
+            {"id": "long", "arrival": 2, "prompt": [2] * 40, "output_len": 6}]
+    write_trace(rows, trace)
+    report = str(tmp_path / "r.json")
+    assert cli.main(["run", "--trace", str(trace), "--mode", "numeric", "--check", "--report", report]) == 0
+    assert sizes == [45]
+    write_trace([{"id": "long", "arrival": 0, "prompt": [1] * 4100, "output_len": 2}], trace)
+    assert cli.main(["run", "--trace", str(trace), "--mode", "numeric"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: request 'long': its K/V grows to 4101 tokens, past the model's 4096 positions\n"
+    assert sizes == [45, 4096]
+
+
 def mixed_simulate_trace() -> list[dict]:
     """Plain and speculative requests in turn, whose prompts split at a
     64-token budget, and four long plain decodes: most chunks hold a run

@@ -1,7 +1,8 @@
 """Cost model: the attention closed form against the event-by-event
-reference and against the per-core loop it replaced, linear pricing
-against the tile-by-tile loop it replaced, and ordering profiles against
-the exhaustive sweep."""
+reference and against the per-core loop it replaced, its slot tables
+against the round-by-round ones, linear pricing (the one-line closed
+form and the event loop) against the tile-by-tile loop it replaced, and
+ordering profiles against the exhaustive sweep."""
 
 from __future__ import annotations
 
@@ -28,14 +29,15 @@ from tileserve.simulator import (
     Schedule,
     ScheduleViolation,
     SimTrace,
-    _rounds,
+    _kinds_read,
+    _price_line,
     _slot_table,
     profile_swizzle,
     simulate_attention,
     simulate_linear,
 )
 
-from attention_events import trace_attention
+from attention_events import reference_rounds, trace_attention
 from exhaustive_profile import exhaustive_profile_swizzle
 
 HWS = (
@@ -179,23 +181,73 @@ def test_schedule_violations_raise(simulate, q_len, schedule, kwargs, message):
 
 
 def test_round_patterns_of_two_units():
-    """The slot patterns themselves, which the closed form and both
-    references all read through ``_rounds``: PIPE4 is PIPE3 plus the
-    split's Update on odd rounds from 3 on, and one more round."""
+    """The slot patterns themselves, which both references read through
+    ``reference_rounds`` and the closed-form slot tables must match: PIPE4
+    is PIPE3 plus the split's Update on odd rounds from 3 on, and one more
+    round."""
     qk, sm, sv, up, qks = (lambda i, kind=kind: (kind, i) for kind in _KINDS)
-    assert _rounds(Schedule.SEQ, 2) == [
+    assert reference_rounds(Schedule.SEQ, 2) == [
         (qk(1), None), (None, sm(1)), (sv(1), None), (qk(2), None), (None, sm(2)), (sv(2), None)
     ]
-    assert _rounds(Schedule.SEQ, 2, split=True) == [
+    assert reference_rounds(Schedule.SEQ, 2, split=True) == [
         (qk(1), None), (None, sm(1)), (sv(1), None), (None, up(1)),
         (qk(2), None), (None, sm(2)), (sv(2), None), (None, up(2)),
     ]
-    assert _rounds(Schedule.SEQ, 2, fused=True) == [(None, qks(1)), (sv(1), None), (None, qks(2)), (sv(2), None)]
-    assert _rounds(Schedule.PIPE3, 2) == [(qk(1), None), (qk(2), sm(1)), (sv(1), sm(2)), (None, None), (sv(2), None)]
-    assert _rounds(Schedule.PIPE4, 2) == [
+    assert reference_rounds(Schedule.SEQ, 2, fused=True) == [
+        (None, qks(1)), (sv(1), None), (None, qks(2)), (sv(2), None)
+    ]
+    assert reference_rounds(Schedule.PIPE3, 2) == [
+        (qk(1), None), (qk(2), sm(1)), (sv(1), sm(2)), (None, None), (sv(2), None)
+    ]
+    assert reference_rounds(Schedule.PIPE4, 2) == [
         (qk(1), None), (qk(2), sm(1)), (sv(1), sm(2)), (None, up(1)), (sv(2), None), (None, up(2))
     ]
-    assert _rounds(Schedule.DECODE_PIPE, 2) == [(None, qks(1)), (sv(1), qks(2)), (sv(2), None)]
+    assert reference_rounds(Schedule.DECODE_PIPE, 2) == [(None, qks(1)), (sv(1), qks(2)), (sv(2), None)]
+
+
+def reference_slot_table(schedule: Schedule, split: bool, fused: bool, counts: tuple[int, ...]):
+    """``_slot_table`` built slot by slot from ``reference_rounds``."""
+    kinds = _kinds_read(schedule, split, fused)
+    row = {kind: r for r, kind in enumerate(kinds)}
+    units = sum(counts)
+    idle = len(kinds) * units
+    patterns = [reference_rounds(schedule, n, split=split, fused=fused) if n else [] for n in counts]
+    lengths = [len(p) for p in patterns]
+    slots = np.full((2, len(counts), max([1, *lengths])), idle, dtype=np.intp)
+    offsets = np.cumsum((0, *counts))
+    for core, pattern in enumerate(patterns):
+        for r, pair in enumerate(pattern):
+            for unit, s in enumerate(pair):
+                if s is not None:
+                    slots[unit, core, r] = row[s[0]] * units + offsets[core] + s[1] - 1
+    return kinds, slots, lengths
+
+
+# The (schedule, split, fused) keys ``simulate_attention`` can ask for.
+SLOT_KEYS = [(Schedule.SEQ, split, fused) for split in (False, True) for fused in (False, True)] + [
+    (Schedule.PIPE3, False, False),
+    (Schedule.PIPE4, True, False),
+    (Schedule.DECODE_PIPE, False, False),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.sampled_from(SLOT_KEYS), counts=st.lists(st.integers(0, 40), min_size=1, max_size=6))
+def test_closed_form_slot_tables_equal_the_round_by_round_ones(key, counts):
+    """Every discipline, split and fused or not, on 1-6 cores of 0-40
+    units: the same kinds, the same slot of every round, and round-count
+    groups that cover each core with its own round count."""
+    counts = tuple(counts)
+    kinds, slots, groups = _slot_table(*key, counts)
+    ref_kinds, ref_slots, lengths = reference_slot_table(*key, counts)
+    assert kinds == ref_kinds
+    assert slots.dtype == ref_slots.dtype and np.array_equal(slots, ref_slots)
+    assert not slots.flags.writeable
+    covered = {}
+    for rounds, cores in groups:
+        for core in np.arange(len(counts))[cores].tolist():
+            covered[core] = rounds
+    assert covered == {core: n for core, n in enumerate(lengths) if n}
 
 
 # -- one-pass attention pricing against the per-core loop ----------------------
@@ -246,7 +298,7 @@ def per_core_attention(
             idle = len(_KINDS) * n
             cube_ix, vec_ix = (
                 np.array([idle if s is None else _KIND_ROW[s[0]] * n + s[1] - 1 for s in unit], dtype=np.intp)
-                for unit in zip(*_rounds(schedule, n))
+                for unit in zip(*reference_rounds(schedule, n))
             )
             cube_ops, vec_ops = flat[cube_ix], flat[vec_ix]
             cube, vector = float(cube_ops.sum()), float(vec_ops.sum())
@@ -466,6 +518,45 @@ def test_linear_pricing_equals_the_reference_loop(
         l2_hit_bytes_per_tick=rates[1],
     )
     assert_prices_like_the_reference(desc, (rows, cols), core_num, hw, prim, m, n, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    desc=st.sampled_from(CANDIDATE_ORDERINGS),
+    tiles=st.integers(1, 300),
+    one_row=st.booleans(),
+    tile_m=st.sampled_from((16, 32)),
+    tile_n=st.sampled_from((16, 64, 128)),
+    tile_k=st.sampled_from(SUPPORTED_TILE_K),
+    k_steps=st.integers(1, 3),
+    m_tail=st.integers(0, 31),
+    n_tail=st.integers(0, 127),
+    core_num=st.integers(1, 6),
+    l2_offset=st.sampled_from((-BYTES * 64, -1, 0, 1, 1 << 20)),
+    rates=st.sampled_from(((1024.0, 8192.0), (1000.0, 7777.0), (3.0, 10.0))),
+)
+def test_one_line_grids_price_like_the_reference_on_either_side_of_l2(
+    desc, tiles, one_row, tile_m, tile_n, tile_k, k_steps, m_tail, n_tail, core_num, l2_offset, rates
+):
+    """Grids of one row or one column up to 300 tiles, with L2 just below
+    the working set (the event loop, which evicts) or at or above it (the
+    closed form, where nothing is evicted)."""
+    grid = (1, tiles) if one_row else (tiles, 1)
+    prim = TilePrimitive(tile_m=tile_m, tile_n=tile_n, tile_k=tile_k)
+    m = grid[0] * tile_m - m_tail % tile_m
+    n = grid[1] * tile_n - n_tail % tile_n
+    k = k_steps * tile_k
+    working_set = (m + n) * k * BYTES
+    hw = HwConfig(
+        core_num=core_num,
+        l2_bytes=max(1, working_set + l2_offset),
+        hbm_bytes_per_tick=rates[0],
+        l2_hit_bytes_per_tick=rates[1],
+    )
+    evicts = hw.l2_bytes < working_set  # the last panel touched first overflows L2
+    assert (_price_line(deal_round_robin(desc, grid, core_num), hw, prim, m, n, k) is None) == evicts
+    ref = assert_prices_like_the_reference(desc, grid, core_num, hw, prim, m, n, k)
+    assert (ref["evictions"] > 0) == evicts
 
 
 def test_7b_qkv_grid_prices_like_the_reference_while_evicting():
