@@ -19,9 +19,9 @@ is what is priced.
 
 Each admitted request is one ``scheduler.RequestState``: the record the
 scheduler queues, the chunk hands to the engine, and ``runtimes`` maps
-its id to. It holds the request's block table, and the engine writes
-each pick, its tick and a speculative request's next tree onto it, so
-the scheduler reads a chunk's outcome off the records. One radix cache
+its id to. Its progress is its block table's token count, which the
+cache writes; the engine writes each pick, its tick and a speculative
+request's next tree onto it, and the scheduler only reads it. One radix cache
 serves every transformer layer: each sequence has one block table, and
 each chunk reserves every stage's tokens once, after the cache has made
 room for all of them (``RadixKvCache.reserve_blocks``, skipped when the
@@ -98,13 +98,20 @@ class RejectedRequest(ValueError):
     """A submitted request that no chunk could ever serve."""
 
 
-def _tree_tokens(spec: tuple[int, int], budget: int) -> int:
-    """Tokens of the largest tree a (width, depth) request drafts, or just
-    its depth when that alone passes the budget. A verify tree runs whole
-    in one chunk, and a drafted tree is at most full_tree's shape:
-    width**level nodes on each of its depth levels."""
+def _tree_tokens(spec: tuple[int, int], budget: int) -> tuple[int, bool]:
+    """Tokens of the largest tree a (width, depth) request drafts, counted
+    only until they pass the budget, and whether the count is the whole
+    tree. A verify tree runs whole in one chunk, and a drafted tree is at
+    most full_tree's shape: width**level nodes on each of its depth levels,
+    so a tree wider than 1 passes the budget within log2(budget) + 1 levels."""
     width, depth = spec
-    return depth if depth > budget else sum(width**level for level in range(depth))
+    if depth > budget or width == 1:
+        return depth, depth <= budget
+    tokens = level = 0
+    while level < depth and tokens <= budget:
+        tokens += width**level
+        level += 1
+    return tokens, level == depth
 
 
 def most_kv_tokens(req: EngineRequest, budget: int) -> int:
@@ -113,7 +120,7 @@ def most_kv_tokens(req: EngineRequest, budget: int) -> int:
     and a speculative request's last verify adds its tree past the root."""
     tokens = len(req.prompt) + req.output_len - 1
     if req.spec is not None and req.output_len > 1:  # a verify runs only while outputs remain
-        tokens += _tree_tokens(req.spec, budget) - 1
+        tokens += _tree_tokens(req.spec, budget)[0] - 1
     return tokens
 
 
@@ -210,12 +217,11 @@ class Engine:
         budget = self.sched.budget
         if req.spec is not None:
             width, depth = req.spec
-            size = _tree_tokens(req.spec, budget)
+            size, whole = _tree_tokens(req.spec, budget)
             if size > budget:
-                at_least = "at least " if depth > budget else ""
                 raise RejectedRequest(
                     f"request {req.req_id!r}: its speculative tree (width {width}, depth {depth}) "
-                    f"has {at_least}{size} tokens, more than the chunk budget of {budget}"
+                    f"has {'' if whole else 'at least '}{size} tokens, more than the chunk budget of {budget}"
                 )
         # A table that cannot fit in the pool alone could never be served,
         # nor one that runs past the numeric model's positions.
@@ -257,7 +263,7 @@ class Engine:
         while self.pending and self.pending[0].arrival <= self.ticks:
             req = self.pending.pop(0)
             table = self.cache.start_sequence(req.req_id, req.prompt, max_match=len(req.prompt) - 1)
-            self.runtimes[req.req_id] = rs = RequestState(req, table, kv_len=table.total_tokens)
+            self.runtimes[req.req_id] = rs = RequestState(req, table)
             self.sched.add_request(rs)
 
     def _plan_chunk(self, chunk: Chunk) -> _ChunkPlan:

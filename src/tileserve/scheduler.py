@@ -17,10 +17,11 @@ runs a sequence with a zero-length proposal, and the verify queue only
 holds trees with something to verify.
 
 A request is one ``RequestState`` from admission to retirement, as vLLM
-keeps one ``Sequence`` per request: the scheduler queues it and advances
-its ``kv_len`` as it hands tokens out, and the engine fills in its picked
-tokens and its next speculative tree. ``complete_chunk`` reads both off
-the record, so a chunk's outcome needs no message of its own.
+keeps one ``Sequence`` per request; its progress is its block table's
+``total_tokens``, which the cache commits. The scheduler writes nothing
+on a record, so a chunk that fails leaves every record as it was; the
+engine fills in the picks and the next tree that ``complete_chunk``
+reads, so a chunk's outcome needs no message of its own.
 
 Decodes form one run at the head of each chunk, carried as two columns,
 ``Chunk.decode_run`` and ``Chunk.decode_kv``, with no entry object per
@@ -64,25 +65,23 @@ class EngineRequest:
 
 @dataclass(eq=False)
 class RequestState:
-    """One admitted request: what was submitted, its block table, and its
-    progress.
+    """One admitted request: what was submitted, its block table, and what
+    it has picked.
 
-    ``kv_len`` counts the tokens handed to chunks, which between chunks
-    is the table's ``total_tokens``: during prefill it is the next prompt
-    position, and after it every output but the last has K/V.
-    ``spec_tree`` is the tree the next verify entry checks, which has
-    nodes past its root; it is None when the next step is a prefill slice
-    or a decode, a speculative request's included when its draft was the
-    root alone. ``outputs``
-    holds the picked tokens, ``token_ticks`` the tick each was picked at,
-    and ``logits_rows`` (numeric mode) each kept logits row by position.
+    Its progress is the table's ``total_tokens``, the record's only token
+    count: during prefill it is the next prompt position, and after it
+    every output but the last has K/V. ``spec_tree`` is the tree the next
+    verify entry checks, which has nodes past its root; it is None when
+    the next step is a prefill slice or a decode, a speculative request's
+    included when its draft was the root alone. ``outputs`` holds the
+    picked tokens, ``token_ticks`` the tick each was picked at, and
+    ``logits_rows`` (numeric mode) each kept logits row by position.
     Records compare by identity, so the scheduler keeps the ones in
     flight in a set.
     """
 
     request: EngineRequest
     table: BlockTable
-    kv_len: int = 0
     spec_tree: SpecTree | None = None
     outputs: list[int] = field(default_factory=list)
     token_ticks: list[float] = field(default_factory=list)
@@ -145,10 +144,10 @@ class TokenScheduler:
     # ------------------------------------------------------------------
 
     def add_request(self, req: RequestState) -> None:
-        if req.kv_len >= len(req.request.prompt):
+        if req.table.total_tokens >= len(req.request.prompt):
             raise ValueError(
                 f"request {req.request.req_id!r} needs at least one uncached prompt token;"
-                f" {req.kv_len} of its {len(req.request.prompt)} prompt tokens are cached"
+                f" {req.table.total_tokens} of its {len(req.request.prompt)} prompt tokens are cached"
             )
         self._prefill.append(req)
 
@@ -162,9 +161,7 @@ class TokenScheduler:
         """Build the next fixed-budget chunk, or None if queues are empty."""
         queue = self._decode
         run = [queue.popleft() for _ in range(min(len(queue), self.budget))]
-        decode_kv = [req.kv_len for req in run]
-        for req in run:
-            req.kv_len += 1
+        decode_kv = [req.table.total_tokens for req in run]
         self._in_flight.update(run)
         entries: list[ChunkEntry] = []
         used = len(run)
@@ -174,29 +171,26 @@ class TokenScheduler:
             if used + spec_len > self.budget:
                 break  # verify trees are atomic; FIFO head blocks
             req = self._verify.popleft()
-            entries.append(ChunkEntry(req, Stage.VERIFY, used, spec_len, req.kv_len, req.spec_tree))
+            entries.append(ChunkEntry(req, Stage.VERIFY, used, spec_len, req.table.total_tokens, req.spec_tree))
             used += spec_len
             self._in_flight.add(req)
 
-        dv = used
-        if self._prefill:
-            # With D/V admitted, hold `reserve` slots back from prefill so the
-            # next rounds' decode tokens are not starved; prefill alone may
-            # use the full budget.
-            cap = self.budget if dv == 0 else self.budget - max(dv, self.reserve)
-            room = max(0, cap - (used - dv))
-            while self._prefill and room > 0:
-                req = self._prefill[0]
-                take = min(len(req.request.prompt) - req.kv_len, room)
-                entries.append(ChunkEntry(req, Stage.PREFILL, used, take, req.kv_len))
-                req.kv_len += take
-                used += take
-                room -= take
-                self._in_flight.add(req)
-                if req.kv_len == len(req.request.prompt):
-                    self._prefill.popleft()
-                else:
-                    break  # split: remainder stays at the queue head
+        # With D/V admitted, hold `reserve` slots back from prefill so the
+        # next rounds' decode tokens are not starved; prefill alone may use
+        # the full budget.
+        room = self.budget if used == 0 else self.budget - max(used, self.reserve)
+        while self._prefill and room > 0:
+            req = self._prefill[0]
+            pos = req.table.total_tokens
+            take = min(len(req.request.prompt) - pos, room)
+            entries.append(ChunkEntry(req, Stage.PREFILL, used, take, pos))
+            used += take
+            room -= take
+            self._in_flight.add(req)
+            if pos + take == len(req.request.prompt):
+                self._prefill.popleft()
+            else:
+                break  # split: remainder stays at the queue head
 
         if not used:
             return None
@@ -205,11 +199,11 @@ class TokenScheduler:
         return chunk
 
     def complete_chunk(self, chunk: Chunk) -> list[RequestState]:
-        """Apply a finished chunk whose picked tokens (and each continuing
-        speculative request's next tree, if it has one) are on its records:
-        advance, re-enqueue, or retire requests. A continuing request with
-        a tree goes to the verify queue and any other to the decode queue.
-        Returns the requests this chunk retired, in flat-token order.
+        """Apply a finished chunk whose tokens are committed and whose picks
+        (and each continuing speculative request's next tree, if it has
+        one) are on its records: a continuing request with a tree goes to
+        the verify queue and any other to the decode queue. Returns the
+        requests this chunk retired, in flat-token order.
 
         Raises:
             UnknownRequest: naming the first request of the decode run
@@ -229,12 +223,8 @@ class TokenScheduler:
             if req not in self._in_flight:
                 raise UnknownRequest(req.request.req_id)
             self._in_flight.remove(req)
-            prompt = len(req.request.prompt)
-            if entry.stage is Stage.PREFILL:
-                if entry.kv_len + entry.token_num < prompt:
-                    continue  # split continuation is already queued
-            else:  # VERIFY: the kept root and path leave every output but the last with K/V
-                req.kv_len = prompt + len(req.outputs) - 1
+            if req.table.total_tokens < len(req.request.prompt):
+                continue  # split continuation is already queued
             stepped.append(req)
         retired = []
         decode, verify = self._decode, self._verify

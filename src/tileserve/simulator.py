@@ -305,7 +305,8 @@ def simulate_linear(
     the HBM rate, a re-touch the L2 rate. A tile's load, GEMM and store
     run back to back on its core. Cores run concurrently and share the
     working set; ties resolve by core id, so runs are deterministic.
-    The trace carries no events.
+    The trace carries no events, and ``busy`` covers the cube and vector
+    units, as the attention trace does.
 
     A grid of one row or one column whose panels all fit in L2 at once
     is priced in closed form by ``_price_line``. Every other grid runs
@@ -349,8 +350,8 @@ def _price_line(tasktable: GridTable, hw: HwConfig, prim: TilePrimitive, m: int,
     one row, its row's A panel in one column) is touched once and misses.
     The shared panel misses only on cell 0, which core 0 takes at tick 0,
     the heap's first pop, and hits on every later touch. Each core's end
-    is then the running sum of its cells, and the MTE ticks are summed in
-    (start tick, core) order, the order the heap pops them in.
+    is then the running sum of its cells; every cell adds the same cube
+    ticks, so their sum in any order has the loop's bits.
     """
     rows, cols = tasktable.grid
     if rows == 1:
@@ -373,22 +374,15 @@ def _price_line(tasktable: GridTable, hw: HwConfig, prim: TilePrimitive, m: int,
     loads[last] = tail * k * BYTES / hbm_rate + shared_l2
     stores[last] = shared_valid * tail * BYTES / hbm_rate
     loads[0] = ((tail if last == 0 else tile) * k * BYTES + shared_bytes) / hbm_rate  # both miss
-    starts = [0.0] * cell_num
-    walk = []  # cells core by core, each core's in its order
-    makespan = cube = mte = 0.0
+    makespan = cube = 0.0
     for core in range(min(core_num, cell_num)):
         t = 0.0
         for c in range(core, cell_num, core_num):
-            starts[c] = t
             t = t + loads[c] + compute + stores[c]
-            walk.append(c)
+            cube += compute
         if t > makespan:
             makespan = t
-    # A stable sort by start tick keeps ties in core order: the heap's pops.
-    for c in sorted(walk, key=starts.__getitem__):
-        mte += loads[c] + stores[c]
-        cube += compute
-    return SimTrace(makespan=makespan, busy={"cube": cube, "vector": 0.0, "mte": mte})
+    return SimTrace(makespan=makespan, busy={"cube": cube, "vector": 0.0})
 
 
 def _price_loop(tasktable: GridTable, hw: HwConfig, prim: TilePrimitive, m: int, n: int, k: int) -> SimTrace:
@@ -414,7 +408,7 @@ def _price_loop(tasktable: GridTable, hw: HwConfig, prim: TilePrimitive, m: int,
     move_to_end, popitem = lru.move_to_end, lru.popitem
     heapreplace, heappop = heapq.heapreplace, heapq.heappop
     lru_bytes = 0
-    cube = mte = makespan = 0.0
+    cube = makespan = 0.0
     while heap:
         t, core, c = heap[0]
         panel = rows_of[c]
@@ -442,9 +436,7 @@ def _price_loop(tasktable: GridTable, hw: HwConfig, prim: TilePrimitive, m: int,
                 lru_bytes -= popitem(False)[1]
             hbm_bytes += nbytes
         load = hbm_bytes / hbm_rate + l2_bytes / l2_rate
-        store = stores[c]
-        end = t + load + compute + store
-        mte += load + store
+        end = t + load + compute + stores[c]
         cube += compute
         c += core_num
         if c < cell_num:
@@ -453,7 +445,7 @@ def _price_loop(tasktable: GridTable, hw: HwConfig, prim: TilePrimitive, m: int,
             heappop(heap)
             if end > makespan:
                 makespan = end
-    return SimTrace(makespan=makespan, busy={"cube": cube, "vector": 0.0, "mte": mte})
+    return SimTrace(makespan=makespan, busy={"cube": cube, "vector": 0.0})
 
 
 def profile_swizzle(

@@ -59,9 +59,7 @@ class SpecTree:
             d += 1
         return d
 
-    def children(self, i: int | None) -> list[int]:
-        if i is None:
-            return [0]
+    def children(self, i: int) -> list[int]:
         return [j for j, p in enumerate(self.parents) if p == i]
 
 def full_tree(root_token: int, width: int, depth: int, child_token) -> SpecTree:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,10 @@ PROFILES = ("prefill_heavy", "decode_heavy", "sharegpt_like")
 # Fixed input/output lengths of the two synthetic workload profiles.
 PREFILL_HEAVY_LENS = (462, 16)
 DECODE_HEAVY_LENS = (462, 256)
+
+# Every int up to 2**53 is exact as a float, the engine's tick type, so an arrival is idled
+# to exactly, and each count built from a trace's ints prints within Python's digit limit.
+MAX_INT = 2**53
 
 
 def _is_int_at_least(value, least: int) -> bool:
@@ -54,6 +59,10 @@ def parse_trace(path: str | Path, vocab_size: int | None = None) -> list[EngineR
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(line_no, f"invalid JSON: {exc.msg}")
+        except ValueError:  # what json.loads raises for an integer past Python's digit limit
+            raise ParseError(line_no, f"invalid JSON: an integer of more than {sys.get_int_max_str_digits()} digits")
+        except RecursionError:
+            raise ParseError(line_no, "invalid JSON: nested too deeply")
         if not isinstance(obj, dict):
             raise ParseError(line_no, "expected a JSON object")
         for key in ("id", "arrival", "prompt", "output_len"):
@@ -82,6 +91,10 @@ def parse_trace(path: str | Path, vocab_size: int | None = None) -> list[EngineR
             spec_cfg = (spec["width"], spec["depth"])
             if not (_is_int_at_least(spec_cfg[0], 1) and _is_int_at_least(spec_cfg[1], 1)):
                 raise ParseError(line_no, "spec width and depth must be positive integers")
+        sizes = (obj["arrival"], obj["output_len"], *(spec_cfg or ()))
+        for name, value in zip(("arrival", "output_len", "spec width", "spec depth"), sizes):
+            if value > MAX_INT:
+                raise ParseError(line_no, f"{name} must be at most 2**53")
         requests.append(
             EngineRequest(
                 req_id=req_id, prompt=prompt, output_len=obj["output_len"], arrival=obj["arrival"], spec=spec_cfg

@@ -653,6 +653,30 @@ def test_submit_rejects_a_tree_larger_than_the_budget():
     assert [r.req_id for r in engine.pending] == ["fits"]
 
 
+@pytest.mark.parametrize(
+    "spec, count",
+    [
+        ((1000, 2000), "at least 1001001"),  # the whole tree's size has more than 4,300 digits
+        ((10**12, 4000), "at least 1000000000001"),
+        ((2, 13), "8191"),  # only the last level passes the budget: the whole tree
+        ((1, 5000), "at least 5000"),
+    ],
+)
+def test_a_tree_is_counted_only_until_it_passes_the_budget(capsys, tmp_path, spec, count):
+    """However wide or deep, a tree costs ``submit`` a few levels of
+    counting: it stops at the first level past the default budget of
+    4,096 and says "at least" when levels remain. The CLI exits 2 naming
+    the request."""
+    engine = Engine(ServeConfig())
+    request = EngineRequest(req_id="wide", prompt=[1, 2], output_len=4, spec=spec)
+    with pytest.raises(RejectedRequest, match=f"'wide'.* has {count} tokens, more than the chunk budget of 4096$"):
+        engine.submit(request)
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(json.dumps({"id": "r0", "arrival": 0, "prompt": [1], "output_len": 2, "spec": dict(zip(("width", "depth"), spec))}) + "\n")
+    assert cli.main(["run", "--trace", str(trace), "--mode", "simulate"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: request 'r0': its speculative tree (width {spec[0]}, depth {spec[1]}) has {count} tokens")
+
+
 def test_submit_rejects_an_id_already_submitted():
     """A repeated id is refused at ``submit``, naming it, whether the first
     request is still pending or already served; the first is kept."""

@@ -1,6 +1,7 @@
 """The one per-request record, ``scheduler.RequestState``, checked after
 every chunk while ``Engine`` serves small mixed prefill/decode/verify
-traces in both modes: its ``kv_len`` is its table's token count, its
+traces in both modes: its progress is its table's token count, which
+no scheduler step writes (the record holds no count of its own), its
 outputs and their ticks line up, the cache holds exactly its prompt and
 outputs, it waits in the one queue its progress names, a speculative
 record's tree is drafted from all of its outputs, and a retired record
@@ -11,6 +12,7 @@ root."""
 
 from __future__ import annotations
 
+import copy
 import functools
 
 import pytest
@@ -18,8 +20,10 @@ from hypothesis import given, settings, strategies as st
 
 from tileserve.config import ServeConfig
 from tileserve.engine import Engine, EngineRequest
+from tileserve.kv_cache import PoolExhausted
 from tileserve.oracle import ToyModel
 from tileserve.scheduler import Stage
+from tileserve.trace import gen_trace
 
 
 @functools.lru_cache(maxsize=None)
@@ -42,12 +46,11 @@ def check_records(engine: Engine) -> None:
             assert not rs.table.blocks and rid not in engine.cache._seqs and id(rs) not in queued
             continue
         total = rs.table.total_tokens
-        assert rs.kv_len == total
         assert engine.cache._seqs[rid].tokens == (prompt + outputs)[:total]
-        if rs.kv_len < len(prompt):
+        if total < len(prompt):
             assert not outputs and queued[id(rs)] == "prefill"
             continue
-        assert rs.kv_len == len(prompt) + len(outputs) - 1  # every output but the last has K/V
+        assert total == len(prompt) + len(outputs) - 1  # every output but the last has K/V
         if rs.request.spec is not None:
             tree = engine._propose(rs)  # drafted from every output before its root
             assert tree.tokens[0] == outputs[-1]
@@ -172,3 +175,36 @@ def test_only_a_tree_past_the_root_is_verified_and_its_next_chunk_verifies_it(nu
     assert spec["verifies"] == engine.verified == stages.count("V")
     # Each step after a prompt's last slice is a verify or a decode.
     assert spec["verifies"] + spec["decoded"] == len(stages) - stages.count("P")
+
+
+def record_fields(rs) -> dict:
+    """A copy of a record's fields, the submitted request aside, that
+    compares by value (a logits row by its bytes)."""
+    fields = {name: copy.deepcopy(value) for name, value in vars(rs).items() if name not in ("request", "logits_rows")}
+    return {**fields, "logits_rows": {pos: row.tobytes() for pos, row in rs.logits_rows.items()}}
+
+
+class SnapshotEngine(Engine):
+    """An engine that copies every record's fields just before each
+    chunk is scheduled."""
+
+    before: dict = {}
+
+    def _admit_arrived(self) -> None:
+        super()._admit_arrived()
+        self.before = {rid: record_fields(rs) for rid, rs in self.runtimes.items()}
+
+
+@pytest.mark.parametrize("numeric", [True, False], ids=["numeric", "simulate"])
+def test_a_chunk_whose_reservation_fails_leaves_every_record_as_it_was(numeric):
+    """A pool too small for the trace: the chunk whose blocks cannot be
+    reserved raises ``PoolExhausted`` naming it, and every record, its
+    table included, is as it was before that chunk was scheduled."""
+    cfg = ServeConfig(budget=64, kv_block_size=4, kv_pool_blocks=160, kv_cache_cap_blocks=64)
+    engine = SnapshotEngine(cfg, toy_model() if numeric else None, seed=1)
+    for row in gen_trace("sharegpt_like", 1, 48, spec=(2, 3)):
+        spec = row["spec"]
+        engine.submit(EngineRequest(row["id"], row["prompt"], row["output_len"], row["arrival"], (spec["width"], spec["depth"])))
+    with pytest.raises(PoolExhausted, match="^chunk 12: "):
+        engine.run()
+    assert {rid: record_fields(rs) for rid, rs in engine.runtimes.items()} == engine.before

@@ -4,10 +4,16 @@ and every request retires, with random lengths, budgets, reserves, late
 arrivals and speculative trees; a speculative request whose record holds
 no tree runs as a decode; a decode run that names a request not in
 flight changes nothing. As the engine does, each test hands a chunk's
-outcome back on the records: the picked tokens and the next tree, if
-the draft has one."""
+outcome back on the records: its cache commits the chunk's tokens to
+each record's table, whose count is the record's progress, and the
+engine puts the picked tokens and the next tree, if the draft has one,
+on the record. ``scheduler.py`` itself assigns only to attributes of
+``self``."""
 
 from __future__ import annotations
+
+import ast
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,9 +23,9 @@ from tileserve.scheduler import Chunk, EngineRequest, RequestState, Stage, Token
 from tileserve.spec_decode import full_tree
 
 
-def record(rid, prompt: int, output_len: int, kv_len: int = 0, spec=None) -> RequestState:
-    """A request of ``prompt`` tokens whose first ``kv_len`` are cached."""
-    return RequestState(EngineRequest(rid, [7] * prompt, output_len, spec=spec), BlockTable(rid), kv_len=kv_len)
+def record(rid, prompt: int, output_len: int, cached: int = 0, spec=None) -> RequestState:
+    """A request of ``prompt`` tokens whose first ``cached`` are cached."""
+    return RequestState(EngineRequest(rid, [7] * prompt, output_len, spec=spec), BlockTable(rid, total_tokens=cached))
 
 
 def ids(records) -> list:
@@ -89,6 +95,7 @@ def test_chunks_cover_every_prompt_token_once_and_every_request_retires(data):
             assert kv_len == matched + prompt + generated[rid] - 1  # every token but the last picked
             assert records[rid].spec_tree is None, "a tree to verify in the decode run"
             generated[rid] += 1
+            records[rid].table.total_tokens += 1  # the cache appends the decode's token
             records[rid].outputs.append(1)
             records[rid].spec_tree = draft(rid)
         pos = chunk.decodes
@@ -100,6 +107,7 @@ def test_chunks_cover_every_prompt_token_once_and_every_request_retires(data):
             if e.stage is Stage.PREFILL:
                 assert e.kv_len == next_pos[rid]
                 next_pos[rid] += e.token_num
+                e.req.table.total_tokens += e.token_num  # the cache commits the slice
                 if next_pos[rid] == matched + prompt:
                     generated[rid] = 1
                     e.req.outputs.append(1)
@@ -110,6 +118,7 @@ def test_chunks_cover_every_prompt_token_once_and_every_request_retires(data):
             assert e.token_num == e.spec_tree.spec_len
             assert e.kv_len == matched + prompt + generated[rid] - 1  # the root is the last pick
             accepted = data.draw(st.integers(1, wd[1]), label="accepted")
+            e.req.table.total_tokens = e.kv_len + accepted  # the cache keeps the accepted path
             new = min(accepted, output_len - generated[rid])
             generated[rid] += new
             e.req.outputs.extend([1] * new)
@@ -134,6 +143,7 @@ def test_a_decode_run_with_an_id_not_in_flight_changes_nothing():
     first = sched.schedule_next()  # the three prompts
     assert first.decodes == 0
     for req in records.values():
+        req.table.total_tokens = 2  # the cache commits each prompt
         req.outputs.append(1)
     sched.complete_chunk(first)
     run = sched.schedule_next()
@@ -141,7 +151,7 @@ def test_a_decode_run_with_an_id_not_in_flight_changes_nothing():
 
     def state():
         queues = [ids(q) for q in (sched._prefill, sched._decode, sched._verify)]
-        return queues, set(sched._in_flight), {rid: (req.kv_len, len(req.outputs)) for rid, req in records.items()}
+        return queues, set(sched._in_flight), {rid: (req.table.total_tokens, len(req.outputs)) for rid, req in records.items()}
 
     before = state()
     for bad_ids, named in ((["a", "ghost", "b", "c", "spook"], "ghost"), (["a", "b", "a", "c"], "a")):
@@ -162,9 +172,48 @@ def test_a_refused_request_leaves_its_id_free():
     registered, so its id can be added again."""
     sched = TokenScheduler(budget=8)
     with pytest.raises(ValueError, match="at least one uncached prompt token"):
-        sched.add_request(record("a", 1, 1, kv_len=1))
+        sched.add_request(record("a", 1, 1, cached=1))
     with pytest.raises(ValueError, match=r"^request 'a' needs .*; 3 of its 3 prompt tokens are cached$"):
-        sched.add_request(record("a", 3, 1, kv_len=3))
+        sched.add_request(record("a", 3, 1, cached=3))
     sched.add_request(record("a", 1, 1))
     chunk = sched.schedule_next()
     assert ids(e.req for e in chunk.entries) == ["a"]
+
+
+def foreign_writes(source: str) -> list[str]:
+    """``line: target`` of each assignment, augmented and annotated ones
+    included, to an attribute of anything but ``self``, directly or
+    through a subscript (``req.x = ...``, ``req.x += 1``, ``req.x[i] = ...``)."""
+    writes = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for part in ast.walk(target):
+                if not isinstance(part, (ast.Attribute, ast.Subscript)) or not isinstance(part.ctx, ast.Store):
+                    continue
+                root, attributes = part, 0
+                while isinstance(root, (ast.Attribute, ast.Subscript)):
+                    attributes += isinstance(root, ast.Attribute)
+                    root = root.value
+                if attributes and not (isinstance(root, ast.Name) and root.id == "self"):
+                    writes.append(f"{part.lineno}: {ast.unparse(part)}")
+    return writes
+
+
+def test_the_scheduler_writes_nothing_on_a_record():
+    """Every attribute ``scheduler.py`` assigns is its own: a record's
+    progress is its table's count, which the cache commits, and its picks
+    and next tree are the engine's, so a chunk that fails leaves every
+    record as it was."""
+    assert foreign_writes("req.kv_len += 1\nreq.rows[3] = 0\na, req.tree = 1, None\nq[0] = 1\nself.n: int = 0\n") == [
+        "1: req.kv_len",
+        "2: req.rows[3]",
+        "3: req.tree",
+    ]
+    source = (Path(__file__).resolve().parents[1] / "src" / "tileserve" / "scheduler.py").read_text()
+    assert foreign_writes(source) == []

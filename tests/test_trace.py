@@ -1,12 +1,15 @@
 """Trace parsing: which prompts ``parse_trace`` accepts, where a token id
-past the vocabulary or a malformed line is refused, the CLI's seed, and
-the speculation ``gen-trace`` writes."""
+past the vocabulary or a malformed line is refused (a number the engine
+cannot hold included), the CLI's seed, the speculation ``gen-trace``
+writes, and that ``run`` on any trace of JSON values exits 0 or 2."""
 
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tileserve import cli
 from tileserve.engine import Engine
@@ -82,15 +85,35 @@ NEXT_ROW = {**GOOD_ROW, "id": "r1"}  # the row after it, with one field edited
                 {"width": -1, "depth": 3},
             )
         ],
+        pytest.param(
+            json.dumps(NEXT_ROW).replace('"output_len": 2', '"output_len": ' + "9" * 5000),
+            "invalid JSON: an integer of more than 4300 digits",
+            id="5000-digit-output_len",
+        ),
+        pytest.param("[" * 100_000, "invalid JSON: nested too deeply", id="nested-100000-deep"),
+        *[
+            pytest.param(json.dumps({**NEXT_ROW, field: value}), f"{name} must be at most 2**53", id=f"{name}-{label}")
+            for field, value, name, label in (
+                ("arrival", 10**400, "arrival", "10**400"),
+                ("arrival", 2**53 + 1, "arrival", "2**53+1"),
+                ("output_len", 2**53 + 1, "output_len", "2**53+1"),
+                ("spec", {"width": 10**4000, "depth": 3}, "spec width", "10**4000"),
+                ("spec", {"width": 2, "depth": 2**53 + 1}, "spec depth", "2**53+1"),
+            )
+        ],
     ],
 )
 def test_a_malformed_line_is_refused_on_its_line(tmp_path, capsys, line, message):
-    """A line that is not an object, whose id is neither a string nor an
-    int, or whose arrival, output_len or spec sizes are not ints in range,
-    is a ``ParseError`` naming the line, and ``run`` exits 2."""
+    """A line that is not JSON Python can read (an integer past its digit
+    limit, or nesting past its recursion limit), is not an object, whose
+    id is neither a string nor an int, or whose arrival, output_len or
+    spec sizes are not ints in range, is a ``ParseError`` naming the line,
+    and ``run`` exits 2. An arrival past 2**53 would round as a tick: to
+    infinity past the float range, and else to a tick before it, which
+    the engine would idle to forever."""
     path = tmp_path / "trace.jsonl"
     path.write_text(json.dumps(GOOD_ROW) + "\n" + line + "\n")
-    with pytest.raises(ParseError, match=f"^trace line 2: {message}$"):
+    with pytest.raises(ParseError, match=f"^trace line 2: {re.escape(message)}$"):
         parse_trace(path)
     assert cli.main(["run", "--trace", str(path), "--mode", "simulate"]) == 2
     assert capsys.readouterr().err == f"error: trace line 2: {message}\n"
@@ -225,3 +248,57 @@ def test_plot_csv_reads_the_arrivals_of_the_one_parse(tmp_path, monkeypatch):
     end = report["makespan_ticks"]
     want += [f"{end!r},qps,{report['qps']!r}", f"{end!r},skip_ratio,{report['skip']['skip_ratio']!r}"]
     assert csv_path.read_text() == "\n".join(want) + "\n"
+
+
+def one_in(n: int, rare, common):
+    """``rare`` once in ``n`` draws, ``common`` otherwise."""
+    return st.sampled_from((rare, *[common] * (n - 1))).flatmap(lambda values: values)
+
+
+def spec_objects(sizes):
+    """The JSON text of a spec object whose width and depth are ``sizes``."""
+    return st.tuples(sizes, sizes).map(lambda wd: '{"width": %s, "depth": %s}' % wd)
+
+
+# JSON texts of the values a trace field may hold, written by hand: an
+# integer of more than 4,300 digits has no ``json.dumps``. Every huge one
+# is past 2**53.
+HUGE = st.builds(lambda digit, n: digit * n, st.sampled_from("19"), st.integers(17, 5000))  # 17 to 5,000 digits
+INTS = st.one_of(st.integers(-3, 40).map(str), HUGE, HUGE.map("-".__add__))
+SCALARS = st.one_of(
+    INTS,
+    st.floats().map(json.dumps),  # NaN and Infinity included, which json.loads reads
+    st.booleans().map(json.dumps),
+    st.just("null"),
+    st.text(max_size=3).map(json.dumps),
+)
+
+VALUES = st.one_of(
+    SCALARS, st.lists(SCALARS, max_size=4).map(lambda items: "[" + ", ".join(items) + "]"), spec_objects(SCALARS)
+)
+
+
+# Each field holds any value one time in five, and otherwise a value of
+# its own type, mostly in range, so that some traces are served.
+SIZES = one_in(4, HUGE, st.integers(1, 40).map(str))
+LINES = st.builds(
+    '{{"id": {}, "arrival": {}, "prompt": {}, "output_len": {}, "spec": {}}}'.format,
+    one_in(5, VALUES, st.sampled_from(('"a"', '"b"', "7"))),
+    one_in(5, VALUES, SIZES),
+    one_in(5, VALUES, st.lists(st.integers(0, 40).map(str), min_size=1, max_size=4).map(lambda ids: "[" + ", ".join(ids) + "]")),
+    one_in(5, VALUES, SIZES),
+    one_in(5, VALUES, st.just("null") | spec_objects(SIZES)),
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(lines=st.lists(LINES, min_size=1, max_size=3), mode=st.sampled_from(("simulate", "numeric")))
+def test_run_on_any_trace_of_json_values_exits_0_or_2(tmp_path, lines, mode):
+    """Each field is an integer of up to 5,000 digits, a float, a bool,
+    null, a string, a short list of those or a spec object of two of
+    them: ``run`` serves the trace or refuses it, and raises nothing.
+    Integers either fit a small request or are too large to serve, so
+    every run is short."""
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("\n".join(lines) + "\n")
+    assert cli.main(["run", "--trace", str(trace), "--mode", mode, "--report", str(tmp_path / "r.json")]) in (0, 2)
